@@ -19,8 +19,9 @@ from .measure import (DyadicMeasure1, DyadicMeasure2, MaximalIntervalResult,
                       maximal_interval, prune_heavy_cubes, pushforward_affine,
                       rescale_to_unit, riesz_energy, uniform_on)
 from .project import (AngleMeasure, Direction, MarstrandStats, ProjectionRecord,
-                      SweepReport, adversarial_projection, kaufman_average,
-                      marstrand_average, project_measure, project_set, sweep)
+                      SweepReport, adversarial_count, adversarial_projection,
+                      kaufman_average, marstrand_average, project_measure,
+                      project_set, sweep)
 from .lattice import (CellCloud, CollisionWitness, LatticeSearchResult,
                       blichfeldt_translate, count_lattice_points, slab_collision)
 from .addcomb import (BsgExtractionError, BsgResult, InequalityRecord, bsg_extract,
@@ -43,7 +44,8 @@ __all__ = [
     "InequalityRecord", "InternalCheckError", "LatticeSearchResult",
     "MarstrandStats", "MaximalIntervalResult", "MAX_DEPTH", "MAX_INDEX",
     "MAX_SPAN", "PreconditionError", "ProjectionExperiment", "ProjectionRecord",
-    "Scale", "SumSemantics", "SweepReport", "adversarial_projection",
+    "Scale", "SumSemantics", "SweepReport", "adversarial_count",
+    "adversarial_projection",
     "as_fraction", "blichfeldt_translate", "bsg_extract", "cartesian_product",
     "check_cor_simple", "check_graph_projection", "check_plunnecke",
     "check_ruzsa_triangle", "check_sum_to_difference", "condition",

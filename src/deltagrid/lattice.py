@@ -32,8 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, as_fraction, cartesian_product, _require
-from .setcalc import SumSemantics, dilate, graph_sum
+from .grid import GridSet1, GridSet2, Scale, as_fraction, _require
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -256,14 +255,6 @@ def _exact_projection_measure(A: GridSet1, v) -> Fraction:
     return sum((hi - lo for lo, hi in runs), Fraction(0))
 
 
-def _projection_cover(A: GridSet1, v) -> GridSet1:
-    """delta-cell cover of sum_i v_i * A by iterated graph sums."""
-    S = dilate(A, as_fraction(v[0]))
-    for vi in v[1:]:
-        S = graph_sum(cartesian_product(S, A), as_fraction(vi), SumSemantics.COVER)
-    return S
-
-
 def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
     """Cells meeting the slab {|<p,u>| <= 1, |p - <p,u>u| <= R} (outer).
 
@@ -312,13 +303,7 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     spacing = spacing_cells * delta
 
     lam = float(_exact_projection_measure(A, v))
-    # cover check runs on a dyadic rounding of v: exact dilation denominators
-    # stay guarded, and rounding only grows the conservative cover
-    mbits = min(scale.n + 8, 24)
-    vdy = [Fraction(round(float(x) * (1 << mbits)), 1 << mbits) for x in v]
-    cover = _projection_cover(A, vdy)
-    _require(lam > 0 and not cover.is_empty,
-             "projection of the product set has zero measure")
+    _require(lam > 0, "projection of the product set has zero measure")
     need = 2.0 * (n * diam + 2.0 * math.sqrt(n))
     M = int(math.ceil(need / lam)) + 1
     _require(M <= _MAX_TRANSLATES,
@@ -388,5 +373,5 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
                 z=tuple(float(t) for t in z), eliminated=elim,
                 tolerance=tol, projection_gap=gap)
     raise InternalCheckError(
-        f"no collision among {M} translates despite measured projection measure "
-        f"{cover.measure} (exact {lam}); theory guarantees one; bug")
+        f"no collision among {M} translates despite projection measure {lam}; "
+        f"theory guarantees one; bug")

@@ -10,11 +10,17 @@ with no rounding ambiguity.
 
 Energy convention: pair distance is max(delta, |center - center|), so
 the diagonal contributes delta**-s and single-cell measures have finite
-energy.  Direct evaluation is O(N^2) and used for supports up to 4096
-cells; above that a dyadic-annulus binned path rounds each pair
-distance down to its annulus floor 2**t * delta, over-estimating by at
-most 2**s relative (one-sided: direct <= binned <= 2**s * direct).  2D
-supports always use the exact blocked direct path.
+energy.  On the lattice the energy is delta**-s * sum_d acorr(w)[d] *
+max(1, |d|)**-s, with acorr the autocorrelation of the weight grid and
+d a displacement in cells, so one zero-padded FFT autocorrelation gives
+it exactly in O(M log M), M the padded grid size.  The default path
+takes the O(N^2) direct sum for supports of at most 4096 cells, where
+it is the faster one (sparse supports in wide boxes most of all), and
+that kernel above, up to 2**22 padded cells.  Above the padded cap, 2D
+falls back to the blocked direct sum and 1D to a dyadic-annulus binned
+path that rounds each pair distance down to its annulus floor
+2**t * delta, over-estimating by at most 2**s relative (one-sided:
+direct <= binned <= 2**s * direct).
 
 Heavy-cube pruning removes, for each level j = 0..n-1, the dyadic
 cubes carrying mass above K*L*2**(-j*s/2) (strictly above by default;
@@ -25,6 +31,7 @@ checked on every call.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,6 +43,7 @@ from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_SPAN, Scale,
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
+_FFT_CELL_CAP = 1 << 22
 _ENERGY_CHUNK = 512
 
 
@@ -316,28 +324,62 @@ def _energy_binned_1d(w: np.ndarray, delta: float, s: float) -> float:
     return total * delta ** -s
 
 
+def _fft_shape(shape) -> tuple:
+    """Per-axis power of two >= 2*len - 1: room for every displacement."""
+    return tuple(1 << (2 * L - 2).bit_length() for L in shape)
+
+
+def _energy_fft(w: np.ndarray, delta: float, s: float) -> float:
+    """Exact energy of a dense 1D or 2D weight grid by FFT autocorrelation.
+
+    acorr[d] = sum_p w[p] * w[p + d] for every displacement |d_k| < len_k,
+    read from the zero-padded circular autocorrelation; the kernel
+    max(1, |d|)**-s is summed over those displacements only.
+    """
+    shape = _fft_shape(w.shape)
+    axes = tuple(range(w.ndim))
+    f = np.fft.rfftn(w, s=shape, axes=axes)
+    acorr = np.fft.irfftn(f.real ** 2 + f.imag ** 2, s=shape, axes=axes)
+    del f  # the spectrum is as large as the grid; free it before the kernel
+    # displacements 0..L-1 sit at the front of each axis, -(L-1)..-1 at the back
+    picks = [np.r_[0:L, P - L + 1:P] for L, P in zip(w.shape, shape)]
+    acorr = acorr[np.ix_(*picks)]
+    disp = [np.r_[0:L, 1 - L:0].astype(np.float64) for L in w.shape]
+    dist2 = disp[0] ** 2 if w.ndim == 1 else np.add.outer(disp[0] ** 2, disp[1] ** 2)
+    np.maximum(dist2, 1.0, out=dist2)
+    np.power(dist2, -s / 2, out=dist2)
+    dist2 *= acorr
+    return float(np.sum(dist2)) * delta ** -s
+
+
 def riesz_energy(mu, s: float, method: str = "auto") -> float:
     """s-energy: sum of w_p * w_q * d(p, q)**-s with d = max(delta, |centers|).
 
-    method "auto" picks direct O(N^2) up to 4096 support cells (always,
-    in 2D) and the 1D annulus-binned path above that; "direct" and
-    "binned" force a path.
+    method "auto" is exact below the padded-grid cap: supports of at most
+    4096 cells take the O(N^2) direct sum, larger ones the FFT
+    autocorrelation kernel while the padded grid has at most 2**22 cells.
+    Above that cap, 2D takes the blocked direct sum and 1D the
+    annulus-binned path (up to 2**s high).  "direct" and "binned" (1D
+    only) force a path.
     """
     _require(s > 0, "energy exponent must be positive")
     _require(method in ("auto", "direct", "binned"), f"unknown method {method!r}")
-    delta = mu.scale.delta
-    if isinstance(mu, DyadicMeasure1):
-        nz = np.flatnonzero(mu.weights > 0)
-        w = mu.weights[nz]
-        if method == "binned" or (method == "auto" and nz.size > DIRECT_ENERGY_CAP):
-            return _energy_binned_1d(mu.weights, delta, s)
-        return _energy_direct_1d(nz.astype(np.float64), w, delta, s)
-    if isinstance(mu, DyadicMeasure2):
-        _require(method != "binned", "binned path is 1D only; 2D uses exact blocked direct")
-        jr, ir = np.nonzero(mu.weights > 0)
-        pts = np.stack([ir, jr], axis=1).astype(np.float64)
-        return _energy_direct_2d(pts, mu.weights[jr, ir], delta, s)
-    raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    if not isinstance(mu, (DyadicMeasure1, DyadicMeasure2)):
+        raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    w, delta = mu.weights, mu.scale.delta
+    _require(w.ndim == 1 or method != "binned", "binned path is 1D only; 2D energies are exact")
+    if method == "auto" and np.count_nonzero(w) > DIRECT_ENERGY_CAP:
+        if math.prod(_fft_shape(w.shape)) <= _FFT_CELL_CAP:
+            return _energy_fft(w, delta, s)
+        method = "binned" if w.ndim == 1 else "direct"
+    if method == "binned":
+        return _energy_binned_1d(w, delta, s)
+    if w.ndim == 1:
+        nz = np.flatnonzero(w > 0)
+        return _energy_direct_1d(nz.astype(np.float64), w[nz], delta, s)
+    jr, ir = np.nonzero(w > 0)
+    pts = np.stack([ir, jr], axis=1).astype(np.float64)
+    return _energy_direct_2d(pts, w[jr, ir], delta, s)
 
 
 def energy_bound_constant(t: float, kappa: float) -> float:
@@ -451,8 +493,7 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     lo = int(tgt.min())
     span = int(tgt.max()) - lo + 1
     _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-    w = np.zeros(span)
-    np.add.at(w, tgt - lo, mu.weights[nz])
+    w = np.bincount(tgt - lo, weights=mu.weights[nz])
     return DyadicMeasure1.from_weights(mu.scale, lo, w)
 
 

@@ -213,19 +213,16 @@ def project_set(E: GridSet2, d) -> GridSet1:
     k1 = np.ceil(hi).astype(np.int64) - 1  # last cell starting below hi
     off = int(k0.min())
     span = int(k1.max()) - off + 1
-    bits = np.zeros(span + 1, dtype=np.int32)
-    np.add.at(bits, k0 - off, 1)
-    np.add.at(bits, k1 - off + 1, -1)
+    bits = (np.bincount(k0 - off, minlength=span + 1)
+            - np.bincount(k1 - off + 1, minlength=span + 1))
     return GridSet1.from_bits(E.scale, off, np.cumsum(bits[:-1]) > 0)
 
 
-def _fibers(E: GridSet2, d: Direction):
-    """Center-projection fiber keys and per-fiber cell counts."""
+def _fiber_keys(E: GridSet2, d: Direction) -> np.ndarray:
+    """Center-projection fiber key of each cell of E, in indices order."""
     c, s = d.vector
     ij = E.indices.astype(np.float64)
-    keys = np.floor((ij[:, 0] + 0.5) * c + (ij[:, 1] + 0.5) * s).astype(np.int64)
-    uniq, inv, counts = np.unique(keys, return_inverse=True, return_counts=True)
-    return uniq, inv, counts
+    return np.floor((ij[:, 0] + 0.5) * c + (ij[:, 1] + 0.5) * s).astype(np.int64)
 
 
 def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
@@ -236,38 +233,49 @@ def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     vals = (ir + mu.offset[0] + 0.5) * c + (jr + mu.offset[1] + 0.5) * s
     keys = np.floor(vals).astype(np.int64)
     lo = int(keys.min())
-    w = np.zeros(int(keys.max()) - lo + 1)
-    np.add.at(w, keys - lo, mu.weights[jr, ir])
+    w = np.bincount(keys - lo, weights=mu.weights[jr, ir])
     return DyadicMeasure1.from_weights(mu.scale, lo, w)
 
 
-def adversarial_projection(E: GridSet2, d, fraction: float):
+def _greedy_take(counts: np.ndarray, target: float) -> int:
+    """Number of heaviest fibers needed to hold >= target cells."""
+    cum = np.cumsum(np.sort(counts)[::-1])
+    take = int(np.searchsorted(cum, target, side="left")) + 1
+    return min(take, counts.size)
+
+
+def adversarial_count(E: GridSet2, d, fraction: float) -> int:
     """Fewest projected cells any fiber-union G with >= fraction of the
-    cells of E can achieve; returns (count, witness G).
+    cells of E can achieve.
 
     Greedy on fibers sorted by cell count descending is exactly optimal
-    here.  Ties between equal-count fibers break toward the smaller
-    projected index, so results are deterministic.
+    here; the count does not depend on the order of equal fibers.
     """
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     _require(not E.is_empty, "projection needs a nonempty set")
-    d = _as_direction(d)
-    uniq, inv, counts = _fibers(E, d)
-    order = np.lexsort((uniq, -counts))
-    target = fraction * E.count
-    cum = np.cumsum(counts[order])
-    take = int(np.searchsorted(cum, target, side="left")) + 1
-    take = min(take, order.size)
-    chosen = order[:take]
-    mask = np.isin(inv, chosen)
-    witness = GridSet2.from_indices(E.scale, E.indices[mask])
+    _, counts = np.unique(_fiber_keys(E, _as_direction(d)), return_counts=True)
+    return _greedy_take(counts, fraction * E.count)
+
+
+def adversarial_projection(E: GridSet2, d, fraction: float):
+    """adversarial_count together with a witness G; returns (count, G).
+
+    Ties between equal-count fibers break toward the smaller projected
+    index, so the witness is deterministic.
+    """
+    _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
+    _require(not E.is_empty, "projection needs a nonempty set")
+    uniq, inv, counts = np.unique(_fiber_keys(E, _as_direction(d)),
+                                  return_inverse=True, return_counts=True)
+    take = _greedy_take(counts, fraction * E.count)
+    chosen = np.lexsort((uniq, -counts))[:take]
+    witness = GridSet2.from_indices(E.scale, E.indices[np.isin(inv, chosen)])
     return take, witness
 
 
 def _adversarial_bruteforce(E: GridSet2, d, fraction: float) -> int:
     """Exhaustive minimum over all fiber sub-unions; small E only."""
-    d = _as_direction(d)
-    uniq, inv, counts = _fibers(E, d)
+    _, counts = np.unique(_fiber_keys(E, _as_direction(d)), return_counts=True)
     F = counts.size
     _require(F <= 20, "brute force limited to 20 fibers")
     masks = np.arange(1 << F, dtype=np.uint32)
@@ -316,7 +324,7 @@ def sweep(E: GridSet2, thetas, fraction: float, mu: DyadicMeasure2 | None = None
 
     def one(t: float) -> ProjectionRecord:
         pc = project_set(E, t).count
-        ac, _ = adversarial_projection(E, t, fraction)
+        ac = adversarial_count(E, t, fraction)
         en = None
         if mu is not None and kappa is not None:
             en = riesz_energy(project_measure(mu, t), kappa)

@@ -56,6 +56,13 @@ def _check_bounds(*sets: GridSet1) -> None:
     _require(total < MAX_INDEX, "sum indices would leave the guarded integer range")
 
 
+def _require_linear_range(terms, what: str) -> None:
+    """Bound sum |a| * b over (a, b) terms in Python ints, before an int64
+    product of magnitude up to that sum is formed, so it cannot wrap."""
+    _require(sum(abs(int(a)) * int(b) for a, b in terms) < MAX_INDEX,
+             f"{what} would leave the guarded integer range")
+
+
 def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX,
            method: str = "bitmask") -> GridSet1:
     """A + B under the chosen semantics.
@@ -133,9 +140,8 @@ def _paint_ranges(scale: Scale, k_first: np.ndarray, k_last: np.ndarray) -> Grid
     hi = int(k_last.max())
     span = hi - lo + 2
     _require(span <= MAX_SPAN + 1, f"cell span {span - 1} exceeds dense-representation cap {MAX_SPAN}")
-    diff = np.zeros(span, dtype=np.int64)
-    np.add.at(diff, k_first - lo, 1)
-    np.add.at(diff, k_last - lo + 1, -1)
+    diff = (np.bincount(k_first - lo, minlength=span)
+            - np.bincount(k_last - lo + 1, minlength=span))
     cov = np.cumsum(diff)[:-1] > 0
     return GridSet1.from_bits(scale, lo, cov)
 
@@ -157,7 +163,7 @@ def dilate(A: GridSet1, x) -> GridSet1:
     if A.is_empty:
         return A
     idx = A.indices
-    _require(int(np.abs(idx).max() + 1) * abs(p) < MAX_INDEX, "dilated indices out of guarded range")
+    _require_linear_range(((p, int(np.abs(idx).max()) + 1),), "dilated indices")
     if p > 0:
         lo = p * idx          # attained (cell's closed left end)
         hi = p * (idx + 1)    # not attained
@@ -194,11 +200,11 @@ def _product_cover_pairs(scale: Scale, idx_p: np.ndarray, idx_a: np.ndarray) -> 
     attained only when both factors sit at their closed left ends.
     Output cell k covers [k*2**n, (k+1)*2**n) in those units.
     """
+    _require_linear_range(((int(np.abs(idx_p).max()) + 1, int(np.abs(idx_a).max()) + 1),),
+                          "product indices")
     u = 1 << scale.n
     ii = np.repeat(idx_p, idx_a.size)
     jj = np.tile(idx_a, idx_p.size)
-    _require(max(float(np.abs(ii).max()) + 1, 1.0) * max(float(np.abs(jj).max()) + 1, 1.0) < MAX_INDEX,
-             "product indices would leave the guarded integer range")
     c = np.empty((4, ii.size), dtype=np.int64)
     c[0] = ii * jj
     c[1] = ii * (jj + 1)
@@ -246,14 +252,16 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
     pairs = G.indices
     ii = pairs[:, 0].astype(np.int64)
     jj = pairs[:, 1].astype(np.int64)
+    imax = int(np.abs(ii).max())
+    jmax = int(np.abs(jj).max())
     if semantics is SumSemantics.INDEX:
         _require(fx.denominator == 1, "INDEX graph sum needs integer x")
         xv = int(fx)
-        vals = ii + xv * jj
-        _require(float(np.abs(vals).max()) < MAX_INDEX, "graph-sum indices out of guarded range")
-        return GridSet1.from_indices(G.scale, np.unique(vals))
+        _require_linear_range(((1, imax), (xv, jmax + 1)), "graph-sum indices")
+        return GridSet1.from_indices(G.scale, np.unique(ii + xv * jj))
     p, q = fx.numerator, fx.denominator
     _require(max(abs(p), q) <= (1 << 30), "graph-sum factor exceeds guarded magnitude 2**30")
+    _require_linear_range(((q, imax + 1), (p, jmax + 1)), "graph-sum endpoints")
     if p > 0:
         lo = ii * q + p * jj
         hi = (ii + 1) * q + p * (jj + 1)

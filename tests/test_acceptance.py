@@ -15,7 +15,8 @@ import pytest
 
 from deltagrid import (AngleMeasure, CellCloud, Direction, DyadicMeasure1,
                        GridSet1, GridSet2, PreconditionError, Scale,
-                       adversarial_projection, blichfeldt_translate,
+                       adversarial_count, adversarial_projection,
+                       blichfeldt_translate,
                        cartesian_product, check_cor_simple,
                        check_graph_projection, check_plunnecke,
                        check_ruzsa_triangle, check_sum_to_difference,
@@ -294,7 +295,7 @@ def test_c09_projection_count_fraction():
     t0 = time.monotonic()
     thetas = AngleMeasure.uniform(Scale(9)).quantile_angles(360)
     good = sum(1 for t in thetas
-               if adversarial_projection(E, Direction(float(t)), lam)[0] > thr)
+               if adversarial_count(E, Direction(float(t)), lam) > thr)
     dt = time.monotonic() - t0
     frac = good / 360.0
     _record(9, frac >= B.PROJECTION_SQUARE_FRACTION - 0.05 and dt <= 300.0,

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (DyadicMeasure1, GridSet1, GridSet2, InternalCheckError,
+from deltagrid import measure
+from deltagrid import (DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2, InternalCheckError,
                        PreconditionError, Scale, condition, energy_bound_constant,
                        frostman_constant, gen_cantor, gen_random_frostman,
                        make_interval, maximal_interval, prune_heavy_cubes,
@@ -132,6 +133,73 @@ def test_energy_2d():
     assert riesz_energy(mu, s) == pytest.approx((dist ** -s + d ** -s) / 2)
 
 
+def _random_measure2(rng, shape, offset):
+    w = rng.random(shape) * (rng.random(shape) < 0.6)
+    w[0, 0] = w[-1, -1] = 1.0  # trimmed: every border row and column nonzero
+    w[0, -1] = w[-1, 0] = 0.5
+    return DyadicMeasure2.from_weights(Scale(12), offset, w / w.sum())
+
+
+def test_energy_fft_matches_direct_2d(monkeypatch):
+    # with no direct-sum range, auto runs the FFT kernel on every grid here
+    monkeypatch.setattr(measure, "DIRECT_ENERGY_CAP", 0)
+    rng = np.random.default_rng(70)
+    shapes = [(1, 1), (1, 37), (29, 1), (1, 2), (2, 1)]
+    shapes += [tuple(int(v) for v in rng.integers(2, 60, size=2)) for _ in range(8)]
+    for shape in shapes:
+        offset = tuple(int(v) for v in rng.integers(-3000, 3000, size=2))
+        mu = _random_measure2(rng, shape, offset)
+        for s in (0.3, 1.0, 1.7):
+            direct = riesz_energy(mu, s, method="direct")
+            assert riesz_energy(mu, s) == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_energy_fft_matches_direct_2d_above_direct_cap():
+    rng = np.random.default_rng(73)
+    mu = _random_measure2(rng, (90, 110), (-40, 17))
+    assert np.count_nonzero(mu.weights) > measure.DIRECT_ENERGY_CAP
+    direct = riesz_energy(mu, 1.0, method="direct")
+    assert riesz_energy(mu, 1.0) == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_energy_small_supports_take_direct_sum():
+    # a sparse support in a wide box: the direct sum, bit for bit
+    mu2 = uniform_on(GridSet2.from_indices(Scale(12), [(0, 0), (900, 5), (1000, 1000)]))
+    mu1 = _unif(20, [0, 3, 900_000])
+    for mu in (mu1, mu2):
+        assert riesz_energy(mu, 0.7) == riesz_energy(mu, 0.7, method="direct")
+
+
+def _random_measure1(rng, cells, span, offset):
+    idx = rng.choice(span, size=cells, replace=False)
+    w = np.zeros(span)
+    w[idx] = rng.random(cells) + 0.1
+    return DyadicMeasure1.from_weights(Scale(20), offset, w / w.sum())
+
+
+def test_energy_fft_matches_direct_1d_above_direct_cap():
+    rng = np.random.default_rng(71)
+    for cells, span, offset in ((4500, 5000, 0), (5000, 60000, 12345), (4097, 4097, -7)):
+        mu = _random_measure1(rng, cells, span, offset)
+        assert np.count_nonzero(mu.weights) > measure.DIRECT_ENERGY_CAP
+        for s in (0.3, 1.0, 1.7):
+            auto = riesz_energy(mu, s)
+            assert auto == pytest.approx(riesz_energy(mu, s, method="direct"),
+                                         rel=1e-12, abs=0)
+            assert auto <= riesz_energy(mu, s, method="binned")
+
+
+def test_energy_above_fft_cap_falls_back(monkeypatch):
+    rng = np.random.default_rng(72)
+    mu2 = _random_measure2(rng, (80, 90), (5, -9))
+    mu1 = _random_measure1(rng, 4200, 9000, 3)
+    assert np.count_nonzero(mu2.weights) > measure.DIRECT_ENERGY_CAP
+    monkeypatch.setattr(measure, "_FFT_CELL_CAP", 1024)
+    assert riesz_energy(mu2, 1.0) == riesz_energy(mu2, 1.0, method="direct")
+    for s in (0.3, 1.0, 1.7):
+        assert riesz_energy(mu1, s) == riesz_energy(mu1, s, method="binned")
+
+
 def test_energy_bound_constant():
     # closed form of the geometric series 2 * 2^k * sum 2^(j(t-k))
     assert energy_bound_constant(0.4, 0.5) == pytest.approx(
@@ -230,6 +298,25 @@ def test_pushforward_mass_preserved():
         b = Fraction(int(rng.integers(-8, 9)), 16)
         out = pushforward_affine(mu, a, b)
         assert out.weights.sum() == pytest.approx(1.0, abs=2 ** -40 * 4)
+
+
+def test_pushforward_matches_add_at():
+    # byte-equal to accumulating in input order with np.add.at
+    rng = np.random.default_rng(91)
+    for _ in range(20):
+        w = rng.random(300) * (rng.random(300) < 0.5)
+        w[0] = w[-1] = 1.0
+        mu = DyadicMeasure1.from_weights(Scale(10), int(rng.integers(0, 700)), w / w.sum())
+        a = Fraction(int(rng.integers(1, 4)), int(rng.integers(3, 9)))
+        b = Fraction(int(rng.integers(-64, 64)), 1024)
+        nz = np.flatnonzero(mu.weights)
+        tgt = [math.floor(a * Fraction(2 * (int(i) + mu.offset) + 1, 2) + b * 1024) for i in nz]
+        lo = min(tgt)
+        want = np.zeros(max(tgt) - lo + 1)
+        np.add.at(want, np.asarray(tgt) - lo, mu.weights[nz])
+        got = pushforward_affine(mu, a, b)
+        assert got.offset == lo
+        assert got.weights.tobytes() == want.tobytes()
 
 
 def test_maximal_interval_examples():

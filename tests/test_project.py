@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 from deltagrid import (AngleMeasure, Direction, DyadicMeasure2, GridSet2,
-                       PreconditionError, Scale, adversarial_projection,
+                       PreconditionError, Scale, adversarial_count,
+                       adversarial_projection,
                        gen_cantor, kaufman_average, make_interval,
                        marstrand_average, cartesian_product, project_measure,
                        project_set, riesz_energy, sweep, uniform_on)
@@ -76,6 +77,25 @@ def test_project_measure_mass():
     # triangle profile: peak in the middle of the shadow
     w = m.weights
     assert w[len(w) // 2] >= w[0]
+
+
+def test_project_measure_matches_add_at():
+    # byte-equal to accumulating in input order with np.add.at
+    rng = np.random.default_rng(24)
+    for _ in range(20):
+        w = rng.random((40, 30)) * (rng.random((40, 30)) < 0.4)
+        w[0, 0] = w[-1, -1] = 1.0
+        mu = DyadicMeasure2.from_weights(Scale(8), (int(rng.integers(0, 200)), 7), w / w.sum())
+        d = Direction(float(rng.uniform(0, math.pi)))
+        c, s = d.vector
+        jr, ir = np.nonzero(mu.weights > 0)
+        keys = np.floor((ir + mu.offset[0] + 0.5) * c
+                        + (jr + mu.offset[1] + 0.5) * s).astype(np.int64)
+        want = np.zeros(int(keys.max() - keys.min()) + 1)
+        np.add.at(want, keys - keys.min(), mu.weights[jr, ir])
+        got = project_measure(mu, d)
+        assert got.offset == int(keys.min())
+        assert got.weights.tobytes() == want.tobytes()
 
 
 def test_marstrand_square():
@@ -184,6 +204,24 @@ def test_adversarial_rejects_bad_fraction():
     for lam in (0.0, -0.5, 1.5):
         with pytest.raises(PreconditionError):
             adversarial_projection(E, Direction(0.3), lam)
+        with pytest.raises(PreconditionError):
+            adversarial_count(E, Direction(0.3), lam)
+
+
+def test_adversarial_count_matches_witness_path():
+    rng = np.random.default_rng(25)
+    C = gen_cantor(Scale(7), 3, (0, 2), 4)
+    sets = [cartesian_product(C, C), _square(4)]
+    for _ in range(10):
+        pts = [(int(a), int(b)) for a, b in rng.integers(0, 64, size=(40, 2))]
+        sets.append(GridSet2.from_indices(Scale(6), pts))
+    for E in sets:
+        for _ in range(5):
+            theta = float(rng.uniform(0, math.pi))
+            lam = float(rng.uniform(0.05, 1.0))
+            count, witness = adversarial_projection(E, theta, lam)
+            assert adversarial_count(E, theta, lam) == count
+            assert witness.count >= lam * E.count
 
 
 def test_shadow_vs_fiber_factor():

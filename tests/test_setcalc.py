@@ -1,9 +1,12 @@
 """Sumset calculus tests: the two semantics, exact covers for dilation
 and products, graph sums, and bitmask-vs-naive equivalence."""
+import math
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
+from deltagrid.setcalc import _paint_ranges
 from deltagrid import (GridSet1, GridSet2, PreconditionError, Scale,
                        SumSemantics, diffset, dilate, gen_cantor, graph_sum,
                        make_interval, nfold_product, nfold_sum, reflect, sumset)
@@ -155,6 +158,52 @@ def test_graph_sum_rational():
             # the exact cover of [lo, hi) must be present
             want = {c for c in covered if c < hi and c + 1 > lo}
             assert want <= out
+
+
+def _graph_sum_oracle(pairs, x, semantics):
+    """Python-int and Fraction enumeration of a graph sum."""
+    if semantics is IDX:
+        return sorted({a + int(x) * b for a, b in pairs})
+    out = set()
+    for a, b in pairs:
+        ends = (a + x * b, a + x * (b + 1))
+        lo, hi = min(ends), max(ends) + 1
+        # the supremum is never attained, the infimum only for x > 0
+        out.update(range(math.floor(lo), math.ceil(hi)))
+    return sorted(out)
+
+
+def test_graph_sum_wide_indices_raise():
+    # both cases used to wrap int64 silently: {0, 1} and {0} came back
+    G = GridSet2.from_indices(Scale(30), [(2 ** 40, 2 ** 40)])
+    with pytest.raises(PreconditionError):
+        graph_sum(G, Fraction(1, 2 ** 30 - 1), COV)
+    G = GridSet2.from_indices(Scale(30), [(0, 2 ** 40)])
+    with pytest.raises(PreconditionError):
+        graph_sum(G, 2 ** 30, IDX)
+
+
+def test_graph_sum_in_range_matches_python_int_oracle():
+    rng = np.random.default_rng(26)
+    for _ in range(40):
+        base = int(rng.integers(-2 ** 20, 2 ** 20))
+        pts = rng.integers(0, 1 << 6, size=(int(rng.integers(1, 12)), 2)) + base
+        G = GridSet2.from_indices(Scale(30), pts)
+        pairs = G.indices.tolist()
+        xi = int(rng.integers(-2 ** 20, 2 ** 20))
+        assert graph_sum(G, xi, IDX).indices.tolist() == _graph_sum_oracle(pairs, xi, IDX)
+        x = Fraction(int(rng.integers(-2 ** 30, 2 ** 30)) or 1, int(rng.integers(1, 2 ** 30)))
+        assert graph_sum(G, x, COV).indices.tolist() == _graph_sum_oracle(pairs, x, COV)
+
+
+def test_paint_ranges_matches_set_union():
+    rng = np.random.default_rng(27)
+    for _ in range(30):
+        k_first = rng.integers(-500, 500, size=int(rng.integers(1, 40)))
+        k_last = k_first + rng.integers(0, 30, size=k_first.size)
+        want = sorted({k for a, b in zip(k_first.tolist(), k_last.tolist())
+                       for k in range(a, b + 1)})
+        assert _paint_ranges(Scale(10), k_first, k_last).indices.tolist() == want
 
 
 def test_index_size_bounds():
