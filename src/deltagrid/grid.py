@@ -139,15 +139,16 @@ class GridSet1:
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
-        idx = np.asarray(sorted({int(i) for i in np.asarray(indices, dtype=np.int64).reshape(-1)}),
-                         dtype=np.int64)
+        """Cells from integer indices in any order, duplicates allowed."""
+        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
         if idx.size == 0:
             return cls.empty(scale)
-        span = int(idx[-1] - idx[0] + 1)
+        lo = int(idx.min())
+        span = int(idx.max()) - lo + 1
         _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
         bits = np.zeros(span, dtype=bool)
-        bits[idx - idx[0]] = True
-        return cls(scale, int(idx[0]), bits)
+        bits[idx - lo] = True  # repeated indices just set a bit again
+        return cls(scale, lo, bits)
 
     @classmethod
     def from_mask(cls, scale: Scale, offset: int, mask: int) -> "GridSet1":
@@ -180,7 +181,13 @@ class GridSet1:
 
     @property
     def indices(self) -> np.ndarray:
-        return np.flatnonzero(self.bits).astype(np.int64) + self.offset
+        """Ascending absolute cell indices; computed once, read-only."""
+        idx = self.__dict__.get("_indices")
+        if idx is None:
+            idx = np.flatnonzero(self.bits).astype(np.int64) + self.offset
+            idx.setflags(write=False)
+            object.__setattr__(self, "_indices", idx)
+        return idx
 
     @property
     def min_index(self) -> int:
@@ -306,8 +313,16 @@ class GridSet2:
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
-        """indices: iterable of (i, j) cell pairs."""
-        pts = np.asarray(list({(int(i), int(j)) for i, j in indices}), dtype=np.int64)
+        """indices: (m, 2) array or iterable of (i, j) cell pairs, in any
+        order, duplicates allowed."""
+        if not isinstance(indices, np.ndarray):
+            indices = list(indices)
+        try:
+            pts = np.asarray(indices, dtype=np.int64)
+        except ValueError:
+            raise PreconditionError("indices must be (i, j) pairs") from None
+        _require(pts.shape == (0,) or (pts.ndim == 2 and pts.shape[1] == 2),
+                 f"indices must be (i, j) pairs, got shape {pts.shape}")
         if pts.size == 0:
             return cls.empty(scale)
         ox, oy = int(pts[:, 0].min()), int(pts[:, 1].min())
@@ -344,11 +359,16 @@ class GridSet2:
 
     @property
     def indices(self) -> np.ndarray:
-        """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i)."""
-        jr, ir = np.nonzero(self.bits)
-        out = np.empty((jr.size, 2), dtype=np.int64)
-        out[:, 0] = ir + self.offset[0]
-        out[:, 1] = jr + self.offset[1]
+        """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i);
+        computed once, read-only."""
+        out = self.__dict__.get("_indices")
+        if out is None:
+            jr, ir = np.nonzero(self.bits)
+            out = np.empty((jr.size, 2), dtype=np.int64)
+            out[:, 0] = ir + self.offset[0]
+            out[:, 1] = jr + self.offset[1]
+            out.setflags(write=False)
+            object.__setattr__(self, "_indices", out)
         return out
 
     def contains_cell(self, i: int, j: int) -> bool:

@@ -21,6 +21,7 @@ drift beyond 1e-9 draws a warning.  Round-trips are lossless on canonical
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import re
 import warnings
@@ -30,13 +31,18 @@ from typing import Iterable, List, Sequence, Tuple, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_SPAN, GridSet1, GridSet2, Scale, _require
+from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
 
 _RUN_RE = re.compile(r"(-?\d+)-(-?\d+)")
 _ROW_RE = re.compile(r"row=(-?\d+):(-?\d+)-(-?\d+)")
+_OFFSET2_RE = re.compile(r"offset=(-?\d+),(-?\d+)")
+# Whole bodies, each line ended by '\n'; no capture groups, which halves
+# the matching time.
+_GS1_BODY_RE = re.compile(r"(?:-?\d+--?\d+\n)*")
+_GS2_BODY_RE = re.compile(r"(?:row=-?\d+:-?\d+--?\d+\n)*")
 _DRIFT_WARN = 1e-9
 
 
@@ -91,72 +97,110 @@ def _header_int(lines, lineno: int, key: str, path) -> int:
         raise _parse_error(path, lineno, f"bad integer in '{line}'") from None
 
 
-def _read_gs1(path, lines) -> GridSet1:
-    scale = Scale(_header_int(lines, 2, "n", path))
-    offset = _header_int(lines, 3, "offset", path)
-    chunks = []
+def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> List[tuple]:
+    """Check the body line by line, raising at the first faulty line."""
+    out = []
     total = 0
-    for lineno in range(4, len(lines) + 1):
+    for lineno in range(first, len(lines) + 1):
         line = lines[lineno - 1]
-        m = _RUN_RE.fullmatch(line)
+        m = line_re.fullmatch(line)
         if not m:
-            raise _parse_error(path, lineno, f"expected run 'a-b', got {line!r}")
-        a, b = int(m.group(1)), int(m.group(2))
+            raise _parse_error(path, lineno, f"expected {expected}, got {line!r}")
+        vals = tuple(int(g) for g in m.groups())
+        a, b = vals[-2:]
         if b < a:
             raise _parse_error(path, lineno, f"descending run {a}-{b}")
         total += b - a + 1
         if total > MAX_SPAN:
             raise _parse_error(path, lineno, f"more than {MAX_SPAN} cells")
-        chunks.append(np.arange(a, b + 1, dtype=np.int64))
-    if not chunks:
+        for v in vals:
+            if not -MAX_INDEX < v < MAX_INDEX:
+                raise _parse_error(path, lineno, f"index {v} outside the guarded range "
+                                                 f"(-{MAX_INDEX}, {MAX_INDEX})")
+        out.append(vals)
+    return out
+
+
+def _read_body(path, lines, first: int, line_re: re.Pattern, body_re: re.Pattern,
+               expected: str) -> np.ndarray:
+    """Body lines from 1-based line `first` on, one int64 row of line_re's
+    numbers per line.  Each line must match line_re and hold an ascending
+    run `a-b` (the last two numbers), all numbers inside (-MAX_INDEX,
+    MAX_INDEX), and the runs together at most MAX_SPAN cells.
+
+    The whole body is checked at once; only when that check fails does a
+    line-by-line scan run, to name the first faulty line.
+    """
+    k = line_re.groups
+    if len(lines) < first:
+        return np.zeros((0, k), dtype=np.int64)
+    body = "\n".join(lines[first - 1:]) + "\n"
+    if body_re.fullmatch(body):
+        flat = itertools.chain.from_iterable(line_re.findall(body))
+        try:
+            vals = np.fromiter(map(int, flat), dtype=np.int64).reshape(-1, k)
+        except OverflowError:  # a number beyond int64: the scan names its line
+            pass
+        else:
+            a, b = vals[:, -2], vals[:, -1]
+            # Once |a|, |b| < 2**62, b - a + 1 cannot wrap; clipping each
+            # run keeps the sum small however many lines there are.
+            if (bool(((vals > -MAX_INDEX) & (vals < MAX_INDEX)).all())
+                    and bool((b >= a).all())
+                    and int(np.minimum(b - a + 1, MAX_SPAN + 1).sum()) <= MAX_SPAN):
+                return vals
+    return np.array(_scan_body(path, lines, first, line_re, expected),
+                    dtype=np.int64).reshape(-1, k)
+
+
+def _expand_runs(a: np.ndarray, b: np.ndarray):
+    """Cell indices of the inclusive runs a[r]-b[r] in order, and each run's length."""
+    lens = b - a + 1
+    starts = np.cumsum(lens) - lens
+    cells = np.repeat(a - starts, lens)
+    cells += np.arange(cells.size, dtype=np.int64)
+    return cells, lens
+
+
+def _read_gs1(path, lines) -> GridSet1:
+    scale = Scale(_header_int(lines, 2, "n", path))
+    offset = _header_int(lines, 3, "offset", path)
+    runs = _read_body(path, lines, 4, _RUN_RE, _GS1_BODY_RE, "run 'a-b'")
+    if not runs.size:
         return GridSet1.empty(scale)
-    idx = np.concatenate(chunks)
-    if offset != int(idx.min()):
-        raise _parse_error(path, 3, f"offset={offset} but first occupied cell is {int(idx.min())}")
-    return GridSet1.from_indices(scale, idx)
+    first = int(runs[:, 0].min())
+    if offset != first:
+        raise _parse_error(path, 3, f"offset={offset} but first occupied cell is {first}")
+    return GridSet1.from_indices(scale, _expand_runs(runs[:, 0], runs[:, 1])[0])
 
 
 def _read_gs2(path, lines) -> GridSet2:
     scale = Scale(_header_int(lines, 2, "n", path))
     off_line = lines[2] if len(lines) >= 3 else ""
-    m = re.fullmatch(r"offset=(-?\d+),(-?\d+)", off_line)
+    m = _OFFSET2_RE.fullmatch(off_line)
     if not m:
         raise _parse_error(path, 3, f"expected 'offset=<int>,<int>', got {off_line!r}")
     ox, oy = int(m.group(1)), int(m.group(2))
     rows = _header_int(lines, 4, "rows", path)
-    xs, ys = [], []
-    total = 0
-    for lineno in range(5, len(lines) + 1):
-        line = lines[lineno - 1]
-        mr = _ROW_RE.fullmatch(line)
-        if not mr:
-            raise _parse_error(path, lineno, f"expected 'row=<j>:a-b', got {line!r}")
-        j, a, b = int(mr.group(1)), int(mr.group(2)), int(mr.group(3))
-        if b < a:
-            raise _parse_error(path, lineno, f"descending run {a}-{b}")
-        total += b - a + 1
-        if total > MAX_SPAN:
-            raise _parse_error(path, lineno, f"more than {MAX_SPAN} cells")
-        xs.append(np.arange(a, b + 1, dtype=np.int64))
-        ys.append(np.full(b - a + 1, j, dtype=np.int64))
-    if not xs:
+    runs = _read_body(path, lines, 5, _ROW_RE, _GS2_BODY_RE, "'row=<j>:a-b'")
+    if not runs.size:
         if rows != 0:
             raise _parse_error(path, 4, f"rows={rows} but no row lines follow")
         return GridSet2.empty(scale)
-    x = np.concatenate(xs)
-    y = np.concatenate(ys)
-    # Bounding-box guard before densifying: two far-apart cells must not
-    # provoke a huge allocation inside from_indices.
-    w = int(x.max()) - int(x.min()) + 1
-    h = int(y.max()) - int(y.min()) + 1
+    j, a, b = runs[:, 0], runs[:, 1], runs[:, 2]
+    x0, y0 = int(a.min()), int(j.min())
+    # Bounding-box guard before expanding runs into cells: two far-apart
+    # cells must not provoke a huge allocation.
+    w = int(b.max()) - x0 + 1
+    h = int(j.max()) - y0 + 1
     if w * h > MAX_SPAN:
         raise _parse_error(path, 5, f"bounding box {w}x{h} exceeds {MAX_SPAN} cells")
-    if (ox, oy) != (int(x.min()), int(y.min())):
-        raise _parse_error(path, 3,
-                           f"offset={ox},{oy} but occupied corner is {int(x.min())},{int(y.min())}")
+    if (ox, oy) != (x0, y0):
+        raise _parse_error(path, 3, f"offset={ox},{oy} but occupied corner is {x0},{y0}")
     if rows != h:
         raise _parse_error(path, 4, f"rows={rows} but occupied rows span {h}")
-    return GridSet2.from_indices(scale, np.stack([x, y], axis=1))
+    x, lens = _expand_runs(a, b)
+    return GridSet2.from_indices(scale, np.stack([x, np.repeat(j, lens)], axis=1))
 
 
 def read_gridset(path) -> Union[GridSet1, GridSet2]:

@@ -144,6 +144,20 @@ class DyadicMeasure2:
     def support(self) -> GridSet2:
         return GridSet2.from_bits(self.scale, self.offset, self.weights > 0)
 
+    @property
+    def _centers(self):
+        """(x, y, w) over the positive cells in row-major order: absolute
+        cell-center coordinates in cell units and the weights; computed
+        once, read-only."""
+        out = self.__dict__.get("_centers_cache")
+        if out is None:
+            jr, ir = np.nonzero(self.weights > 0)
+            out = (ir + self.offset[0] + 0.5, jr + self.offset[1] + 0.5, self.weights[jr, ir])
+            for a in out:
+                a.setflags(write=False)
+            object.__setattr__(self, "_centers_cache", out)
+        return out
+
     def __eq__(self, other) -> bool:
         if not isinstance(other, DyadicMeasure2):
             return NotImplemented

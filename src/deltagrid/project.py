@@ -229,11 +229,10 @@ def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     """Pushforward under pi_theta, each square's mass to its center's cell."""
     d = _as_direction(d)
     c, s = d.vector
-    jr, ir = np.nonzero(mu.weights > 0)
-    vals = (ir + mu.offset[0] + 0.5) * c + (jr + mu.offset[1] + 0.5) * s
-    keys = np.floor(vals).astype(np.int64)
+    x, y, weights = mu._centers
+    keys = np.floor(x * c + y * s).astype(np.int64)
     lo = int(keys.min())
-    w = np.bincount(keys - lo, weights=mu.weights[jr, ir])
+    w = np.bincount(keys - lo, weights=weights)
     return DyadicMeasure1.from_weights(mu.scale, lo, w)
 
 

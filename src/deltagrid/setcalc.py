@@ -45,10 +45,6 @@ class SumSemantics(enum.Enum):
     COVER = "cover"
 
 
-def _mask_to_set(scale: Scale, mask: int, offset: int) -> GridSet1:
-    return GridSet1.from_mask(scale, offset, mask)
-
-
 def _check_bounds(*sets: GridSet1) -> None:
     total = 0
     for s in sets:
@@ -102,7 +98,7 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     offset = small.offset + big.offset
     if semantics is SumSemantics.COVER:
         acc |= acc << 1
-    return _mask_to_set(A.scale, acc, offset)
+    return GridSet1.from_mask(A.scale, offset, acc)
 
 
 def reflect(A: GridSet1) -> GridSet1:
@@ -131,7 +127,7 @@ def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.IND
     if semantics is SumSemantics.INDEX:
         return base
     mask = base.to_mask()
-    return _mask_to_set(A.scale, mask | (mask << 1), base.offset - 1)
+    return GridSet1.from_mask(A.scale, base.offset - 1, mask | (mask << 1))
 
 
 def _paint_ranges(scale: Scale, k_first: np.ndarray, k_last: np.ndarray) -> GridSet1:

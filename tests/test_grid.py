@@ -165,3 +165,78 @@ def test_set_algebra_roundtrip():
     assert A.intersect(B).indices.tolist() == [4, 9]
     assert A.difference(B).indices.tolist() == [3]
     assert A.translate(7).indices.tolist() == [10, 11, 16]
+
+
+def _old_from_indices_1d(scale, indices):
+    idx = sorted({int(i) for i in np.asarray(indices, dtype=np.int64).reshape(-1)})
+    if not idx:
+        return GridSet1.empty(scale)
+    bits = np.zeros(idx[-1] - idx[0] + 1, dtype=bool)
+    bits[np.asarray(idx) - idx[0]] = True
+    return GridSet1(scale, idx[0], bits)
+
+
+def _old_from_indices_2d(scale, pairs):
+    cells = {(int(i), int(j)) for i, j in pairs}
+    if not cells:
+        return GridSet2.empty(scale)
+    ox = min(i for i, _ in cells)
+    oy = min(j for _, j in cells)
+    w = max(i for i, _ in cells) - ox + 1
+    h = max(j for _, j in cells) - oy + 1
+    bits = np.zeros((h, w), dtype=bool)
+    for i, j in cells:
+        bits[j - oy, i - ox] = True
+    return GridSet2(scale, (ox, oy), bits)
+
+
+def test_from_indices_matches_set_oracle():
+    """Unsorted, duplicated, negative and empty inputs give the set the
+    old sorted-set construction gave."""
+    rng = np.random.default_rng(7)
+    sc = Scale(10)
+    for case in range(60):
+        m = int(rng.integers(0, 40))
+        base = int(rng.integers(-(1 << 40), 1 << 40))
+        raw = base + rng.integers(-50, 50, size=m)
+        raw = np.concatenate((raw, raw[: m // 3]))  # duplicates
+        rng.shuffle(raw)
+        assert GridSet1.from_indices(sc, raw) == _old_from_indices_1d(sc, raw)
+        assert GridSet1.from_indices(sc, raw.tolist()) == _old_from_indices_1d(sc, raw)
+        pairs = np.stack([raw, base // 2 + rng.integers(-30, 30, size=raw.size)], axis=1)
+        want = _old_from_indices_2d(sc, pairs.tolist())
+        assert GridSet2.from_indices(sc, pairs) == want
+        assert GridSet2.from_indices(sc, [tuple(p) for p in pairs.tolist()]) == want
+        assert GridSet2.from_indices(sc, iter(pairs.tolist())) == want
+    assert GridSet1.from_indices(sc, []).is_empty
+    assert GridSet2.from_indices(sc, []).is_empty
+    assert GridSet2.from_indices(sc, np.zeros((0, 2), dtype=np.int64)).is_empty
+    assert GridSet2.from_indices(sc, {(3, 4), (5, 4)}) == _old_from_indices_2d(sc, [(3, 4), (5, 4)])
+
+
+@pytest.mark.parametrize("bad", [[(1, 2, 3)], [(1, 2, 3, 4)], [1, 2], [(1, 2), (3,)],
+                                 np.zeros((2, 2, 2), dtype=np.int64)])
+def test_from_indices_2d_rejects_non_pairs(bad):
+    with pytest.raises(PreconditionError):
+        GridSet2.from_indices(Scale(4), bad)
+
+
+def test_indices_computed_once_read_only():
+    rng = np.random.default_rng(11)
+    S = GridSet1.from_indices(Scale(12), rng.integers(-500, 500, size=200))
+    E = GridSet2.from_indices(Scale(12), rng.integers(-60, 60, size=(300, 2)))
+    for X, fresh in ((S, lambda: np.flatnonzero(S.bits) + S.offset),
+                     (E, lambda: np.stack(np.nonzero(E.bits)[::-1], axis=1) + E.offset)):
+        first = X.indices
+        assert X.indices is first
+        assert first.flags.writeable is False
+        assert first.dtype == np.int64
+        assert np.array_equal(first, fresh())
+        with pytest.raises(ValueError):
+            first[0] = 0
+        assert np.array_equal(X.indices, fresh())
+    # lexicographic in (j, i)
+    assert [tuple(p) for p in E.indices.tolist()] == sorted(
+        (tuple(p) for p in E.indices.tolist()), key=lambda p: (p[1], p[0]))
+    # a translate is a new set with its own indices
+    assert np.array_equal(S.translate(5).indices, S.indices + 5)

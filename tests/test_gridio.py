@@ -3,6 +3,7 @@ errors carrying line numbers, and the measure renormalization warning."""
 import numpy as np
 import pytest
 
+from deltagrid import gridio
 from deltagrid import (DyadicMeasure1, GridSet1, GridSet2, PreconditionError,
                        Scale, gen_cantor, gen_random_frostman, make_interval,
                        read_gridset, read_measure, uniform_on, write_csv,
@@ -141,3 +142,131 @@ def test_csv_header_and_determinism(tmp_path):
     assert first.startswith("# {")
     assert '"seed": 7' in first
     assert "deltagrid 0.1.0" in first
+
+
+def _read_error(p, text):
+    p.write_text(text)
+    with pytest.raises(PreconditionError) as ei:
+        read_gridset(p)
+    return str(ei.value)
+
+
+_GS2_HEAD = "GS2 v1\nn=4\noffset=0,0\n"
+
+
+@pytest.mark.parametrize("body, where, msg", [
+    ("rows=1\nrow=0:0-x\n", 5, "expected 'row=<j>:a-b', got 'row=0:0-x'"),
+    ("rows=2\nrow=0:0-1\nrow 1:0-1\n", 6, "expected 'row=<j>:a-b', got 'row 1:0-1'"),
+    ("rows=2\nrow=0:0-1\n\n", 6, "expected 'row=<j>:a-b', got ''"),
+    ("rows=1\nrow=0:3-1\n", 5, "descending run 3-1"),
+    ("rows=1\nrow=0:0-67108864\n", 5, "more than 67108864 cells"),
+    ("rows=2\nrow=0:0-9\nrow=1:0-67108854\n", 6, "more than 67108864 cells"),
+    ("rows=10001\nrow=0:0-0\nrow=10000:10000-10000\n", 5,
+     "bounding box 10001x10001 exceeds 67108864 cells"),
+    ("rows=2\nrow=0:0-0\nrow=1:3-1\nrow=1:x\n", 6, "descending run 3-1"),
+    ("rows=2\nrow=0:0-1\nrow=1:0-1\n".replace("rows=2", "rows=3"), 4,
+     "rows=3 but occupied rows span 2"),
+    ("rows=3\n", 4, "rows=3 but no row lines follow"),
+    ("rows=x\nrow=0:0-1\n", 4, "bad integer in 'rows=x'"),
+])
+def test_gs2_parse_errors_name_line_and_fault(tmp_path, body, where, msg):
+    p = tmp_path / "bad.gs2"
+    assert _read_error(p, _GS2_HEAD + body) == f"{p}:{where}: {msg}"
+
+
+def test_gs2_header_errors(tmp_path):
+    p = tmp_path / "bad.gs2"
+    assert _read_error(p, "GS2 v1\nn=4\noffset=1,0\nrows=1\nrow=0:0-1\n") == \
+        f"{p}:3: offset=1,0 but occupied corner is 0,0"
+    assert _read_error(p, "GS2 v1\nn=4\noffset=0\nrows=1\nrow=0:0-1\n") == \
+        f"{p}:3: expected 'offset=<int>,<int>', got 'offset=0'"
+    assert _read_error(p, "GS2 v1\nn=4\n") == \
+        f"{p}:3: expected 'offset=<int>,<int>', got ''"
+    assert _read_error(p, "GS2 v1\nn=4\noffset=0,0\n") == f"{p}:4: missing 'rows=' header line"
+
+
+def test_gs2_first_fault_in_file_order(tmp_path):
+    # line 5 is descending, line 6 malformed: line 5 is reported
+    p = tmp_path / "bad.gs2"
+    text = _GS2_HEAD + "rows=2\nrow=0:4-2\nrow=1:zz\n"
+    assert _read_error(p, text) == f"{p}:5: descending run 4-2"
+    # a malformed line before a descending one is reported in its turn
+    text = _GS2_HEAD + "rows=2\nrow=0:zz\nrow=1:4-2\n"
+    assert _read_error(p, text) == f"{p}:5: expected 'row=<j>:a-b', got 'row=0:zz'"
+    # a body fault outranks the whole-set checks (offset, rows, bounding box)
+    text = "GS2 v1\nn=4\noffset=7,7\nrows=9\nrow=0:0-0\nrow=9999:9999-9999\nrow=1:2-1\n"
+    assert _read_error(p, text) == f"{p}:7: descending run 2-1"
+
+
+def test_gs1_parse_errors_name_line_and_fault(tmp_path):
+    p = tmp_path / "bad.gs1"
+    head = "GS1 v1\nn=4\noffset=0\n"
+    assert _read_error(p, head + "0-1\n1-x\n") == f"{p}:5: expected run 'a-b', got '1-x'"
+    assert _read_error(p, head + "0-1\n5-2\n1-x\n") == f"{p}:5: descending run 5-2"
+    assert _read_error(p, head + "0-9\n0-67108854\n") == f"{p}:5: more than 67108864 cells"
+    assert _read_error(p, head + "3-4\n") == f"{p}:3: offset=0 but first occupied cell is 3"
+
+
+def test_out_of_range_integers_name_their_line(tmp_path):
+    big = "99999999999999999999"
+    p = tmp_path / "big.gs2"
+    msg = _read_error(p, f"GS2 v1\nn=4\noffset=0,{big}\nrows=1\nrow={big}:0-1\n")
+    assert msg.startswith(f"{p}:5: ")
+    assert _read_error(p, f"{_GS2_HEAD}rows=1\nrow=0:0-{big}\n") == \
+        f"{p}:5: more than 67108864 cells"
+    assert _read_error(p, f"{_GS2_HEAD}rows=1\nrow=0:-{big}-0\n") == \
+        f"{p}:5: more than 67108864 cells"
+    # inside int64 but outside the guarded range
+    edge = 1 << 62
+    msg = _read_error(p, f"GS2 v1\nn=4\noffset=0,{edge}\nrows=1\nrow={edge}:0-1\n")
+    assert msg.startswith(f"{p}:5: ")
+    q = tmp_path / "big.gs1"
+    msg = _read_error(q, f"GS1 v1\nn=4\noffset={big}\n{big}-{big}\n")
+    assert msg.startswith(f"{q}:4: ")
+    msg = _read_error(q, f"GS1 v1\nn=4\noffset=-{big}\n0-1\n-{big}--{big}\n")
+    assert msg.startswith(f"{q}:5: ")
+    assert _read_error(q, f"GS1 v1\nn=4\noffset=0\n0-{big}\n") == \
+        f"{q}:4: more than 67108864 cells"
+    # the largest guarded index still reads back
+    top = edge - 1
+    q.write_text(f"GS1 v1\nn=4\noffset={top}\n{top}-{top}\n")
+    assert read_gridset(q).indices.tolist() == [top]
+
+
+def test_noncanonical_bodies_match_set_oracle(tmp_path):
+    """Accepted non-canonical bodies (duplicate and overlapping runs,
+    unsorted rows) read back as the union of their runs."""
+    rng = np.random.default_rng(20240611)
+    for case in range(40):
+        runs = int(rng.integers(1, 25))
+        base = int(rng.integers(-1000, 1000))
+        lo = base + rng.integers(0, 40, size=runs)
+        hi = lo + rng.integers(0, 6, size=runs)
+        rows = base + rng.integers(0, 12, size=runs)
+        order = rng.permutation(runs)
+        if case % 3 == 0:  # an exact duplicate line
+            order = np.concatenate((order, order[:1]))
+        cells1 = {i for a, b in zip(lo, hi) for i in range(int(a), int(b) + 1)}
+        p = tmp_path / f"c{case}.gs1"
+        p.write_text(f"GS1 v1\nn=12\noffset={min(cells1)}\n"
+                     + "".join(f"{lo[k]}-{hi[k]}\n" for k in order))
+        S = read_gridset(p)
+        assert S.indices.tolist() == sorted(cells1)
+        assert S == GridSet1.from_indices(Scale(12), sorted(cells1))
+        cells2 = {(i, int(j)) for a, b, j in zip(lo, hi, rows)
+                  for i in range(int(a), int(b) + 1)}
+        ox = min(i for i, _ in cells2)
+        oy = min(j for _, j in cells2)
+        h = max(j for _, j in cells2) - oy + 1
+        q = tmp_path / f"c{case}.gs2"
+        q.write_text(f"GS2 v1\nn=12\noffset={ox},{oy}\nrows={h}\n"
+                     + "".join(f"row={rows[k]}:{lo[k]}-{hi[k]}\n" for k in order))
+        E = read_gridset(q)
+        assert sorted(map(tuple, E.indices.tolist())) == sorted(cells2)
+        # the line-by-line scan that names faulty lines parses alike
+        lines = q.read_text().splitlines()
+        fast = gridio._read_body(q, lines, 5, gridio._ROW_RE, gridio._GS2_BODY_RE, "")
+        assert fast.tolist() == [list(t) for t in gridio._scan_body(q, lines, 5, gridio._ROW_RE, "")]
+        assert E.count == len(cells2)
+        write_gridset(E, tmp_path / "canon.gs2")
+        assert read_gridset(tmp_path / "canon.gs2") == E

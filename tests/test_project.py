@@ -309,3 +309,18 @@ def test_adversarial_diagonal_concentration():
     assert fibers == B.ADVERSARIAL_DIAG_FIBERS
     assert abs(count - B.ADVERSARIAL_DIAG_COUNT) <= 5
     assert count >= 0.6 * fibers
+
+
+def test_project_measure_repeats_on_cached_centers():
+    """project_measure reads the measure's support once; later calls on
+    the same measure give byte-identical results to a fresh measure."""
+    rng = np.random.default_rng(5)
+    w = rng.random((9, 13)) * (rng.random((9, 13)) < 0.5)
+    w[0, 0] = w[-1, -1] = 1.0
+    mu = DyadicMeasure2.from_weights(Scale(8), (-7, 40), w / w.sum())
+    for t in (0.0, 0.3, 1.1, 2.9):
+        a = project_measure(mu, t)
+        b = project_measure(DyadicMeasure2.from_weights(Scale(8), (-7, 40), w / w.sum()), t)
+        assert a.offset == b.offset and a.weights.tobytes() == b.weights.tobytes()
+    x, y, wt = mu._centers
+    assert mu._centers[0] is x and not x.flags.writeable
