@@ -24,7 +24,6 @@ def main():
     ap.add_argument("--n", type=int, default=16, help="grid depth")
     ap.add_argument("--xres", type=int, default=8,
                     help="candidate grid resolution exponent")
-    ap.add_argument("--threads", type=int, default=1)
     ap.add_argument("--top", type=int, default=3)
     args = ap.parse_args()
 
@@ -36,10 +35,8 @@ def main():
           % (X.count, cantor.count, args.n))
 
     t0 = time.time()
-    describe("cantor {0,3} base 4 ", find_expander(cantor, X, threads=args.threads),
-             args.top)
-    describe("progression        ", find_expander(ap_set, X, threads=args.threads),
-             args.top)
+    describe("cantor {0,3} base 4 ", find_expander(cantor, X), args.top)
+    describe("progression        ", find_expander(ap_set, X), args.top)
     print("\n%.2fs" % (time.time() - t0))
 
 

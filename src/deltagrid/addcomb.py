@@ -5,8 +5,9 @@ Every check runs in INDEX semantics (exact integer index sumsets),
 where the classical inequalities are theorems with absolute constant
 1; a violation therefore raises InternalCheckError rather than
 returning a failed record.  The same quantities in COVER semantics
-pick up bounded discretisation slack, so they are measured and logged
-at slack 4 but never asserted.
+pick up bounded discretisation slack, so they are logged at slack 4
+but never asserted, and computed only when this module's logger is
+enabled for INFO.
 
 bsg_extract implements the standard popularity argument: prune
 low-degree rows, pick a popular pivot column, take its neighborhood
@@ -107,9 +108,10 @@ def check_ruzsa_triangle(X: GridSet1, Y: GridSet1, Z: GridSet1) -> InequalityRec
         lhs=diffset(X, Z, IX).count * Y.count,
         rhs=float(diffset(X, Y, IX).count * diffset(Y, Z, IX).count),
         slack_used=1.0, inputs_digest=_digest(X, Y, Z))
-    CV = SumSemantics.COVER
-    _log_cover("ruzsa_triangle", diffset(X, Z, CV).count * Y.count,
-               float(diffset(X, Y, CV).count * diffset(Y, Z, CV).count))
+    if log.isEnabledFor(logging.INFO):
+        CV = SumSemantics.COVER
+        _log_cover("ruzsa_triangle", diffset(X, Z, CV).count * Y.count,
+                   float(diffset(X, Y, CV).count * diffset(Y, Z, CV).count))
     return _assert_record(rec)
 
 
@@ -137,14 +139,15 @@ def check_plunnecke(X: GridSet1, Ys) -> InequalityRecord:
         raise InternalCheckError(
             f"plunnecke violated exactly: {total.count}*{X.count}^{k - 1} > "
             f"{alphas_num} (inputs {rec.inputs_digest}); this is a theorem, so a bug")
-    CV = SumSemantics.COVER
-    total_c = Ys[0]
-    prod_c = 1
-    for Y in Ys[1:]:
-        total_c = sumset(total_c, Y, CV)
-    for Y in Ys:
-        prod_c *= sumset(X, Y, CV).count
-    _log_cover("plunnecke", total_c.count, prod_c / float(X.count) ** (k - 1))
+    if log.isEnabledFor(logging.INFO):
+        CV = SumSemantics.COVER
+        total_c = Ys[0]
+        prod_c = 1
+        for Y in Ys[1:]:
+            total_c = sumset(total_c, Y, CV)
+        for Y in Ys:
+            prod_c *= sumset(X, Y, CV).count
+        _log_cover("plunnecke", total_c.count, prod_c / float(X.count) ** (k - 1))
     return rec
 
 
@@ -158,19 +161,20 @@ def check_cor_simple(X: GridSet1, Y: GridSet1, sign: str = "+") -> InequalityRec
     rec = InequalityRecord(name=f"cor_simple[{sign}]", lhs=lhs,
                            rhs=float(mixed.count) ** 2, slack_used=1.0,
                            inputs_digest=_digest(X, Y, sign))
-    CV = SumSemantics.COVER
-    mixed_c = sumset(X, Y, CV) if sign == "+" else diffset(X, Y, CV)
-    _log_cover(f"cor_simple[{sign}]",
-               max(diffset(X, X, CV).count, sumset(X, X, CV).count) * Y.count,
-               float(mixed_c.count) ** 2)
+    if log.isEnabledFor(logging.INFO):
+        CV = SumSemantics.COVER
+        mixed_c = sumset(X, Y, CV) if sign == "+" else diffset(X, Y, CV)
+        _log_cover(f"cor_simple[{sign}]",
+                   max(diffset(X, X, CV).count, sumset(X, X, CV).count) * Y.count,
+                   float(mixed_c.count) ** 2)
     return _assert_record(rec)
 
 
 def check_sum_to_difference(X: GridSet1, Y: GridSet1) -> InequalityRecord:
     """|X - Y| * |X| * |Y| <= |X + Y|**3 (the exact-chain form).
 
-    The variant with |Y|**2 in place of |X||Y| is measured and logged,
-    not asserted.
+    The variant with |Y|**2 in place of |X||Y| is logged at INFO, not
+    asserted.
     """
     _require(not X.is_empty and not Y.is_empty, "sets must be nonempty")
     IX = SumSemantics.INDEX
@@ -179,12 +183,13 @@ def check_sum_to_difference(X: GridSet1, Y: GridSet1) -> InequalityRecord:
     rec = InequalityRecord(name="sum_to_difference", lhs=diff * X.count * Y.count,
                            rhs=float(summ) ** 3, slack_used=1.0,
                            inputs_digest=_digest(X, Y))
-    log.info("sum_to_difference |Y|^2-variant measurement: lhs=%d rhs=%g ok=%s",
-             diff * Y.count ** 2, float(summ) ** 3,
-             diff * Y.count ** 2 <= float(summ) ** 3)
-    CV = SumSemantics.COVER
-    _log_cover("sum_to_difference", diffset(X, Y, CV).count * X.count * Y.count,
-               float(sumset(X, Y, CV).count) ** 3)
+    if log.isEnabledFor(logging.INFO):
+        log.info("sum_to_difference |Y|^2-variant measurement: lhs=%d rhs=%g ok=%s",
+                 diff * Y.count ** 2, float(summ) ** 3,
+                 diff * Y.count ** 2 <= float(summ) ** 3)
+        CV = SumSemantics.COVER
+        _log_cover("sum_to_difference", diffset(X, Y, CV).count * X.count * Y.count,
+                   float(sumset(X, Y, CV).count) ** 3)
     return _assert_record(rec)
 
 
@@ -207,10 +212,11 @@ def check_graph_projection(A: GridSet1, B: GridSet1, G: GridSet2,
     rhs = float(pi_count * diffset(A, A, IX).count * diffset(A, B, IX).count)
     rec = InequalityRecord(name="graph_projection", lhs=lhs, rhs=rhs,
                            slack_used=1.0, inputs_digest=_digest(A, B, G, x))
-    CV = SumSemantics.COVER
-    _log_cover("graph_projection", G.count * sumset(A, xA, CV).count,
-               float(graph_sum(G, x, CV).count * diffset(A, A, CV).count
-                     * diffset(A, B, CV).count))
+    if log.isEnabledFor(logging.INFO):
+        CV = SumSemantics.COVER
+        _log_cover("graph_projection", G.count * sumset(A, xA, CV).count,
+                   float(graph_sum(G, x, CV).count * diffset(A, A, CV).count
+                         * diffset(A, B, CV).count))
     return _assert_record(rec)
 
 

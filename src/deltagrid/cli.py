@@ -6,8 +6,10 @@ invariant failure (a constant-1 inequality violated is a bug by
 definition, never a data error).
 
 All configuration arrives via flags; there are no environment variables.
---threads defaults to 1 so runs are deterministic unless asked otherwise,
-and every CSV report embeds the full RunConfig in its header line.
+--threads defaults to 1 and spreads the angles of `project sweep` and
+`experiment projection` over a pool; their rows do not depend on it.
+Every CSV report embeds the full RunConfig, threads included, in its
+header line.
 """
 from __future__ import annotations
 
@@ -445,8 +447,7 @@ def _cmd_experiment(args) -> int:
         xres = args.xres if args.xres is not None else max(1, A.scale.n // 2)
         lo, hi = args.candidates
         cand = make_interval(Scale(xres), lo, hi)
-        rep = find_expander(A, cand, threads=args.threads, kappa=args.kappa,
-                            sigma=args.sigma)
+        rep = find_expander(A, cand, kappa=args.kappa, sigma=args.sigma)
         b = rep.best
         print(f"best x={b.x} ratio={b.ratio!r} exponent={b.exponent!r}")
         if rep.frostman is not None:
@@ -462,7 +463,7 @@ def _cmd_experiment(args) -> int:
         if args.kappa is None:
             raise PreconditionError("experiment renorm requires --kappa")
         mu = gridio.read_measure(args.measure) if args.measure else uniform_on(A)
-        rep = renormalized_find_expander(A, mu, args.kappa, threads=args.threads)
+        rep = renormalized_find_expander(A, mu, args.kappa)
         b = rep.best
         print(f"best x={b.x} ratio={b.ratio!r} exponent={b.exponent!r}")
         print(f"zoom frostman constant={rep.frostman.constant!r} degenerate={rep.degenerate}")

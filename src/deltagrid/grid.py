@@ -88,10 +88,11 @@ class Scale:
 
 
 def _trim1(bits: np.ndarray, offset: int):
-    nz = np.flatnonzero(bits)
-    if nz.size == 0:
+    raw = bits.tobytes()  # numpy booleans are the bytes 0 and 1
+    first = raw.find(1)
+    if first < 0:
         return np.zeros(0, dtype=bool), 0
-    return bits[nz[0]:nz[-1] + 1], offset + int(nz[0])
+    return bits[first:raw.rfind(1) + 1], offset + first
 
 
 def _trim2(bits: np.ndarray, offset):
@@ -133,14 +134,16 @@ class GridSet1:
 
     @classmethod
     def from_bits(cls, scale: Scale, offset: int, bits) -> "GridSet1":
-        arr = np.array(bits, dtype=bool, copy=True).reshape(-1)
-        arr, off = _trim1(arr, int(offset))
-        return cls(scale, off, arr)
+        arr, off = _trim1(np.asarray(bits, dtype=bool).reshape(-1), int(offset))
+        return cls(scale, off, arr.copy())
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
         """Cells from integer indices in any order, duplicates allowed."""
-        idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        try:
+            idx = np.asarray(indices, dtype=np.int64).reshape(-1)
+        except OverflowError:
+            raise PreconditionError("cell indices out of guarded range") from None
         if idx.size == 0:
             return cls.empty(scale)
         lo = int(idx.min())
@@ -149,19 +152,6 @@ class GridSet1:
         bits = np.zeros(span, dtype=bool)
         bits[idx - lo] = True  # repeated indices just set a bit again
         return cls(scale, lo, bits)
-
-    @classmethod
-    def from_mask(cls, scale: Scale, offset: int, mask: int) -> "GridSet1":
-        """From a big-int occupancy mask (bit t = cell offset+t)."""
-        if mask == 0:
-            return cls.empty(scale)
-        _require(mask > 0, "mask must be nonnegative")
-        length = mask.bit_length()
-        _require(length <= MAX_SPAN, f"cell span {length} exceeds dense-representation cap {MAX_SPAN}")
-        raw = mask.to_bytes((length + 7) // 8, "little")
-        bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")[:length]
-        arr, off = _trim1(bits.astype(bool), int(offset))
-        return cls(scale, off, arr)
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet1":
@@ -321,6 +311,8 @@ class GridSet2:
             pts = np.asarray(indices, dtype=np.int64)
         except ValueError:
             raise PreconditionError("indices must be (i, j) pairs") from None
+        except OverflowError:
+            raise PreconditionError("cell indices out of guarded range") from None
         _require(pts.shape == (0,) or (pts.ndim == 2 and pts.shape[1] == 2),
                  f"indices must be (i, j) pairs, got shape {pts.shape}")
         if pts.size == 0:

@@ -14,17 +14,28 @@ spans two cells ({i+j, i+j+1}), a difference spans {i-j-1, i-j}; the
 cover of a cover of a sum is again the true cover, so n-fold COVER sums
 stay exact under pairwise folding.
 
-Sums run bit-parallel: a set becomes a big-integer occupancy mask and
-the sum is an OR of shifted masks, one shift per cell of the smaller
-operand.  A naive double-loop implementation is kept behind
-method="naive" as a test oracle.
+Sums run bit-parallel in one kernel.  The larger operand becomes a
+big-integer occupancy mask; for each maximal run of the smaller one the
+OR of the run's shifts is built by doubling.  Each distinct (run length,
+start mod 8) segment is turned into bytes once and ORed in place into a
+single preallocated byte buffer at byte start // 8, so no run copies
+the growing result.  The buffer is unpacked once, and the COVER cell is
+added by one shifted OR on the unpacked bits.  Difference sets are sums
+with the reflected operand (COVER then moves one cell left).  A naive
+double-loop implementation is kept behind method="naive" as a test
+oracle.
 
 Products and rational dilations leave the lattice, so covers are
 computed from interval endpoints held in scaled integer units
 (delta**2 for products, delta/q for dilation by p/q).  Half-open cells
 mean an image's supremum may or may not be attained; attainedness is
 tracked through the corner arithmetic because it decides whether the
-final boundary cell belongs to the cover.
+final boundary cell belongs to the cover.  The cell ranges are painted
+in one of two ways, chosen by their order: ranges with monotone starts
+(every dilation's) merge with their neighbours in one pass and only the
+covered cells are written; unsorted ranges (graph sums, products) go
+through a difference array over the whole span, which beats sorting
+them first.
 """
 
 from __future__ import annotations
@@ -78,27 +89,40 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
         return GridSet1.from_indices(A.scale, sorted(out))
     small, big = (A, B) if A.count <= B.count else (B, A)
     bigmask = big.to_mask()
-    acc = 0
     # per maximal run [start, start+length) of the small set, the OR of
-    # consecutive shifts is built by doubling: log(length) big-int ops
-    idx = np.flatnonzero(small.bits)
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    for s0, e0 in zip(starts, ends):
-        start = int(idx[s0])
-        length = int(idx[e0]) - start + 1
-        seg = bigmask
-        d = 1
-        while d < length:
-            step = min(d, length - d)
-            seg |= seg << step
-            d += step
-        acc |= seg << start
-    offset = small.offset + big.offset
+    # consecutive shifts is built by doubling: log(length) big-int ops.
+    # Each distinct (length, start % 8) segment becomes bytes once and is
+    # ORed in place into one buffer at byte start // 8.
+    rel = small.indices - small.offset
+    breaks = np.flatnonzero(np.diff(rel) > 1)
+    starts = rel[np.concatenate(([0], breaks + 1))]
+    lengths = rel[np.concatenate((breaks, [rel.size - 1]))] + 1 - starts
+    nbits = big.bits.size + small.bits.size  # sum span, plus the COVER cell
+    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    doubled = {}
+    segments = {}
+    for start, length in zip(starts.tolist(), lengths.tolist()):
+        key = (length, start & 7)
+        seg = segments.get(key)
+        if seg is None:
+            run = doubled.get(length)
+            if run is None:
+                run = bigmask
+                d = 1
+                while d < length:
+                    step = min(d, length - d)
+                    run |= run << step
+                    d += step
+                doubled[length] = run
+            shifted = run << (start & 7)
+            seg = segments[key] = np.frombuffer(
+                shifted.to_bytes((shifted.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        b = start >> 3
+        buf[b:b + seg.size] |= seg
+    bits = np.unpackbits(buf, count=nbits, bitorder="little").view(bool)
     if semantics is SumSemantics.COVER:
-        acc |= acc << 1
-    return GridSet1.from_mask(A.scale, offset, acc)
+        bits[1:] |= bits[:-1]
+    return GridSet1.from_bits(A.scale, small.offset + big.offset, bits)
 
 
 def reflect(A: GridSet1) -> GridSet1:
@@ -123,23 +147,38 @@ def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.IND
         if semantics is SumSemantics.COVER:
             out |= {v - 1 for v in out}
         return GridSet1.from_indices(A.scale, sorted(out))
-    base = sumset(A, reflect(B), SumSemantics.INDEX, method=method)
-    if semantics is SumSemantics.INDEX:
-        return base
-    mask = base.to_mask()
-    return GridSet1.from_mask(A.scale, base.offset - 1, mask | (mask << 1))
+    base = sumset(A, reflect(B), semantics, method=method)
+    # COVER: A + (-B) covers {i-j, i-j+1}; one cell left is {i-j-1, i-j}
+    return base if semantics is SumSemantics.INDEX else base.translate(-1)
 
 
 def _paint_ranges(scale: Scale, k_first: np.ndarray, k_last: np.ndarray) -> GridSet1:
-    """Union of inclusive index ranges as a GridSet1 (diff-array paint)."""
+    """Union of the inclusive index ranges [k_first[t], k_last[t]].
+
+    Ranges with monotone starts (dilate's always are) merge with their
+    neighbours in one pass, and only the covered cells are painted.
+    Unsorted ranges (graph sums, product covers) are painted through a
+    difference array over the whole span, which costs less than sorting.
+    """
     lo = int(k_first.min())
     hi = int(k_last.max())
-    span = hi - lo + 2
-    _require(span <= MAX_SPAN + 1, f"cell span {span - 1} exceeds dense-representation cap {MAX_SPAN}")
-    diff = (np.bincount(k_first - lo, minlength=span)
-            - np.bincount(k_last - lo + 1, minlength=span))
-    cov = np.cumsum(diff)[:-1] > 0
-    return GridSet1.from_bits(scale, lo, cov)
+    span = hi - lo + 1
+    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
+    if (k_first[1:] <= k_first[:-1]).all():
+        k_first, k_last = k_first[::-1], k_last[::-1]
+    if (k_first[1:] >= k_first[:-1]).all():
+        reach = np.maximum.accumulate(k_last)
+        # range t opens a new piece unless it overlaps or abuts the cells so far
+        opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
+        starts = k_first[np.concatenate(([0], opens))] - lo
+        lengths = reach[np.concatenate((opens - 1, [reach.size - 1]))] - lo + 1 - starts
+        before = np.concatenate(([0], np.cumsum(lengths[:-1])))
+        bits = np.zeros(span, dtype=bool)
+        bits[np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))] = True
+        return GridSet1(scale, lo, bits)
+    diff = (np.bincount(k_first - lo, minlength=span + 1)
+            - np.bincount(k_last - lo + 1, minlength=span + 1))
+    return GridSet1(scale, lo, np.cumsum(diff)[:-1] > 0)
 
 
 def dilate(A: GridSet1, x) -> GridSet1:

@@ -229,9 +229,8 @@ def test_c07_expander_sweep_baselines():
     in (2, 3]: its exponent is above 1/16, never below 0.05."""
     X = make_interval(Scale(8), 1, 2)
     t0 = time.monotonic()
-    repC = find_expander(gen_cantor(Scale(16), 4, (0, 3), 8), X, threads=8)
-    repA = find_expander(GridSet1.from_indices(Scale(16), range(256)), X,
-                         threads=8)
+    repC = find_expander(gen_cantor(Scale(16), 4, (0, 3), 8), X)
+    repA = find_expander(GridSet1.from_indices(Scale(16), range(256)), X)
     dt = time.monotonic() - t0
     ok_c = repC.best.exponent >= B.EXPANDER_CANTOR_N16_EXPONENT - 0.02
     ok_a = (repA.best.ratio <= 3.0 and

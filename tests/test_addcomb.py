@@ -1,14 +1,17 @@
 """Additive-inequality verifier tests: pinned small counts, random
-zero-violation suites, and the constructive dense-pair extraction."""
+zero-violation suites, the constructive dense-pair extraction, and the
+COVER-semantics measurements that go only to the INFO log."""
+import logging
+
 import numpy as np
 import pytest
 
 from deltagrid import (BsgExtractionError, GridSet1, GridSet2,
-                       PreconditionError, Scale, SumSemantics, bsg_extract,
-                       cartesian_product, check_cor_simple,
+                       PreconditionError, Scale, SumSemantics, addcomb,
+                       bsg_extract, cartesian_product, check_cor_simple,
                        check_graph_projection, check_plunnecke,
                        check_ruzsa_triangle, check_sum_to_difference, diffset,
-                       make_interval, sumset)
+                       graph_sum, make_interval, sumset)
 
 import _baselines as B
 
@@ -228,3 +231,54 @@ def test_bsg_random_graphs_on_progression():
         worst = max(worst, res.K_out)
     assert worst <= 8.0
     assert abs(worst - B.BSG_AP_WORST_KOUT) <= 0.01
+
+
+def _log_inputs():
+    X, Y, Z = _set(6, [0, 1, 5, 9]), _set(6, [0, 2, 3]), _set(6, [-4, 1, 7])
+    G = GridSet2.from_indices(Scale(6), [(0, 0), (1, 2), (5, 3), (9, 0)])
+    return X, Y, Z, G
+
+
+def _run_all_verifiers(X, Y, Z, G):
+    check_ruzsa_triangle(X, Y, Z)
+    check_plunnecke(X, [Y, Z])
+    check_cor_simple(X, Y, "+")
+    check_cor_simple(X, Y, "-")
+    check_sum_to_difference(X, Y)
+    check_graph_projection(X, Y, G, 2)
+
+
+def test_cover_measurements_logged_at_info(caplog):
+    with caplog.at_level(logging.INFO, logger="deltagrid.addcomb"):
+        _run_all_verifiers(*_log_inputs())
+    assert [r.getMessage() for r in caplog.records] == [
+        "ruzsa_triangle cover-semantics measurement: lhs=51 rhs=210 ok_at_slack_4=True",
+        "plunnecke cover-semantics measurement: lhs=15 rhs=59.5 ok_at_slack_4=True",
+        "cor_simple[+] cover-semantics measurement: lhs=48 rhs=196 ok_at_slack_4=True",
+        "cor_simple[-] cover-semantics measurement: lhs=48 rhs=196 ok_at_slack_4=True",
+        "sum_to_difference |Y|^2-variant measurement: lhs=99 rhs=1331 ok=True",
+        "sum_to_difference cover-semantics measurement: lhs=168 rhs=2744 ok_at_slack_4=True",
+        "graph_projection cover-semantics measurement: lhs=88 rhs=2464 ok_at_slack_4=True",
+    ]
+
+
+def test_no_cover_work_when_info_is_off(monkeypatch, caplog):
+    """The COVER-semantics values only feed log.info, so with INFO off the
+    verifiers call no COVER sum at all."""
+    calls = []
+
+    def counting(fn, default):
+        def wrapper(*args, **kwargs):
+            sem = args[2] if len(args) > 2 else kwargs.get("semantics", default)
+            calls.append((fn.__name__, sem))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(addcomb, "sumset", counting(sumset, SumSemantics.INDEX))
+    monkeypatch.setattr(addcomb, "diffset", counting(diffset, SumSemantics.INDEX))
+    monkeypatch.setattr(addcomb, "graph_sum", counting(graph_sum, SumSemantics.COVER))
+    caplog.set_level(logging.WARNING, logger="deltagrid.addcomb")
+    _run_all_verifiers(*_log_inputs())
+    assert calls and all(sem is SumSemantics.INDEX for _, sem in calls)
+    assert {name for name, _ in calls} == {"sumset", "diffset", "graph_sum"}
+    assert not caplog.records

@@ -85,7 +85,7 @@ def test_expander_singleton():
 
 def test_expander_cantor_expands():
     A = gen_cantor(Scale(16), 4, (0, 3), 8)
-    rep = find_expander(A, make_interval(Scale(8), 1, 2), threads=2)
+    rep = find_expander(A, make_interval(Scale(8), 1, 2))
     assert rep.best.exponent >= 0.1
     assert rep.best.exponent == pytest.approx(
         math.log(rep.best.ratio) / (16 * math.log(2)))

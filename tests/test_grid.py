@@ -149,6 +149,28 @@ def test_trim_canonicality():
         E = GridSet2.from_indices(Scale(5), pts)
         again = GridSet2.from_bits(E.scale, E.offset, E.bits)
         assert again == E
+    # edge cases of the 1D trim: nothing set, one cell, one end only
+    sc = Scale(5)
+    for size in (0, 1, 7, 8, 9, 5000):
+        assert GridSet1.from_bits(sc, -3, np.zeros(size, dtype=bool)) == GridSet1.empty(sc)
+    assert GridSet1.from_bits(sc, -3, [True]) == GridSet1(sc, -3, np.ones(1, dtype=bool))
+    for size in (1, 2, 9, 5000):
+        for at in {0, size - 1}:
+            bits = np.zeros(size, dtype=bool)
+            bits[at] = True
+            S = GridSet1.from_bits(sc, -3, bits)
+            assert S.indices.tolist() == [at - 3] and S.bits.size == 1
+        bits = np.zeros(size + 4, dtype=bool)
+        bits[:2] = True
+        assert GridSet1.from_bits(sc, 10, bits).indices.tolist() == [10, 11]
+        bits = np.zeros(size + 4, dtype=bool)
+        bits[-2:] = True
+        assert GridSet1.from_bits(sc, 10, bits).indices.tolist() == [size + 12, size + 13]
+    # from_bits copies: later writes to the input do not reach the set
+    bits = np.array([False, True, True, False])
+    S = GridSet1.from_bits(sc, 0, bits)
+    bits[2] = False
+    assert S.indices.tolist() == [1, 2]
 
 
 def test_gridset_empty_forms():
@@ -219,6 +241,15 @@ def test_from_indices_matches_set_oracle():
 def test_from_indices_2d_rejects_non_pairs(bad):
     with pytest.raises(PreconditionError):
         GridSet2.from_indices(Scale(4), bad)
+
+
+def test_from_indices_rejects_indices_beyond_int64():
+    for build in (lambda: GridSet1.from_indices(Scale(4), [2 ** 70]),
+                  lambda: GridSet1.from_indices(Scale(4), [0, -(2 ** 70)]),
+                  lambda: GridSet2.from_indices(Scale(4), [(2 ** 70, 0)]),
+                  lambda: GridSet2.from_indices(Scale(4), [(0, 0), (1, -(2 ** 70))])):
+        with pytest.raises(PreconditionError, match="guarded range"):
+            build()
 
 
 def test_indices_computed_once_read_only():

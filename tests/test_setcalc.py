@@ -204,6 +204,40 @@ def test_paint_ranges_matches_set_union():
         want = sorted({k for a, b in zip(k_first.tolist(), k_last.tolist())
                        for k in range(a, b + 1)})
         assert _paint_ranges(Scale(10), k_first, k_last).indices.tolist() == want
+    # monotone starts (the merge paint) in both directions, and the same
+    # ranges unsorted (the difference-array paint), with abutting,
+    # overlapping, nested and gapped neighbours, plus single ranges
+    for _ in range(60):
+        k_first, k_last = _monotone_ranges(rng, int(rng.integers(1, 40)))
+        want = sorted({k for a, b in zip(k_first.tolist(), k_last.tolist())
+                       for k in range(a, b + 1)})
+        order = rng.permutation(k_first.size)
+        for f, l in ((k_first, k_last), (k_first[::-1], k_last[::-1]),
+                     (k_first[order], k_last[order])):
+            assert _paint_ranges(Scale(10), f, l).indices.tolist() == want
+    for f, l in ((7, 7), (-3, 40), (0, 0)):
+        got = _paint_ranges(Scale(10), np.array([f]), np.array([l]))
+        assert got.indices.tolist() == list(range(f, l + 1))
+    adjacent = _paint_ranges(Scale(10), np.array([0, 4, 9]), np.array([3, 7, 9]))
+    assert adjacent.indices.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 9]
+
+
+def _monotone_ranges(rng, m):
+    """m ranges with ascending starts: each abuts the cells so far, leaves
+    a gap, or overlaps or nests in the previous range."""
+    firsts = [int(rng.integers(-500, 500))]
+    lasts = [firsts[0] + int(rng.integers(0, 30))]
+    for _ in range(m - 1):
+        kind = int(rng.integers(0, 3))
+        if kind == 0:
+            f = max(lasts) + 1
+        elif kind == 1:
+            f = max(lasts) + 2 + int(rng.integers(0, 5))
+        else:
+            f = firsts[-1] + int(rng.integers(0, 3))
+        firsts.append(f)
+        lasts.append(f + int(rng.integers(0, 30)))
+    return np.array(firsts, dtype=np.int64), np.array(lasts, dtype=np.int64)
 
 
 def test_index_size_bounds():
@@ -234,6 +268,45 @@ def test_bitmask_matches_naive():
         for sem in (IDX, COV):
             assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
             assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+    # wide spans (up to about 3000 cells) at negative and positive offsets,
+    # where the sparser operand has runs up to 300 cells long starting at
+    # every residue mod 8; the kernel shifts whole bytes plus start % 8
+    for case in range(10):
+        base = int(rng.integers(-6000, 3000))
+        runs = _runs_set(12, base, rng, [0, *rng.permutation(np.arange(1, 8))])
+        rel = runs.indices - runs.offset
+        starts = rel[np.concatenate(([0], np.flatnonzero(np.diff(rel) > 1) + 1))]
+        assert sorted((starts % 8).tolist()) == list(range(8))
+        wide = _set(12, base + 17 - 1000 * (case % 2)
+                    + rng.choice(3000, runs.count + int(rng.integers(0, 150)), replace=False))
+        assert runs.count <= wide.count
+        for a, b in ((runs, wide), (wide, runs), (runs, runs)):
+            for sem in (IDX, COV):
+                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
+                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+    # single-cell operands, alone and against wide sets
+    for a in (_set(12, [-5]), _set(12, [8]), _set(12, [2999])):
+        for b in (a, _set(12, [-1003]), _runs_set(12, -70, rng, range(8)), wide):
+            for sem in (IDX, COV):
+                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
+                assert sumset(b, a, sem) == sumset(b, a, sem, method="naive")
+                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+                assert diffset(b, a, sem) == diffset(b, a, sem, method="naive")
+
+
+def _runs_set(n, base, rng, residues):
+    """Maximal runs, one per residue (the first must be 0), each starting
+    at that residue mod 8 relative to the first cell; one run is 100 to
+    300 cells long."""
+    long_run = int(rng.integers(0, len(residues)))
+    cells, pos = [], 0
+    for t, r in enumerate(residues):
+        pos += (int(r) - pos) % 8 + 8 * int(rng.integers(0, 3))
+        length = (int(rng.integers(100, 301)) if t == long_run
+                  else int(rng.choice([1, 2, 3, 7, 8, 9, 17])))
+        cells.extend(range(pos, pos + length))
+        pos += length + 1
+    return _set(n, np.array(cells) + base)
 
 
 def test_scale_mismatch_rejected():
