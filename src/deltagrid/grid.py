@@ -82,9 +82,18 @@ class Scale:
     def delta(self) -> float:
         return 2.0 ** -self.n
 
-    @property
-    def delta_fraction(self) -> Fraction:
-        return Fraction(1, 1 << self.n)
+
+def _int64_indices(indices) -> np.ndarray:
+    """indices as a fresh int64 array, never a view of the caller's buffer;
+    values no int64 holds are refused, where a cast would wrap unsigned
+    ones silently."""
+    try:
+        raw = np.asarray(indices)
+        if raw.dtype.kind == "u" and raw.size and int(raw.max()) > np.iinfo(np.int64).max:
+            raise OverflowError
+        return np.array(raw, dtype=np.int64)
+    except OverflowError:
+        raise PreconditionError("cell indices out of guarded range") from None
 
 
 def _trim1(bits: np.ndarray, offset: int):
@@ -140,10 +149,7 @@ class GridSet1:
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
         """Cells from integer indices in any order, duplicates allowed."""
-        try:
-            idx = np.asarray(indices, dtype=np.int64).reshape(-1)
-        except OverflowError:
-            raise PreconditionError("cell indices out of guarded range") from None
+        idx = _int64_indices(indices).reshape(-1)
         if idx.size == 0:
             return cls.empty(scale)
         lo = int(idx.min())
@@ -159,7 +165,12 @@ class GridSet1:
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        """Occupied cells; computed once."""
+        c = self.__dict__.get("_count")
+        if c is None:
+            c = int(np.count_nonzero(self.bits))
+            object.__setattr__(self, "_count", c)
+        return c
 
     @property
     def is_empty(self) -> bool:
@@ -304,15 +315,15 @@ class GridSet2:
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
         """indices: (m, 2) array or iterable of (i, j) cell pairs, in any
-        order, duplicates allowed."""
+        order, duplicates allowed.  Pairs strictly ascending in (j, i) are
+        already the `indices` list and seed that cache."""
         if not isinstance(indices, np.ndarray):
             indices = list(indices)
         try:
-            pts = np.asarray(indices, dtype=np.int64)
-        except ValueError:
+            raw = np.asarray(indices)
+        except ValueError:  # ragged input
             raise PreconditionError("indices must be (i, j) pairs") from None
-        except OverflowError:
-            raise PreconditionError("cell indices out of guarded range") from None
+        pts = _int64_indices(raw)
         _require(pts.shape == (0,) or (pts.ndim == 2 and pts.shape[1] == 2),
                  f"indices must be (i, j) pairs, got shape {pts.shape}")
         if pts.size == 0:
@@ -321,9 +332,16 @@ class GridSet2:
         w = int(pts[:, 0].max()) - ox + 1
         h = int(pts[:, 1].max()) - oy + 1
         _require(w * h <= MAX_SPAN, f"cell span {w * h} exceeds dense-representation cap {MAX_SPAN}")
-        bits = np.zeros((h, w), dtype=bool)
-        bits[pts[:, 1] - oy, pts[:, 0] - ox] = True
-        return cls(scale, (ox, oy), bits)
+        # row-major positions in the box: ascending exactly when pts is in (j, i)
+        flat = (pts[:, 1] - oy) * w + (pts[:, 0] - ox)
+        bits = np.zeros(h * w, dtype=bool)
+        bits[flat] = True
+        E = cls(scale, (ox, oy), bits.reshape(h, w))
+        if bool(np.all(flat[1:] > flat[:-1])):
+            pts.setflags(write=False)  # a fresh array, already the `indices` list
+            object.__setattr__(E, "_indices", pts)
+            object.__setattr__(E, "_count", len(pts))
+        return E
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet2":
@@ -331,7 +349,12 @@ class GridSet2:
 
     @property
     def count(self) -> int:
-        return int(np.count_nonzero(self.bits))
+        """Occupied cells; computed once."""
+        c = self.__dict__.get("_count")
+        if c is None:
+            c = int(np.count_nonzero(self.bits))
+            object.__setattr__(self, "_count", c)
+        return c
 
     @property
     def is_empty(self) -> bool:
@@ -362,12 +385,6 @@ class GridSet2:
             out.setflags(write=False)
             object.__setattr__(self, "_indices", out)
         return out
-
-    def contains_cell(self, i: int, j: int) -> bool:
-        ti = int(i) - self.offset[0]
-        tj = int(j) - self.offset[1]
-        return (0 <= tj < self.bits.shape[0] and 0 <= ti < self.bits.shape[1]
-                and bool(self.bits[tj, ti]))
 
     def _aligned(self, other: "GridSet2"):
         _require(self.scale == other.scale, "operands must share one scale")

@@ -18,7 +18,7 @@ The adversary quantifies over subsets G holding at least a lambda
 fraction of the cells.  Restricted to fiber unions, the exact optimum
 is greedy: to capture mass with the fewest projected cells, take
 heaviest fibers first.  (Arbitrary G changes counts by at most one
-cell per fiber.)  The greedy optimum is cross-checked exhaustively
+cell per fiber.)  The tests cross-check the greedy optimum exhaustively
 against all fiber sub-unions on small instances.
 """
 
@@ -51,11 +51,6 @@ class Direction:
         if t >= math.pi:  # fmod rounding at the seam
             t = 0.0
         object.__setattr__(self, "theta", t)
-
-    @classmethod
-    def from_vector(cls, x: float, y: float) -> "Direction":
-        _require(x != 0 or y != 0, "direction vector must be nonzero")
-        return cls(math.atan2(y, x))
 
     @property
     def vector(self) -> tuple:
@@ -270,22 +265,6 @@ def adversarial_projection(E: GridSet2, d, fraction: float):
     chosen = np.lexsort((uniq, -counts))[:take]
     witness = GridSet2.from_indices(E.scale, E.indices[np.isin(inv, chosen)])
     return take, witness
-
-
-def _adversarial_bruteforce(E: GridSet2, d, fraction: float) -> int:
-    """Exhaustive minimum over all fiber sub-unions; small E only."""
-    _, counts = np.unique(_fiber_keys(E, _as_direction(d)), return_counts=True)
-    F = counts.size
-    _require(F <= 20, "brute force limited to 20 fibers")
-    masks = np.arange(1 << F, dtype=np.uint32)
-    total = np.zeros(1 << F, dtype=np.int64)
-    nbits = np.zeros(1 << F, dtype=np.int64)
-    for f in range(F):
-        hit = (masks >> f) & 1
-        total += hit * int(counts[f])
-        nbits += hit
-    ok = total >= fraction * E.count  # same float comparison as greedy
-    return int(nbits[ok].min())
 
 
 def marstrand_average(E: GridSet2, angles: int) -> MarstrandStats:

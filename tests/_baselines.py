@@ -21,12 +21,13 @@ EXPANDER_AP256_N16_EXPONENT = 0.099060
 PROJECTION_SQUARE_FRACTION = 1.0
 
 # median projection measure over 360 angles, squared Cantor sets at n=12;
-# the base-4 set sits at the dimension-1 boundary (recorded only), the
-# base-3 square is supercritical and stays bounded away from zero
+# the base-4 set sits at the dimension-1 boundary, the base-3 square is
+# supercritical and stays bounded away from zero
 MARSTRAND_MEDIAN_N12_BOUNDARY = 0.7540
 MARSTRAND_MEDIAN_N12_SUPER = 1.3069
-# the n=12 supercritical run costs ~5 minutes, so the asserted regression
-# uses the n=10 square (same construction, 4096 cells)
+# the same construction at n=10 (4096 cells); asserted next to the n=12
+# square, whose 1-energy the separable product path computes in under a
+# second
 MARSTRAND_MEDIAN_N10_SUPER = 1.3076
 
 # directional energy average for uniform measure on the squared base-3

@@ -1,5 +1,7 @@
 """Grid container tests: canonical forms, generators, neighborhoods,
 and the non-concentration scan."""
+import array
+
 import numpy as np
 import pytest
 from fractions import Fraction
@@ -247,9 +249,15 @@ def test_from_indices_rejects_indices_beyond_int64():
     for build in (lambda: GridSet1.from_indices(Scale(4), [2 ** 70]),
                   lambda: GridSet1.from_indices(Scale(4), [0, -(2 ** 70)]),
                   lambda: GridSet2.from_indices(Scale(4), [(2 ** 70, 0)]),
-                  lambda: GridSet2.from_indices(Scale(4), [(0, 0), (1, -(2 ** 70))])):
+                  lambda: GridSet2.from_indices(Scale(4), [(0, 0), (1, -(2 ** 70))]),
+                  # unsigned values beyond int64 would wrap to -1 under a cast
+                  lambda: GridSet1.from_indices(Scale(4), np.array([2 ** 64 - 1], dtype=np.uint64)),
+                  lambda: GridSet2.from_indices(Scale(4), np.array([[2 ** 64 - 1, 0]],
+                                                                   dtype=np.uint64))):
         with pytest.raises(PreconditionError, match="guarded range"):
             build()
+    # unsigned input inside int64 is taken as is
+    assert GridSet1.from_indices(Scale(4), np.array([3, 1], dtype=np.uint64)).indices.tolist() == [1, 3]
 
 
 def test_indices_computed_once_read_only():
@@ -271,3 +279,53 @@ def test_indices_computed_once_read_only():
         (tuple(p) for p in E.indices.tolist()), key=lambda p: (p[1], p[0]))
     # a translate is a new set with its own indices
     assert np.array_equal(S.translate(5).indices, S.indices + 5)
+
+
+def _fresh_indices(X):
+    """The nonzero path, bypassing every cache."""
+    if isinstance(X, GridSet1):
+        return np.flatnonzero(X.bits) + X.offset
+    return np.stack(np.nonzero(X.bits)[::-1], axis=1) + np.array(X.offset)
+
+
+def test_seeded_caches_match_nonzero_path():
+    """GridSet2.from_indices hands over pairs already in `indices` order
+    (as the GS2 reader emits them); the caches equal the nonzero path,
+    whether the input was canonical (seeded), unsorted or duplicated
+    (computed), and stay read-only and apart from the caller's buffer."""
+    rng = np.random.default_rng(12)
+    for _ in range(20):
+        one = np.unique(rng.integers(-300, 300, size=int(rng.integers(1, 80))))
+        two = np.unique(rng.integers(-40, 40, size=(int(rng.integers(1, 120)), 2)), axis=0)
+        two = two[np.lexsort((two[:, 0], two[:, 1]))]  # canonical: ascending in (j, i)
+        wide = np.zeros((len(two), 3), dtype=np.int64)
+        wide[:, :2] = two
+        inputs = [(GridSet1, one, False), (GridSet2, two, True),
+                  (GridSet1, array.array("q", one.tolist()), False),
+                  (GridSet2, wide[:, :2], True)]  # a strided view of a larger buffer
+        for build, canon, _ in inputs[:2]:
+            shuffled = rng.permutation(canon)
+            inputs.append((build, shuffled, build is GridSet2 and np.array_equal(shuffled, canon)))
+            inputs.append((build, np.concatenate([canon, canon[:1]]), False))
+        for build, arr, seeded in inputs:
+            X = build.from_indices(Scale(12), arr)
+            assert ("_indices" in X.__dict__) == seeded
+            assert X.count == len(_fresh_indices(X))
+            first = X.indices
+            assert first.dtype == np.int64 and first.flags.writeable is False
+            assert np.array_equal(first, _fresh_indices(X))
+            assert not np.shares_memory(first, np.asarray(arr))
+            with pytest.raises(ValueError):
+                first[0] = 0
+            for k in range(len(arr)):  # the caller's buffer is theirs to change
+                arr[k] = 0
+            assert np.array_equal(X.indices, _fresh_indices(X))
+            assert X == build.from_bits(X.scale, X.offset, X.bits)
+        A = GridSet1.from_indices(Scale(12), rng.integers(-300, 300, size=int(rng.integers(1, 50))))
+        B = GridSet1.from_bits(Scale(12), int(rng.integers(-99, 99)), rng.random(70) < 0.3)
+        if B.is_empty:
+            continue
+        E = cartesian_product(A, B)
+        assert "_indices" not in E.__dict__  # no 16-byte-per-cell array until asked
+        assert E.count == A.count * B.count == int(np.count_nonzero(E.bits))
+        assert np.array_equal(E.indices, _fresh_indices(E))

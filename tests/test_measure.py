@@ -1,14 +1,17 @@
 """Measure tests: Frostman scans, Riesz energies against analytic and
 brute-force oracles, pruning, conditioning, pushforward, and the
 maximal-interval zoom."""
+import itertools
 import math
+import tracemalloc
 import numpy as np
 import pytest
 from fractions import Fraction
 
 from deltagrid import measure
 from deltagrid import (DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2, InternalCheckError,
-                       PreconditionError, Scale, condition, energy_bound_constant,
+                       PreconditionError, Scale, cartesian_product, condition,
+                       energy_bound_constant,
                        frostman_constant, gen_cantor, gen_random_frostman,
                        make_interval, maximal_interval, prune_heavy_cubes,
                        pushforward_affine, rescale_to_unit, riesz_energy,
@@ -140,9 +143,7 @@ def _random_measure2(rng, shape, offset):
     return DyadicMeasure2.from_weights(Scale(12), offset, w / w.sum())
 
 
-def test_energy_fft_matches_direct_2d(monkeypatch):
-    # with no direct-sum range, auto runs the FFT kernel on every grid here
-    monkeypatch.setattr(measure, "DIRECT_ENERGY_CAP", 0)
+def test_energy_fft_matches_direct_2d():
     rng = np.random.default_rng(70)
     shapes = [(1, 1), (1, 37), (29, 1), (1, 2), (2, 1)]
     shapes += [tuple(int(v) for v in rng.integers(2, 60, size=2)) for _ in range(8)]
@@ -151,7 +152,8 @@ def test_energy_fft_matches_direct_2d(monkeypatch):
         mu = _random_measure2(rng, shape, offset)
         for s in (0.3, 1.0, 1.7):
             direct = riesz_energy(mu, s, method="direct")
-            assert riesz_energy(mu, s) == pytest.approx(direct, rel=1e-12, abs=0)
+            fft = measure._energy_fft(mu.weights, mu.scale.delta, s)
+            assert fft == pytest.approx(direct, rel=1e-12, abs=0)
 
 
 def test_energy_fft_matches_direct_2d_above_direct_cap():
@@ -198,6 +200,173 @@ def test_energy_above_fft_cap_falls_back(monkeypatch):
     assert riesz_energy(mu2, 1.0) == riesz_energy(mu2, 1.0, method="direct")
     for s in (0.3, 1.0, 1.7):
         assert riesz_energy(mu1, s) == riesz_energy(mu1, s, method="binned")
+
+
+def _count_calls(monkeypatch, *names):
+    """Wrap measure's energy kernels `names` with call counters."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*args, _name=name, _fn=getattr(measure, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(measure, name, counted)
+    return calls
+
+
+def _record_kernel_blocks(monkeypatch):
+    """Record the cell count of every displacement-kernel block built."""
+    sizes = []
+
+    def recorded(s, *disp, _fn=measure._displacement_kernel):
+        K = _fn(s, *disp)
+        sizes.append(K.size)
+        return K
+    monkeypatch.setattr(measure, "_displacement_kernel", recorded)
+    return sizes
+
+
+def _random_product(rng, width, height, offset):
+    """uniform_on(A x B) in a width x height box at the given offset."""
+    A, B = (rng.random(L) < 0.6 for L in (width, height))
+    A[[0, -1]] = B[[0, -1]] = True  # trimmed: both ends occupied
+    return uniform_on(cartesian_product(GridSet1(Scale(12), offset[0], A),
+                                        GridSet1(Scale(12), offset[1], B)))
+
+
+def test_energy_product_matches_fft_and_direct(monkeypatch):
+    """uniform_on(A x B) takes the separable product path, which matches
+    the FFT kernel and the direct sum: square, non-square, one row and
+    one column, at negative and positive offsets."""
+    calls = _count_calls(monkeypatch, "_energy_product")
+    blocks = _record_kernel_blocks(monkeypatch)
+    monkeypatch.setattr(measure, "_BLOCK_CELLS", 100)  # kernel rows in several blocks
+    rng = np.random.default_rng(74)
+    boxes = [(40, 40), (57, 23), (9, 61), (1, 50), (50, 1)]
+    offsets = [(-2900, -1300), (1700, 2500), (-64, 999)]
+    for (width, height), offset in itertools.product(boxes, offsets):
+        mu = _random_product(rng, width, height, offset)
+        w, delta = mu.weights, mu.scale.delta
+        assert w.size < np.count_nonzero(w) ** 2  # product path is the cheapest
+        for s in (0.3, 1.0, 1.7):
+            before = calls["_energy_product"]
+            blocks.clear()
+            auto = riesz_energy(mu, s)
+            assert calls["_energy_product"] == before + 1
+            # at most 100 kernel cells a block, or one row where a row is wider
+            assert sum(blocks) == width * height and max(blocks) <= max(100, width)
+            fft = measure._energy_fft(w, delta, s)
+            direct = riesz_energy(mu, s, method="direct")
+            assert auto == pytest.approx(fft, rel=1e-12, abs=0)
+            assert auto == pytest.approx(direct, rel=1e-12, abs=0)
+
+
+def test_energy_near_products_skip_product_path(monkeypatch):
+    """One support cell removed, or one weight changed: no longer a
+    product of shadows with one weight, so the product path must not run."""
+    calls = _count_calls(monkeypatch, "_energy_product")
+    rng = np.random.default_rng(75)
+    for width, height in ((40, 40), (57, 23), (5, 50)):
+        mu = _random_product(rng, width, height, (-300, 700))
+        w = np.array(mu.weights)
+        jr, ir = np.nonzero(w > 0)
+        inner = [k for k in range(jr.size) if np.count_nonzero(w[jr[k]]) > 1
+                 and np.count_nonzero(w[:, ir[k]]) > 1]  # removal keeps both shadows
+        k = inner[len(inner) // 2]
+        holed = w.copy()
+        holed[jr[k], ir[k]] = 0.0
+        heavier = w.copy()
+        heavier[jr[k], ir[k]] *= 1.5
+        for v in (holed, heavier):
+            near = DyadicMeasure2(mu.scale, mu.offset, v / v.sum())
+            direct = riesz_energy(near, 1.0, method="direct")
+            assert riesz_energy(near, 1.0) == pytest.approx(direct, rel=1e-12, abs=0)
+        assert calls["_energy_product"] == 0
+        riesz_energy(mu, 1.0)  # the product itself does take it
+        assert calls["_energy_product"] == 1
+        calls["_energy_product"] = 0
+
+
+def test_energy_kaufman_sized_supports_match_direct(monkeypatch):
+    """Projected measures of 200-540 cells in spans up to ~720: the FFT
+    path, equal to the direct sum."""
+    calls = _count_calls(monkeypatch, "_energy_fft")
+    rng = np.random.default_rng(76)
+    for cells, span in ((200, 210), (330, 723), (536, 536), (410, 700), (203, 512)):
+        mu = _random_measure1(rng, cells, span, int(rng.integers(-5000, 5000)))
+        for s in (0.3, 0.5, 1.7):
+            auto = riesz_energy(mu, s)
+            assert auto == pytest.approx(riesz_energy(mu, s, method="direct"), rel=1e-12, abs=0)
+    assert calls["_energy_fft"] == 15
+
+
+def test_energy_auto_path_by_cost(monkeypatch):
+    """The cost rule on inputs sized like its calibration points: each goes
+    to the path measured fastest there."""
+    calls = _count_calls(monkeypatch, "_energy_direct_1d", "_energy_direct_2d",
+                         "_energy_fft", "_energy_product")
+    rng = np.random.default_rng(77)
+    C9 = gen_cantor(Scale(9), 3, (0, 2), 5)
+    C4 = gen_cantor(Scale(10), 4, (0, 3), 5)
+    A = GridSet1.from_bits(Scale(9), 0, rng.random(499) < 0.2)
+    B = GridSet1.from_bits(Scale(9), 0, rng.random(183) < 0.5)
+    cases = [
+        # a Kaufman projection: 536 cells in a 723-cell span
+        (_random_measure1(rng, 536, 723, 40), "_energy_fft"),
+        # the n=20 line: 2073 cells in a 960,711-cell span
+        (_random_measure1(rng, 2073, 960_711, 0), "_energy_direct_1d"),
+        # the 1024-cell base-4 square: a 1024 x 1024 box, a tie in cost with
+        # its N**2 pairs that goes to the product path
+        (uniform_on(cartesian_product(C4, C4)), "_energy_product"),
+        # the 10,404-cell n=9 Cantor square and a ~10^4-cell product in a
+        # box of at most 499 x 183
+        (uniform_on(cartesian_product(C9, C9)), "_energy_product"),
+        (uniform_on(cartesian_product(A, B)), "_energy_product"),
+    ]
+    for mu, path in cases:
+        before = dict(calls)
+        riesz_energy(mu, 0.5)
+        assert {k: calls[k] - before[k] for k in calls} == {k: int(k == path) for k in calls}
+
+
+def test_energy_product_needs_padded_shadows_within_cap(monkeypatch):
+    """A product whose padded row or column shadow exceeds the FFT cap does
+    not take the product path; one within it does."""
+    calls = _count_calls(monkeypatch, "_energy_product", "_energy_direct_2d")
+    monkeypatch.setattr(measure, "_FFT_CELL_CAP", 64)
+    rng = np.random.default_rng(78)
+    for width, height, path in ((50, 3, "_energy_direct_2d"), (3, 50, "_energy_direct_2d"),
+                                (30, 3, "_energy_product"), (3, 30, "_energy_product")):
+        mu = _random_product(rng, width, height, (-7, 11))
+        before = dict(calls)
+        auto = riesz_energy(mu, 1.0)
+        assert {k: calls[k] - before[k] for k in calls} == {k: int(k == path) for k in calls}
+        assert auto == pytest.approx(riesz_energy(mu, 1.0, method="direct"), rel=1e-12, abs=0)
+
+
+def test_energy_direct_blocks_bounded_in_cells(monkeypatch):
+    """The direct sums take at most _BLOCK_CELLS pairs a block (at least one
+    row): their peak memory follows the budget, their value does not."""
+    rng = np.random.default_rng(79)
+    mu1 = _random_measure1(rng, 300, 1000, -50)
+    mu2 = _random_measure2(rng, (30, 20), (4, -9))  # about 360 cells
+
+    def direct_with_peak(mu):
+        tracemalloc.start()
+        try:
+            value = riesz_energy(mu, 0.8, method="direct")
+            return value, tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert measure._block_rows(10 ** 6) == 2 and measure._block_rows(10) == 512
+    before = [direct_with_peak(mu) for mu in (mu1, mu2)]
+    monkeypatch.setattr(measure, "_BLOCK_CELLS", 1000)
+    assert measure._block_rows(300) == 3 and measure._block_rows(5000) == 1
+    after = [direct_with_peak(mu) for mu in (mu1, mu2)]
+    for (v0, peak0), (v1, peak1) in zip(before, after):
+        assert v1 == pytest.approx(v0, rel=1e-12, abs=0)
+        # one full 512-row block is at least 300**2 float64 cells, 720 kB
+        assert peak0 > 700_000 and peak1 < 16 * 8 * 1000
 
 
 def test_energy_bound_constant():

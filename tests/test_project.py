@@ -279,12 +279,16 @@ def test_direction_normalized():
 
 
 def test_marstrand_median_regressions():
-    # committed first-run medians: the supercritical square stays well
+    # committed first-run medians: the supercritical squares stay well
     # above 0.2, the dimension-1 boundary square is tracked as-is
     C3 = gen_cantor(Scale(10), 3, (0, 2), 6)
     st = marstrand_average(cartesian_product(C3, C3), 360)
     assert st.median >= 0.2
     assert abs(st.median - B.MARSTRAND_MEDIAN_N10_SUPER) <= 0.01
+    C3 = gen_cantor(Scale(12), 3, (0, 2), 7)
+    st3 = marstrand_average(cartesian_product(C3, C3), 360)
+    assert st3.median >= 0.2
+    assert abs(st3.median - B.MARSTRAND_MEDIAN_N12_SUPER) <= 0.01
     C4 = gen_cantor(Scale(12), 4, (0, 3), 6)
     st4 = marstrand_average(cartesian_product(C4, C4), 360)
     assert abs(st4.median - B.MARSTRAND_MEDIAN_N12_BOUNDARY) <= 0.01
