@@ -10,14 +10,13 @@ expansion experiments driven by a renormalization zoom.
 from .errors import InternalCheckError, PreconditionError
 from .grid import (MAX_DEPTH, MAX_INDEX, MAX_SPAN, FrostmanReport, GridSet1,
                    GridSet2, Scale, as_fraction, cartesian_product, covering_number,
-                   gen_cantor, gen_random_frostman, make_interval, neighborhood,
-                   nonconcentration_constant)
+                   gen_cantor, gen_random_frostman, make_interval, neighborhood)
 from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
                       nfold_sum, reflect, sumset)
 from .measure import (DyadicMeasure1, DyadicMeasure2, MaximalIntervalResult,
                       condition, energy_bound_constant, frostman_constant,
-                      maximal_interval, prune_heavy_cubes, pushforward_affine,
-                      rescale_to_unit, riesz_energy, uniform_on)
+                      maximal_interval, nonconcentration_constant, prune_heavy_cubes,
+                      pushforward_affine, rescale_to_unit, riesz_energy, uniform_on)
 from .project import (AngleMeasure, Direction, MarstrandStats, ProjectionRecord,
                       SweepReport, adversarial_count, adversarial_projection,
                       kaufman_average, marstrand_average, project_measure,

@@ -28,11 +28,11 @@ from .errors import InternalCheckError, PreconditionError
 from .expand import (find_expander, nfold_expansion_curve,
                      projection_theorem_experiment, renormalized_find_expander)
 from .grid import (GridSet1, GridSet2, Scale, _require, cartesian_product,
-                   gen_cantor, gen_random_frostman, make_interval,
-                   nonconcentration_constant)
+                   gen_cantor, gen_random_frostman, make_interval)
 from .lattice import blichfeldt_translate, slab_collision
 from .measure import (DyadicMeasure1, frostman_constant, maximal_interval,
-                      prune_heavy_cubes, rescale_to_unit, riesz_energy, uniform_on)
+                      nonconcentration_constant, prune_heavy_cubes, rescale_to_unit,
+                      riesz_energy, uniform_on)
 from .project import (AngleMeasure, kaufman_average, marstrand_average,
                       project_set, sweep)
 from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
@@ -53,8 +53,6 @@ class RunConfig:
     n: int = 12
     kappa: float | None = None
     sigma: float | None = None
-    alpha: float | None = None
-    beta: float | None = None
     epsilon: float | None = None
     eta: float | None = None
     lam: float | None = None

@@ -21,10 +21,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (FrostmanReport, GridSet1, GridSet2,
-                   nonconcentration_constant, _require)
+from .grid import FrostmanReport, GridSet1, GridSet2, _require
 from .measure import (DyadicMeasure1, frostman_constant, maximal_interval,
-                      rescale_to_unit, uniform_on)
+                      nonconcentration_constant, rescale_to_unit, uniform_on)
 from .project import AngleMeasure, SweepReport, sweep
 from .setcalc import (SumSemantics, diffset, dilate, nfold_product, nfold_sum,
                       sumset)

@@ -23,7 +23,7 @@ versus Euclidean balls differ by at most sqrt(2)**kappa).
 Two normalization conventions coexist for "the" non-concentration
 constant: the set-relative one (ball mass divided by total mass of the
 set, then by r**kappa) and the raw measure one (mass of a probability
-measure divided by r**kappa).  Both are exposed; FrostmanReport records
+measure divided by r**kappa).  `measure` exposes both; FrostmanReport records
 which convention produced it.  They coincide for uniform measure on a
 set, and the single shared scan engine guarantees that exactly.
 """
@@ -585,24 +585,6 @@ def _dilate_axis(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
     P = np.concatenate((np.zeros((h, 1), dtype=np.int64), np.cumsum(ext, axis=1)), axis=1)
     i = np.arange(ext.shape[1])
     return P[:, np.minimum(i + k + 1, ext.shape[1])] - P[:, np.maximum(i - k, 0)]
-
-
-def nonconcentration_constant(S, kappa: float) -> FrostmanReport:
-    """Least C with |S intersect B(x, r)| <= C * r**kappa * |S| over the scan family.
-
-    Scanned over closed balls centered at occupied cell centers and
-    dyadic radii from delta up to the first radius >= diameter.  Mass is
-    exact Lebesgue overlap, normalized by the total measure of S
-    (convention "set").
-    """
-    from . import measure as _measure
-
-    _require(not S.is_empty, "non-concentration scan needs a nonempty set")
-    mu = _measure.uniform_on(S)
-    rep = _measure.frostman_constant(mu, kappa)
-    return FrostmanReport(kappa=rep.kappa, constant=rep.constant,
-                          witness_center=rep.witness_center,
-                          witness_radius=rep.witness_radius, convention="set")
 
 
 def cartesian_product(A: GridSet1, B: GridSet1) -> GridSet2:

@@ -40,7 +40,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_SPAN, Scale,
+from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, Scale,
                    as_fraction, make_interval, _require)
 
 MASS_RTOL = 2.0 ** -40
@@ -75,6 +75,7 @@ class DyadicMeasure1:
         _require(w[0] > 0 and w[-1] > 0, "weights must be trimmed (nonzero first and last)")
         _validate_weights(w)
         object.__setattr__(self, "offset", int(self.offset))
+        _require(abs(self.offset) + w.size <= MAX_INDEX, "cell indices out of guarded range")
         w.setflags(write=False)
 
     @classmethod
@@ -144,13 +145,13 @@ class DyadicMeasure2:
 
     @property
     def _centers(self):
-        """(x, y, w) over the positive cells in row-major order: absolute
-        cell-center coordinates in cell units and the weights; computed
-        once, read-only."""
+        """(x, y, w) over the positive cells in row-major order: cell-center
+        coordinates in cell units from `offset` (the local frame of the
+        projection kernel) and the weights; computed once, read-only."""
         out = self.__dict__.get("_centers_cache")
         if out is None:
             jr, ir = np.nonzero(self.weights > 0)
-            out = (ir + self.offset[0] + 0.5, jr + self.offset[1] + 0.5, self.weights[jr, ir])
+            out = (ir + 0.5, jr + 0.5, self.weights[jr, ir])
             for a in out:
                 a.setflags(write=False)
             object.__setattr__(self, "_centers_cache", out)
@@ -287,6 +288,22 @@ def frostman_constant(mu, kappa: float) -> FrostmanReport:
         raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
     return FrostmanReport(kappa=float(kappa), constant=c, witness_center=center,
                           witness_radius=r, convention="measure")
+
+
+def nonconcentration_constant(S, kappa: float) -> FrostmanReport:
+    """Least C with |S intersect B(x, r)| <= C * r**kappa * |S| over the scan family.
+
+    Scanned over closed balls centered at occupied cell centers and
+    dyadic radii from delta up to the first radius >= diameter.  Mass is
+    exact Lebesgue overlap, normalized by the total measure of S
+    (convention "set").
+    """
+    _require(not S.is_empty, "non-concentration scan needs a nonempty set")
+    mu = uniform_on(S)
+    rep = frostman_constant(mu, kappa)
+    return FrostmanReport(kappa=rep.kappa, constant=rep.constant,
+                          witness_center=rep.witness_center,
+                          witness_radius=rep.witness_radius, convention="set")
 
 
 # ---------------------------------------------------------------------------

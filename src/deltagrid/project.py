@@ -3,16 +3,18 @@ averages, and exact adversarial dense-subset projection minimization.
 
 pi_theta(x, y) = x*cos(theta) + y*sin(theta), theta in [0, pi).
 
-project_set over-covers: the projection interval of each square gets
-its binary64 endpoints rounded outward by one ulp before covering, so
-a cell touched by the true projection is never missed.  Conservative
-in the direction lower-bound experiments need.
+One kernel projects cells in the set's local frame, with an error bound
+that does not grow with the offset and exact arithmetic near integers.
+project_set gives a conservative cover, each square's range rounded
+outward one ulp (at most a cell more at either end), the side lower-bound
+experiments need.  Projections leaving +-MAX_INDEX raise PreconditionError.
 
 project_measure and the adversarial minimizer use the center
 convention instead: each square's mass, or the square itself, belongs
 to the single 1D cell containing the projection of its center (its
-"fiber").  Fiber count <= project_set count always, since a square's
-center projection lands inside its projection interval.
+"fiber"); fiber keys are exact.  Fiber count <= project_set count
+always, since a square's center projection lands inside its projection
+interval.
 
 The adversary quantifies over subsets G holding at least a lambda
 fraction of the cells.  Restricted to fiber unions, the exact optimum
@@ -30,10 +32,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError
 from .grid import GridSet1, GridSet2, Scale, _require
 from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
-from .setcalc import reflect
+from .setcalc import _paint_ranges
 
 
 @dataclass(frozen=True)
@@ -178,64 +180,109 @@ class MarstrandStats:
     measures: np.ndarray
 
 
-def project_set(E: GridSet2, d) -> GridSet1:
-    """Exact conservative cover of pi_theta(E) at the scale of E.
+def _project_local(x, y, offset, extent: int, d: Direction):
+    """The projection kernel.  Returns (K, v, err, exact) for the points
+    offset + (x, y), x, y >= 0 float64 integers or half-integers with
+    x + y <= extent.  c*ox + s*oy (c, s binary64) is split exactly into
+    an integer K and f = r/q in [0, 1), and v = x*c + y*s + f.  v, and v
+    plus c and s, take at most seven roundings of at most 2**-53 times
+    extent + 3, so each lies within err of its exact value.  exact(x, y,
+    up) is the exact floor (up: ceiling less one) of c*x + s*y + f."""
+    c, s = d.vector
+    (a, qa), (b, qb) = c.as_integer_ratio(), s.as_integer_ratio()
+    q = max(qa, qb)
+    a, b = a * (q // qa), b * (q // qb)  # c = a/q, s = b/q
+    K, r = divmod(a * offset[0] + b * offset[1], q)
 
-    A 1D cell is occupied iff some occupied square's half-open
-    projection interval meets it.  Axis directions (sin or cos exactly
-    zero after snapping) reduce to exact column/row shadows; all other
-    endpoints are computed in binary64 and rounded outward one ulp, so
-    the cover errs on the large side only.
+    def exact(x, y, up=False):
+        u, w = ((2 * z).astype(np.int64).astype(object) for z in (x, y))
+        return ((a * u + b * w + (2 * r - up)) // (2 * q)).astype(np.int64)
+
+    v = x * c
+    v += y * s
+    if r:
+        v += r / q
+    return K, v, (extent + 4) * 2.0 ** -50, exact
+
+
+def _local(E: GridSet2, half: float):
+    """Cell coordinates of E less its offset, plus half, as float64."""
+    i, j = E.indices.T
+    return (i - E.offset[0]) + half, (j - E.offset[1]) + half
+
+
+def _center_keys(x, y, offset, extent: int, d: Direction):
+    """(K, keys): K + keys[t] is the exact floor of pi_theta of point t."""
+    K, v, err, exact = _project_local(x, y, offset, extent, d)
+    keys = np.floor(v)
+    v -= keys
+    v -= 0.5
+    near = np.abs(v, out=v) >= 0.5 - err
+    keys = keys.astype(np.int64)
+    if near.any():
+        keys[near] = exact(x[near], y[near])
+    return K, keys
+
+
+def project_set(E: GridSet2, d) -> GridSet1:
+    """Conservative cover of pi_theta(E) at the scale of E: every 1D cell
+    some occupied square's projection meets, at any offset.
+
+    Axis directions (sin or cos exactly zero after snapping) give the
+    exact column or row shadow.  Otherwise each square's range is its
+    binary64 projection interval [lo, hi] rounded outward one ulp, the
+    cells ceil(lo) - 1 .. floor(hi), widened to the exact floor of lo or
+    ceiling of hi less one where that end is within err of an integer.
     """
     _require(not E.is_empty, "projection needs a nonempty set")
     d = _as_direction(d)
     c, s = d.vector
-    if s == 0.0:
-        shadow = GridSet1.from_bits(E.scale, E.offset[0], E.bits.any(axis=0))
-        if c > 0:
-            return shadow
-        # x -> -x sends cell i to (-(i+1)d, -i*d]: two cells, right one
-        # holding only the attained endpoint.
-        r = reflect(shadow)
-        return r.union(r.translate(-1))
-    if c == 0.0:
-        return GridSet1.from_bits(E.scale, E.offset[1], E.bits.any(axis=1))
-    ij = E.indices.astype(np.float64)
-    base = ij[:, 0] * c + ij[:, 1] * s
-    lo = np.nextafter(base + min(0.0, c) + min(0.0, s), -np.inf)
-    hi = np.nextafter(base + max(0.0, c) + max(0.0, s), np.inf)
-    k0 = np.floor(lo).astype(np.int64)
-    k1 = np.ceil(hi).astype(np.int64) - 1  # last cell starting below hi
-    off = int(k0.min())
-    span = int(k1.max()) - off + 1
-    bits = (np.bincount(k0 - off, minlength=span + 1)
-            - np.bincount(k1 - off + 1, minlength=span + 1))
-    return GridSet1.from_bits(E.scale, off, np.cumsum(bits[:-1]) > 0)
-
-
-def _fiber_keys(E: GridSet2, d: Direction) -> np.ndarray:
-    """Center-projection fiber key of each cell of E, in indices order."""
-    c, s = d.vector
-    ij = E.indices.astype(np.float64)
-    return np.floor((ij[:, 0] + 0.5) * c + (ij[:, 1] + 0.5) * s).astype(np.int64)
+    if s == 0.0 or c == 0.0:
+        axis = 0 if s == 0.0 else 1  # c == 0 means (c, s) = (0, 1)
+        shadow = E.bits.any(axis=axis)
+        if c >= 0:
+            return GridSet1.from_bits(E.scale, E.offset[axis], shadow)
+        # x -> -x sends column i to (-(i+1), -i], two cells
+        cols = np.flatnonzero(shadow) + E.offset[0]
+        return _paint_ranges(E.scale, -cols - 1, -cols)
+    x, y = _local(E, 0.0)
+    K, v, err, exact = _project_local(x, y, E.offset, sum(E.bits.shape), d)
+    hi = v + max(0.0, c) + s  # s > 0 here
+    v += min(0.0, c)  # v is lo now
+    k0, k1 = np.ceil(v), np.floor(hi)
+    np.subtract(k0, v, out=v)  # in [0, 1)
+    hi -= k1  # in [0, 1)
+    # an end falls short only if lo is within err above k0 - 1 or hi below k1 + 1
+    near = np.flatnonzero(np.maximum(v, hi, out=v) >= 1 - err)
+    k0 = np.add(k0, K - 1, dtype=np.int64, casting="unsafe")
+    k1 = np.add(k1, K, dtype=np.int64, casting="unsafe")
+    if near.size:
+        xn, yn = x[near], y[near]
+        k0[near] = np.minimum(k0[near], K + exact(xn + (c < 0), yn))
+        k1[near] = np.maximum(k1[near], K + exact(xn + (c > 0), yn + 1, up=True))
+    return _paint_ranges(E.scale, k0, k1)
 
 
 def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     """Pushforward under pi_theta, each square's mass to its center's cell."""
-    d = _as_direction(d)
-    c, s = d.vector
     x, y, weights = mu._centers
-    keys = np.floor(x * c + y * s).astype(np.int64)
+    K, keys = _center_keys(x, y, mu.offset, sum(mu.weights.shape), _as_direction(d))
     lo = int(keys.min())
-    w = np.bincount(keys - lo, weights=weights)
-    return DyadicMeasure1.from_weights(mu.scale, lo, w)
+    return DyadicMeasure1.from_weights(mu.scale, K + lo,
+                                       np.bincount(keys - lo, weights=weights))
 
 
-def _greedy_take(counts: np.ndarray, target: float) -> int:
-    """Number of heaviest fibers needed to hold >= target cells."""
+def _fibers(E: GridSet2, d, fraction: float):
+    """(keys, counts, take): fiber keys from 0 in indices order, cells per
+    key over the key span, and how many heaviest fibers hold the fraction."""
+    _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
+    _require(not E.is_empty, "projection needs a nonempty set")
+    x, y = _local(E, 0.5)
+    _, keys = _center_keys(x, y, E.offset, sum(E.bits.shape), _as_direction(d))
+    keys -= keys.min()
+    counts = np.bincount(keys)
     cum = np.cumsum(np.sort(counts)[::-1])
-    take = int(np.searchsorted(cum, target, side="left")) + 1
-    return min(take, counts.size)
+    return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1
 
 
 def adversarial_count(E: GridSet2, d, fraction: float) -> int:
@@ -245,10 +292,7 @@ def adversarial_count(E: GridSet2, d, fraction: float) -> int:
     Greedy on fibers sorted by cell count descending is exactly optimal
     here; the count does not depend on the order of equal fibers.
     """
-    _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
-    _require(not E.is_empty, "projection needs a nonempty set")
-    _, counts = np.unique(_fiber_keys(E, _as_direction(d)), return_counts=True)
-    return _greedy_take(counts, fraction * E.count)
+    return _fibers(E, d, fraction)[2]
 
 
 def adversarial_projection(E: GridSet2, d, fraction: float):
@@ -257,14 +301,10 @@ def adversarial_projection(E: GridSet2, d, fraction: float):
     Ties between equal-count fibers break toward the smaller projected
     index, so the witness is deterministic.
     """
-    _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
-    _require(not E.is_empty, "projection needs a nonempty set")
-    uniq, inv, counts = np.unique(_fiber_keys(E, _as_direction(d)),
-                                  return_inverse=True, return_counts=True)
-    take = _greedy_take(counts, fraction * E.count)
-    chosen = np.lexsort((uniq, -counts))[:take]
-    witness = GridSet2.from_indices(E.scale, E.indices[np.isin(inv, chosen)])
-    return take, witness
+    keys, counts, take = _fibers(E, d, fraction)
+    chosen = np.zeros(counts.size, dtype=bool)
+    chosen[np.argsort(-counts, kind="stable")[:take]] = True
+    return take, GridSet2.from_indices(E.scale, E.indices[chosen[keys]])
 
 
 def marstrand_average(E: GridSet2, angles: int) -> MarstrandStats:

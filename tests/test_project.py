@@ -3,6 +3,8 @@ directions, angle-averaged statistics, and the greedy fiber minimizer
 checked against exhaustive search."""
 import itertools
 import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -87,10 +89,11 @@ def test_project_measure_matches_add_at():
         w[0, 0] = w[-1, -1] = 1.0
         mu = DyadicMeasure2.from_weights(Scale(8), (int(rng.integers(0, 200)), 7), w / w.sum())
         d = Direction(float(rng.uniform(0, math.pi)))
-        c, s = d.vector
+        c, s = (Fraction(v) for v in d.vector)
         jr, ir = np.nonzero(mu.weights > 0)
-        keys = np.floor((ir + mu.offset[0] + 0.5) * c
-                        + (jr + mu.offset[1] + 0.5) * s).astype(np.int64)
+        keys = np.array([math.floor(c * (2 * (i + mu.offset[0]) + 1) / 2
+                                    + s * (2 * (j + mu.offset[1]) + 1) / 2)
+                         for i, j in zip(ir.tolist(), jr.tolist())], dtype=np.int64)
         want = np.zeros(int(keys.max() - keys.min()) + 1)
         np.add.at(want, keys - keys.min(), mu.weights[jr, ir])
         got = project_measure(mu, d)
