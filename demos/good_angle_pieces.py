@@ -24,8 +24,14 @@ def main():
     ap.add_argument("--angles", type=int, default=48)
     ap.add_argument("--threads", type=int, default=1)
     args = ap.parse_args()
+    if args.angles < 16:
+        ap.error("--angles must be at least 16")
 
-    side = gen_cantor(Scale(args.n), 3, (0, 2), args.n // 2 + 1)
+    # base-3 intervals no finer than delta: 3**levels <= 2**n
+    levels = args.n // 2 + 1
+    while 3 ** levels > 2 ** args.n:
+        levels -= 1
+    side = gen_cantor(Scale(args.n), 3, (0, 2), levels)
     E = cartesian_product(side, side)
     nu = AngleMeasure.uniform(Scale(8))
     exp = projection_theorem_experiment(E, nu, 0.05, args.eta, args.angles,

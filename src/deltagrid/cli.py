@@ -55,7 +55,6 @@ class RunConfig:
     sigma: float | None = None
     epsilon: float | None = None
     eta: float | None = None
-    lam: float | None = None
     threads: int = 1
     out: str | None = None
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -114,6 +114,14 @@ def _trim2(bits: np.ndarray, offset):
     return sub, (ox + int(cols[0]), oy + int(rows[0]))
 
 
+def _runs(idx: np.ndarray):
+    """Maximal runs of an ascending integer array as inclusive (starts,
+    ends) arrays; both are empty for an empty array."""
+    breaks = np.flatnonzero(idx[1:] > idx[:-1] + 1)
+    return (np.concatenate((idx[:1], idx[1:][breaks])),
+            np.concatenate((idx[:-1][breaks], idx[-1:])))
+
+
 @dataclass(frozen=True, eq=False)
 class GridSet1:
     """Union of half-open cells [i*delta, (i+1)*delta) on the line.
@@ -158,6 +166,38 @@ class GridSet1:
         bits = np.zeros(span, dtype=bool)
         bits[idx - lo] = True  # repeated indices just set a bit again
         return cls(scale, lo, bits)
+
+    @classmethod
+    def from_ranges(cls, scale: Scale, k_first: np.ndarray, k_last: np.ndarray) -> "GridSet1":
+        """Union of the inclusive int64 index ranges [k_first[t], k_last[t]]:
+        at least one range, each with k_first[t] <= k_last[t].
+
+        Ranges with monotone starts (every dilation's, the Cantor
+        intervals', a set's neighbourhoods) merge with their neighbours in
+        one pass, and only the covered cells are painted.  Unsorted ranges
+        (graph sums, product covers, projections) are painted through a
+        difference array over the whole span, which costs less than
+        sorting them first.
+        """
+        lo = int(k_first.min())
+        hi = int(k_last.max())
+        span = hi - lo + 1
+        _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
+        if (k_first[1:] <= k_first[:-1]).all():
+            k_first, k_last = k_first[::-1], k_last[::-1]
+        if (k_first[1:] >= k_first[:-1]).all():
+            reach = np.maximum.accumulate(k_last)
+            # range t opens a new piece unless it overlaps or abuts the cells so far
+            opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
+            starts = k_first[np.concatenate(([0], opens))] - lo
+            lengths = reach[np.concatenate((opens - 1, [reach.size - 1]))] - lo + 1 - starts
+            before = np.concatenate(([0], np.cumsum(lengths[:-1])))
+            bits = np.zeros(span, dtype=bool)
+            bits[np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))] = True
+            return cls(scale, lo, bits)
+        diff = (np.bincount(k_first - lo, minlength=span + 1)
+                - np.bincount(k_last - lo + 1, minlength=span + 1))
+        return cls(scale, lo, np.cumsum(diff)[:-1] > 0)
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet1":
@@ -502,18 +542,8 @@ def gen_cantor(scale: Scale, base: int, digits: Iterable[int], levels: int) -> G
     for _ in range(levels):
         ms = (ms[:, None] * base + darr).reshape(-1)
     u = 1 << scale.n
-    k_lo = (ms * u) // bl
-    k_hi = ((ms + 1) * u - 1) // bl
-    # ms ascending -> both endpoints nondecreasing; merge touching runs.
-    breaks = np.flatnonzero(k_lo[1:] > k_hi[:-1] + 1)
-    starts = np.concatenate(([k_lo[0]], k_lo[1:][breaks]))
-    ends = np.concatenate((k_hi[:-1][breaks], [k_hi[-1]]))
-    span = int(ends[-1] - starts[0] + 1)
-    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-    bits = np.zeros(span, dtype=bool)
-    for s, e in zip(starts, ends):
-        bits[int(s - starts[0]):int(e - starts[0]) + 1] = True
-    return GridSet1(scale, int(starts[0]), bits)
+    # ms ascending -> both endpoints nondecreasing; touching covers merge
+    return GridSet1.from_ranges(scale, (ms * u) // bl, ((ms + 1) * u - 1) // bl)
 
 
 def gen_random_frostman(scale: Scale, kappa: float, seed: int) -> GridSet1:
@@ -562,13 +592,9 @@ def neighborhood(S, r) -> "GridSet1 | GridSet2":
     k = int(k_f)
     if S.is_empty or k == 0:
         return S
+    _require(2 * k < MAX_SPAN, f"cell span exceeds dense-representation cap {MAX_SPAN}")
     if isinstance(S, GridSet1):
-        ext = np.zeros(S.bits.size + 2 * k, dtype=np.int64)
-        ext[k:k + S.bits.size] = S.bits
-        P = np.concatenate(([0], np.cumsum(ext)))
-        i = np.arange(ext.size)
-        out = (P[np.minimum(i + k + 1, ext.size)] - P[np.maximum(i - k, 0)]) > 0
-        return GridSet1.from_bits(S.scale, S.offset - k, out)
+        return GridSet1.from_ranges(S.scale, S.indices - k, S.indices + k)
     if isinstance(S, GridSet2):
         grown = _dilate_axis(S.bits.astype(np.int64), k, axis=1)
         grown = _dilate_axis(grown, k, axis=0)

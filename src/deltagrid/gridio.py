@@ -26,12 +26,12 @@ import json
 import re
 import warnings
 from fractions import Fraction
-from typing import Iterable, List, Sequence, Tuple, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require
+from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require, _runs
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
@@ -50,34 +50,26 @@ def _parse_error(path, lineno: int, msg: str) -> PreconditionError:
     return PreconditionError(f"{path}:{lineno}: {msg}")
 
 
-def _runs(bits: np.ndarray, base: int) -> List[Tuple[int, int]]:
-    """Maximal runs of True as inclusive (first, last) absolute indices."""
-    idx = np.flatnonzero(bits)
-    if idx.size == 0:
-        return []
-    breaks = np.flatnonzero(np.diff(idx) > 1)
-    starts = np.concatenate(([0], breaks + 1))
-    ends = np.concatenate((breaks, [idx.size - 1]))
-    return [(base + int(idx[s]), base + int(idx[e])) for s, e in zip(starts, ends)]
-
-
 def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
     lines = []
     if isinstance(S, GridSet1):
         lines.append("GS1 v1")
         lines.append(f"n={S.scale.n}")
         lines.append(f"offset={S.offset}")
-        for a, b in _runs(S.bits, S.offset):
-            lines.append(f"{a}-{b}")
+        starts, ends = _runs(S.indices)
+        lines += [f"{a}-{b}" for a, b in zip(starts.tolist(), ends.tolist())]
     elif isinstance(S, GridSet2):
         lines.append("GS2 v1")
         lines.append(f"n={S.scale.n}")
         ox, oy = S.offset
         lines.append(f"offset={ox},{oy}")
         lines.append(f"rows={S.bits.shape[0]}")
-        for jr in range(S.bits.shape[0]):
-            for a, b in _runs(S.bits[jr], ox):
-                lines.append(f"row={oy + jr}:{a}-{b}")
+        for jr, row in enumerate(S.bits):
+            cols = np.flatnonzero(row)
+            if cols.size:  # skipping empty rows keeps sparse sets fast
+                starts, ends = _runs(cols + ox)
+                lines += [f"row={oy + jr}:{a}-{b}"
+                          for a, b in zip(starts.tolist(), ends.tolist())]
     else:
         raise PreconditionError(f"cannot serialize {type(S).__name__}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
@@ -97,7 +89,7 @@ def _header_int(lines, lineno: int, key: str, path) -> int:
         raise _parse_error(path, lineno, f"bad integer in '{line}'") from None
 
 
-def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> List[tuple]:
+def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> list:
     """Check the body line by line, raising at the first faulty line."""
     out = []
     total = 0
@@ -153,15 +145,6 @@ def _read_body(path, lines, first: int, line_re: re.Pattern, body_re: re.Pattern
                     dtype=np.int64).reshape(-1, k)
 
 
-def _expand_runs(a: np.ndarray, b: np.ndarray):
-    """Cell indices of the inclusive runs a[r]-b[r] in order, and each run's length."""
-    lens = b - a + 1
-    starts = np.cumsum(lens) - lens
-    cells = np.repeat(a - starts, lens)
-    cells += np.arange(cells.size, dtype=np.int64)
-    return cells, lens
-
-
 def _read_gs1(path, lines) -> GridSet1:
     scale = Scale(_header_int(lines, 2, "n", path))
     offset = _header_int(lines, 3, "offset", path)
@@ -171,7 +154,7 @@ def _read_gs1(path, lines) -> GridSet1:
     first = int(runs[:, 0].min())
     if offset != first:
         raise _parse_error(path, 3, f"offset={offset} but first occupied cell is {first}")
-    return GridSet1.from_indices(scale, _expand_runs(runs[:, 0], runs[:, 1])[0])
+    return GridSet1.from_ranges(scale, runs[:, 0], runs[:, 1])
 
 
 def _read_gs2(path, lines) -> GridSet2:
@@ -199,7 +182,9 @@ def _read_gs2(path, lines) -> GridSet2:
         raise _parse_error(path, 3, f"offset={ox},{oy} but occupied corner is {x0},{y0}")
     if rows != h:
         raise _parse_error(path, 4, f"rows={rows} but occupied rows span {h}")
-    x, lens = _expand_runs(a, b)
+    lens = b - a + 1
+    x = np.repeat(a - (np.cumsum(lens) - lens), lens)  # each run's cells, in order
+    x += np.arange(x.size, dtype=np.int64)
     return GridSet2.from_indices(scale, np.stack([x, np.repeat(j, lens)], axis=1))
 
 

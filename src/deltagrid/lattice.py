@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, as_fraction, _require
+from .grid import GridSet1, GridSet2, Scale, _require, _runs, as_fraction
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -65,9 +65,7 @@ class CellCloud:
 
     @classmethod
     def from_gridset(cls, S) -> "CellCloud":
-        if isinstance(S, GridSet1):
-            return cls.from_indices(S.scale, S.indices)
-        if isinstance(S, GridSet2):
+        if isinstance(S, (GridSet1, GridSet2)):
             return cls.from_indices(S.scale, S.indices)
         raise PreconditionError(f"unsupported operand type {type(S).__name__}")
 
@@ -224,22 +222,11 @@ def _interval_union_minkowski(runs_a, runs_b):
 def _scaled_runs(A: GridSet1, factor: Fraction):
     """Closed-form intervals of factor * A (union of scaled runs)."""
     delta = Fraction(1, 1 << A.scale.n)
-    bits = A.bits
-    idx = np.flatnonzero(bits)
-    runs = []
-    start = prev = int(idx[0])
-    for t in idx[1:]:
-        t = int(t)
-        if t == prev + 1:
-            prev = t
-            continue
-        runs.append((start, prev))
-        start = prev = t
-    runs.append((start, prev))
+    starts, ends = _runs(A.indices)
     out = []
-    for a, b in runs:
-        lo = factor * (a + A.offset) * delta
-        hi = factor * (b + 1 + A.offset) * delta
+    for a, b in zip(starts.tolist(), ends.tolist()):
+        lo = factor * a * delta
+        hi = factor * (b + 1) * delta
         if factor < 0:
             lo, hi = hi, lo
         out.append((lo, hi))

@@ -538,8 +538,9 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     _require(s > 0, "energy exponent must be positive")
     _require(K >= 1 and L >= 1, "K and L must be at least 1")
     n = mu.scale.n
-    idx = np.flatnonzero(mu.weights > 0).astype(np.int64) + mu.offset
-    w = mu.weights[np.flatnonzero(mu.weights > 0)]
+    nz = np.flatnonzero(mu.weights > 0)
+    idx = nz.astype(np.int64) + mu.offset
+    w = mu.weights[nz]
     removed = np.zeros(idx.size, dtype=bool)
     for j in range(n):
         keys = idx >> (n - j)

@@ -35,7 +35,6 @@ import numpy as np
 from .errors import InternalCheckError
 from .grid import GridSet1, GridSet2, Scale, _require
 from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
-from .setcalc import _paint_ranges
 
 
 @dataclass(frozen=True)
@@ -244,7 +243,7 @@ def project_set(E: GridSet2, d) -> GridSet1:
             return GridSet1.from_bits(E.scale, E.offset[axis], shadow)
         # x -> -x sends column i to (-(i+1), -i], two cells
         cols = np.flatnonzero(shadow) + E.offset[0]
-        return _paint_ranges(E.scale, -cols - 1, -cols)
+        return GridSet1.from_ranges(E.scale, -cols - 1, -cols)
     x, y = _local(E, 0.0)
     K, v, err, exact = _project_local(x, y, E.offset, sum(E.bits.shape), d)
     hi = v + max(0.0, c) + s  # s > 0 here
@@ -260,7 +259,7 @@ def project_set(E: GridSet2, d) -> GridSet1:
         xn, yn = x[near], y[near]
         k0[near] = np.minimum(k0[near], K + exact(xn + (c < 0), yn))
         k1[near] = np.maximum(k1[near], K + exact(xn + (c > 0), yn + 1, up=True))
-    return _paint_ranges(E.scale, k0, k1)
+    return GridSet1.from_ranges(E.scale, k0, k1)
 
 
 def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:

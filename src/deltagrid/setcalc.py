@@ -31,24 +31,16 @@ computed from interval endpoints held in scaled integer units
 mean an image's supremum may or may not be attained; attainedness is
 tracked through the corner arithmetic because it decides whether the
 final boundary cell belongs to the cover.  The cell ranges are painted
-in one of two ways, chosen by their order: ranges with monotone starts
-(every dilation's) merge with their neighbours in one pass and only the
-covered cells are written; unsorted ranges (graph sums, products) go
-through a difference array over the whole span, which beats sorting
-them first.
+by `GridSet1.from_ranges`.
 """
 
 from __future__ import annotations
 
 import enum
-from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
-from .errors import PreconditionError
-from .grid import (GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, Scale, as_fraction,
-                   _require)
+from .grid import GridSet1, GridSet2, MAX_INDEX, Scale, _require, _runs, as_fraction
 
 
 class SumSemantics(enum.Enum):
@@ -93,10 +85,8 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     # consecutive shifts is built by doubling: log(length) big-int ops.
     # Each distinct (length, start % 8) segment becomes bytes once and is
     # ORed in place into one buffer at byte start // 8.
-    rel = small.indices - small.offset
-    breaks = np.flatnonzero(np.diff(rel) > 1)
-    starts = rel[np.concatenate(([0], breaks + 1))]
-    lengths = rel[np.concatenate((breaks, [rel.size - 1]))] + 1 - starts
+    starts, ends = _runs(small.indices - small.offset)
+    lengths = ends + 1 - starts
     nbits = big.bits.size + small.bits.size  # sum span, plus the COVER cell
     buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
     doubled = {}
@@ -152,35 +142,6 @@ def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.IND
     return base if semantics is SumSemantics.INDEX else base.translate(-1)
 
 
-def _paint_ranges(scale: Scale, k_first: np.ndarray, k_last: np.ndarray) -> GridSet1:
-    """Union of the inclusive index ranges [k_first[t], k_last[t]].
-
-    Ranges with monotone starts (dilate's always are) merge with their
-    neighbours in one pass, and only the covered cells are painted.
-    Unsorted ranges (graph sums, product covers) are painted through a
-    difference array over the whole span, which costs less than sorting.
-    """
-    lo = int(k_first.min())
-    hi = int(k_last.max())
-    span = hi - lo + 1
-    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-    if (k_first[1:] <= k_first[:-1]).all():
-        k_first, k_last = k_first[::-1], k_last[::-1]
-    if (k_first[1:] >= k_first[:-1]).all():
-        reach = np.maximum.accumulate(k_last)
-        # range t opens a new piece unless it overlaps or abuts the cells so far
-        opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
-        starts = k_first[np.concatenate(([0], opens))] - lo
-        lengths = reach[np.concatenate((opens - 1, [reach.size - 1]))] - lo + 1 - starts
-        before = np.concatenate(([0], np.cumsum(lengths[:-1])))
-        bits = np.zeros(span, dtype=bool)
-        bits[np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))] = True
-        return GridSet1(scale, lo, bits)
-    diff = (np.bincount(k_first - lo, minlength=span + 1)
-            - np.bincount(k_last - lo + 1, minlength=span + 1))
-    return GridSet1(scale, lo, np.cumsum(diff)[:-1] > 0)
-
-
 def dilate(A: GridSet1, x) -> GridSet1:
     """Exact cell cover of x*A for rational x != 0.
 
@@ -209,7 +170,7 @@ def dilate(A: GridSet1, x) -> GridSet1:
         hi_incl = True
     k_first = lo // q
     k_last = hi // q if hi_incl else (hi - 1) // q
-    return _paint_ranges(A.scale, k_first, k_last)
+    return GridSet1.from_ranges(A.scale, k_first, k_last)
 
 
 def nfold_sum(A: GridSet1, N: int, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
@@ -254,7 +215,7 @@ def _product_cover_pairs(scale: Scale, idx_p: np.ndarray, idx_a: np.ndarray) -> 
     hi_att = hi == c[0]
     k_first = np.floor_divide(lo, u)
     k_last = np.where(hi_att, np.floor_divide(hi, u), np.floor_divide(hi - 1, u))
-    return _paint_ranges(scale, k_first, k_last.astype(np.int64))
+    return GridSet1.from_ranges(scale, k_first, k_last.astype(np.int64))
 
 
 def nfold_product(A: GridSet1, N: int) -> GridSet1:
@@ -305,4 +266,4 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
         hi = (ii + 1) * q + p * jj
     k_first = lo // q
     k_last = (hi - 1) // q
-    return _paint_ranges(G.scale, k_first, k_last)
+    return GridSet1.from_ranges(G.scale, k_first, k_last)

@@ -12,6 +12,7 @@ DEMOS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 @pytest.mark.parametrize("script, args, last", [
     ("angle_survey.py", ["--n", "6", "--angles", "8"], "floor"),
     ("good_angle_pieces.py", ["--n", "8", "--angles", "16"], "aggregate goodness"),
+    ("good_angle_pieces.py", ["--n", "6", "--angles", "16"], "aggregate goodness"),
 ])
 def test_demo_runs(script, args, last, monkeypatch, capsys):
     path = os.path.join(DEMOS, script)

@@ -1,6 +1,8 @@
 """Grid container tests: canonical forms, generators, neighborhoods,
 and the non-concentration scan."""
 import array
+import itertools
+import math
 
 import numpy as np
 import pytest
@@ -56,6 +58,30 @@ def test_gen_cantor_misaligned_scale():
         gen_cantor(Scale(3), 4, (0, 3), 2)  # 4**2 does not divide 2**3 cells
 
 
+def test_gen_cantor_matches_fraction_oracle():
+    """Covers of the digit-string intervals, from exact rationals; in
+    bases 3, 5, 6 and 7 the grid does not refine the construction, so
+    neighbouring covers touch and merge into one run."""
+    rng = np.random.default_rng(8)
+    merged = 0
+    for case in range(48):
+        base = (3, 5, 6, 7)[case % 4]
+        dig = sorted(rng.choice(base, size=int(rng.integers(1, base)), replace=False).tolist())
+        levels = int(rng.integers(1, 4))
+        n = math.ceil(math.log2(base ** levels)) + int(rng.integers(0, 3))
+        u, bl = 1 << n, base ** levels
+        want = set()
+        for string in itertools.product(dig, repeat=levels):
+            m = sum(d * base ** (levels - 1 - t) for t, d in enumerate(string))
+            lo, hi = Fraction(m, bl) * u, Fraction(m + 1, bl) * u
+            want |= set(range(math.floor(lo), math.ceil(hi)))
+        want = sorted(want)
+        assert gen_cantor(Scale(n), base, dig, levels).indices.tolist() == want
+        runs = 1 + sum(b > a + 1 for a, b in zip(want, want[1:]))
+        merged += runs < len(dig) ** levels
+    assert merged >= 12
+
+
 def test_gen_random_frostman():
     a = gen_random_frostman(Scale(10), 0.7, seed=5)
     b = gen_random_frostman(Scale(10), 0.7, seed=5)
@@ -81,6 +107,11 @@ def test_neighborhood():
     d = Scale(4).delta
     assert neighborhood(single, 2 * d).indices.tolist() == [-2, -1, 0, 1, 2]
     assert neighborhood(S, d).indices.tolist() == [-1, 0, 1, 4, 5, 6]
+    # output spans of at least MAX_SPAN cells are refused before any work
+    for E in (S, cartesian_product(S, S)):
+        for k in (1 << 25, 1 << 70):
+            with pytest.raises(PreconditionError):
+                neighborhood(E, k * d)
 
 
 def test_neighborhood_growth_bound():
@@ -91,6 +122,19 @@ def test_neighborhood_growth_bound():
         k = int(rng.integers(0, 5))
         r = k * Scale(n).delta
         assert covering_number(neighborhood(S, r)) <= covering_number(S) * (2 * k + 1)
+
+
+def test_neighborhood_matches_set_oracle():
+    rng = np.random.default_rng(41)
+    for _ in range(60):
+        n = int(rng.integers(0, 12))
+        base = int(rng.integers(-2 ** 40, 2 ** 40))
+        cells = base + rng.integers(0, 30, size=int(rng.integers(1, 12)))
+        S = GridSet1.from_indices(Scale(n), cells)
+        for k in range(1, 5):
+            want = sorted({int(i) + t for i in cells for t in range(-k, k + 1)})
+            got = neighborhood(S, Fraction(k, 1 << n))
+            assert got.indices.tolist() == want and got.offset == want[0]
 
 
 def test_nonconcentration_examples():

@@ -50,6 +50,19 @@ def test_unit_square_rows(tmp_path):
     assert lines[4:] == [f"row={j}:0-3" for j in range(4)]
 
 
+def test_gs2_file_skips_empty_rows(tmp_path):
+    E = GridSet2.from_indices(Scale(5), [(3, -2), (4, -2), (6, -2), (5, 1),
+                                         (-1, 2), (0, 2), (1, 2)])
+    p = tmp_path / "gaps.gs2"
+    write_gridset(E, p)
+    assert p.read_text() == ("GS2 v1\nn=5\noffset=-1,-2\nrows=5\n"
+                             "row=-2:3-4\nrow=-2:6-6\nrow=1:5-5\nrow=2:-1-1\n")
+    assert read_gridset(p) == E
+    write_gridset(GridSet2.empty(Scale(5)), p)
+    assert p.read_text() == "GS2 v1\nn=5\noffset=0,0\nrows=0\n"
+    assert read_gridset(p).is_empty
+
+
 def test_empty_set_file(tmp_path):
     S = GridSet1.empty(Scale(7))
     p = tmp_path / "empty.gs1"

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid.setcalc import _paint_ranges
 from deltagrid import (GridSet1, GridSet2, PreconditionError, Scale,
                        SumSemantics, diffset, dilate, gen_cantor, graph_sum,
                        make_interval, nfold_product, nfold_sum, reflect, sumset)
@@ -203,7 +202,7 @@ def test_paint_ranges_matches_set_union():
         k_last = k_first + rng.integers(0, 30, size=k_first.size)
         want = sorted({k for a, b in zip(k_first.tolist(), k_last.tolist())
                        for k in range(a, b + 1)})
-        assert _paint_ranges(Scale(10), k_first, k_last).indices.tolist() == want
+        assert GridSet1.from_ranges(Scale(10), k_first, k_last).indices.tolist() == want
     # monotone starts (the merge paint) in both directions, and the same
     # ranges unsorted (the difference-array paint), with abutting,
     # overlapping, nested and gapped neighbours, plus single ranges
@@ -214,11 +213,11 @@ def test_paint_ranges_matches_set_union():
         order = rng.permutation(k_first.size)
         for f, l in ((k_first, k_last), (k_first[::-1], k_last[::-1]),
                      (k_first[order], k_last[order])):
-            assert _paint_ranges(Scale(10), f, l).indices.tolist() == want
+            assert GridSet1.from_ranges(Scale(10), f, l).indices.tolist() == want
     for f, l in ((7, 7), (-3, 40), (0, 0)):
-        got = _paint_ranges(Scale(10), np.array([f]), np.array([l]))
+        got = GridSet1.from_ranges(Scale(10), np.array([f]), np.array([l]))
         assert got.indices.tolist() == list(range(f, l + 1))
-    adjacent = _paint_ranges(Scale(10), np.array([0, 4, 9]), np.array([3, 7, 9]))
+    adjacent = GridSet1.from_ranges(Scale(10), np.array([0, 4, 9]), np.array([3, 7, 9]))
     assert adjacent.indices.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, 9]
 
 
