@@ -444,7 +444,7 @@ def _cmd_experiment(args) -> int:
         xres = args.xres if args.xres is not None else max(1, A.scale.n // 2)
         lo, hi = args.candidates
         cand = make_interval(Scale(xres), lo, hi)
-        rep = find_expander(A, cand, kappa=args.kappa, sigma=args.sigma)
+        rep = find_expander(A, cand, kappa=args.kappa)
         b = rep.best
         print(f"best x={b.x} ratio={b.ratio!r} exponent={b.exponent!r}")
         if rep.frostman is not None:
@@ -636,7 +636,6 @@ def _build_parser() -> _Parser:
     e.add_argument("--candidates", type=_frac_range, default=(Fraction(1), Fraction(2)))
     e.add_argument("--xres", type=int, default=None)
     e.add_argument("--kappa", type=float, default=None)
-    e.add_argument("--sigma", type=float, default=None)
     e.add_argument("--epsilon", type=float, default=None)
     e.add_argument("--eta", type=float, default=None)
     e.add_argument("--count", type=int, default=3)

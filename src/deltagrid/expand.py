@@ -48,7 +48,6 @@ class ExpansionReport:
     records: tuple
     best: ExpanderRecord
     kappa: float | None = None
-    sigma: float | None = None
     frostman: FrostmanReport | None = None
     degenerate: bool = False
     renorm_records: tuple = ()
@@ -155,8 +154,7 @@ def _best(records) -> ExpanderRecord:
 
 
 def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
-                  kappa: float | None = None,
-                  sigma: float | None = None) -> ExpansionReport:
+                  kappa: float | None = None) -> ExpansionReport:
     """Sweep x over the cell centers of candidates, maximizing the
     covering ratio |A + xA| / |A|.
 
@@ -171,7 +169,7 @@ def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
     records = _sweep_candidates(A, xs)
     fr = nonconcentration_constant(A, kappa) if kappa is not None else None
     return ExpansionReport(records=tuple(records), best=_best(records),
-                           kappa=kappa, sigma=sigma, frostman=fr)
+                           kappa=kappa, frostman=fr)
 
 
 def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,

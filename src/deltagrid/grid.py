@@ -96,22 +96,62 @@ def _int64_indices(indices) -> np.ndarray:
         raise PreconditionError("cell indices out of guarded range") from None
 
 
-def _trim1(bits: np.ndarray, offset: int):
-    raw = bits.tobytes()  # numpy booleans are the bytes 0 and 1
-    first = raw.find(1)
-    if first < 0:
-        return np.zeros(0, dtype=bool), 0
-    return bits[first:raw.rfind(1) + 1], offset + first
-
-
-def _trim2(bits: np.ndarray, offset):
-    ox, oy = offset
-    rows = np.flatnonzero(bits.any(axis=1))
+def _box(mask: np.ndarray):
+    """Slices, one per axis, of the smallest box holding every set entry
+    of a 1D or 2D boolean array; None when no entry is set."""
+    if mask.ndim == 1:
+        raw = mask.tobytes()  # numpy booleans are the bytes 0 and 1
+        first = raw.find(1)
+        return None if first < 0 else (slice(first, raw.rfind(1) + 1),)
+    rows = np.flatnonzero(mask.any(axis=1))
     if rows.size == 0:
-        return np.zeros((0, 0), dtype=bool), (0, 0)
-    cols = np.flatnonzero(bits.any(axis=0))
-    sub = bits[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-    return sub, (ox + int(cols[0]), oy + int(rows[0]))
+        return None
+    cols = np.flatnonzero(mask.any(axis=0))
+    return slice(int(rows[0]), int(rows[-1]) + 1), slice(int(cols[0]), int(cols[-1]) + 1)
+
+
+def _origin(offset, ndim: int) -> tuple:
+    """A container's offset (cell index in 1D, (x, y) pair in 2D) as ints
+    in array-axis order: (i,) in 1D, (y, x) in 2D."""
+    if ndim == 1:
+        return (int(offset),)
+    ox, oy = offset
+    return int(oy), int(ox)
+
+
+def _offset(origin: tuple):
+    """The offset whose _origin is `origin`."""
+    return origin[0] if len(origin) == 1 else origin[::-1]
+
+
+def _crop(origin: tuple, arr: np.ndarray, mask: np.ndarray):
+    """(origin, copy) of the smallest box of `arr` (placed at `origin`)
+    holding every set entry of `mask`; the copy owns that box only.  None
+    when no entry is set."""
+    box = _box(mask)
+    if box is None:
+        return None
+    return tuple(o + b.start for o, b in zip(origin, box)), arr[box].copy()
+
+
+def _window(frame: tuple, origin: tuple, shape: tuple) -> tuple:
+    """Slices that select, in an array whose first cell is at `frame`, the
+    box of `shape` cells whose first cell is at `origin`."""
+    return tuple(slice(o - f, o - f + n) for f, o, n in zip(frame, origin, shape))
+
+
+def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
+    """Constructor checks shared by sets and measures: at most MAX_SPAN
+    cells, a nonzero entry on every border of a nonempty array (both ends
+    in 1D, the first and last row and column in 2D), and every cell index
+    within +-MAX_INDEX."""
+    _require(arr.size <= MAX_SPAN, f"cell span {arr.size} exceeds dense-representation cap {MAX_SPAN}")
+    if arr.size:
+        ends = ((arr[0], arr[-1]) if arr.ndim == 1 else
+                (arr[0].any(), arr[-1].any(), arr[:, 0].any(), arr[:, -1].any()))
+        _require(all(ends), f"{name} must be trimmed (a nonzero entry on every border)")
+    _require(max(map(abs, origin)) + max(arr.shape) <= MAX_INDEX,
+             "cell indices out of guarded range")
 
 
 def _runs(idx: np.ndarray):
@@ -122,8 +162,107 @@ def _runs(idx: np.ndarray):
             np.concatenate((idx[:-1][breaks], idx[-1:])))
 
 
+class _CellSet:
+    """Validation and set algebra shared by GridSet1 and GridSet2.
+
+    The set's cells are the set entries of `bits`: the entry at array
+    position p is the cell at _origin(offset) + p, both in array-axis
+    order ((i,) in 1D, (y, x) in 2D).
+    """
+
+    def __post_init__(self):
+        b, nd = self.bits, self._ndim
+        _require(isinstance(b, np.ndarray) and b.dtype == np.bool_ and b.ndim == nd,
+                 f"bits must be a {nd}D boolean array")
+        origin = _origin(self.offset, nd)
+        object.__setattr__(self, "offset", _offset(origin))
+        _require(b.size or (origin == (0,) * nd and b.shape == (0,) * nd),
+                 "empty set uses offset 0 (1D) or (0, 0) (2D) and no cells")
+        _check_cells(origin, b, "bits")
+        b.setflags(write=False)
+
+    @classmethod
+    def _at(cls, scale: Scale, origin: tuple, bits: np.ndarray):
+        """The set entries of `bits`, placed at `origin`, as a trimmed set."""
+        cropped = _crop(origin, bits, bits)
+        if cropped is None:
+            return cls.empty(scale)
+        return cls(scale, _offset(cropped[0]), cropped[1])
+
+    @property
+    def count(self) -> int:
+        """Occupied cells; computed once."""
+        c = self.__dict__.get("_count")
+        if c is None:
+            c = int(np.count_nonzero(self.bits))
+            object.__setattr__(self, "_count", c)
+        return c
+
+    @property
+    def is_empty(self) -> bool:
+        return self.bits.size == 0
+
+    @property
+    def measure(self) -> float:
+        return self.count * self.scale.delta ** self._ndim
+
+    def _aligned(self, other):
+        """(frame, a, b): both operands' bits placed in the smallest box
+        holding both, whose first cell is at `frame`; None when either
+        operand is empty."""
+        _require(self.scale == other.scale, "operands must share one scale")
+        if self.is_empty or other.is_empty:
+            return None
+        mine, theirs = _origin(self.offset, self._ndim), _origin(other.offset, other._ndim)
+        frame = tuple(map(min, mine, theirs))
+        shape = tuple(max(p + m, q + n) - f for f, p, q, m, n
+                      in zip(frame, mine, theirs, self.bits.shape, other.bits.shape))
+        a = np.zeros(shape, dtype=bool)
+        b = np.zeros(shape, dtype=bool)
+        a[_window(frame, mine, self.bits.shape)] = self.bits
+        b[_window(frame, theirs, other.bits.shape)] = other.bits
+        return frame, a, b
+
+    def union(self, other):
+        _require(self.scale == other.scale, "operands must share one scale")
+        if self.is_empty:
+            return other
+        if other.is_empty:
+            return self
+        frame, a, b = self._aligned(other)
+        return self._at(self.scale, frame, a | b)
+
+    def intersect(self, other):
+        al = self._aligned(other)
+        if al is None:
+            return self.empty(self.scale)
+        frame, a, b = al
+        return self._at(self.scale, frame, a & b)
+
+    def difference(self, other):
+        _require(self.scale == other.scale, "operands must share one scale")
+        if self.is_empty or other.is_empty:
+            return self
+        frame, a, b = self._aligned(other)
+        return self._at(self.scale, frame, a & ~b)
+
+    def subset_of(self, other) -> bool:
+        if self.is_empty:
+            return True
+        if other.is_empty:
+            return False
+        frame, a, b = self._aligned(other)
+        return bool(np.all(b[a]))
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return (self.scale == other.scale and self.offset == other.offset
+                and np.array_equal(self.bits, other.bits))
+
+
 @dataclass(frozen=True, eq=False)
-class GridSet1:
+class GridSet1(_CellSet):
     """Union of half-open cells [i*delta, (i+1)*delta) on the line.
 
     bits[t] says whether cell offset+t is occupied.  Canonical form is
@@ -135,24 +274,11 @@ class GridSet1:
     scale: Scale
     offset: int
     bits: np.ndarray
-
-    def __post_init__(self):
-        b = self.bits
-        _require(isinstance(b, np.ndarray) and b.dtype == np.bool_ and b.ndim == 1,
-                 "bits must be a 1D boolean array")
-        _require(b.size <= MAX_SPAN, f"cell span {b.size} exceeds dense-representation cap {MAX_SPAN}")
-        if b.size:
-            _require(bool(b[0]) and bool(b[-1]), "bits must be trimmed (first and last cells occupied)")
-        else:
-            _require(self.offset == 0, "empty set uses offset 0")
-        object.__setattr__(self, "offset", int(self.offset))
-        _require(abs(self.offset) + b.size <= MAX_INDEX, "cell indices out of guarded range")
-        b.setflags(write=False)
+    _ndim = 1
 
     @classmethod
     def from_bits(cls, scale: Scale, offset: int, bits) -> "GridSet1":
-        arr, off = _trim1(np.asarray(bits, dtype=bool).reshape(-1), int(offset))
-        return cls(scale, off, arr.copy())
+        return cls._at(scale, (int(offset),), np.asarray(bits, dtype=bool).reshape(-1))
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
@@ -204,23 +330,6 @@ class GridSet1:
         return cls(scale, 0, np.zeros(0, dtype=bool))
 
     @property
-    def count(self) -> int:
-        """Occupied cells; computed once."""
-        c = self.__dict__.get("_count")
-        if c is None:
-            c = int(np.count_nonzero(self.bits))
-            object.__setattr__(self, "_count", c)
-        return c
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits.size == 0
-
-    @property
-    def measure(self) -> float:
-        return self.count * self.scale.delta
-
-    @property
     def indices(self) -> np.ndarray:
         """Ascending absolute cell indices; computed once, read-only."""
         idx = self.__dict__.get("_indices")
@@ -260,62 +369,12 @@ class GridSet1:
             return self
         return GridSet1(self.scale, self.offset + int(k), self.bits)
 
-    def _aligned(self, other: "GridSet1"):
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty or other.is_empty:
-            return None
-        lo = min(self.offset, other.offset)
-        hi = max(self.offset + self.bits.size, other.offset + other.bits.size)
-        a = np.zeros(hi - lo, dtype=bool)
-        b = np.zeros(hi - lo, dtype=bool)
-        a[self.offset - lo:self.offset - lo + self.bits.size] = self.bits
-        b[other.offset - lo:other.offset - lo + other.bits.size] = other.bits
-        return lo, a, b
-
-    def union(self, other: "GridSet1") -> "GridSet1":
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        lo, a, b = self._aligned(other)
-        return GridSet1.from_bits(self.scale, lo, a | b)
-
-    def intersect(self, other: "GridSet1") -> "GridSet1":
-        al = self._aligned(other)
-        if al is None:
-            return GridSet1.empty(self.scale)
-        lo, a, b = al
-        return GridSet1.from_bits(self.scale, lo, a & b)
-
-    def difference(self, other: "GridSet1") -> "GridSet1":
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty or other.is_empty:
-            return self
-        lo, a, b = self._aligned(other)
-        return GridSet1.from_bits(self.scale, lo, a & ~b)
-
-    def subset_of(self, other: "GridSet1") -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        al = self._aligned(other)
-        lo, a, b = al
-        return bool(np.all(b[a]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridSet1):
-            return NotImplemented
-        return (self.scale == other.scale and self.offset == other.offset
-                and np.array_equal(self.bits, other.bits))
-
     def __repr__(self) -> str:
         return f"GridSet1(n={self.scale.n}, count={self.count}, offset={self.offset}, span={self.bits.size})"
 
 
 @dataclass(frozen=True, eq=False)
-class GridSet2:
+class GridSet2(_CellSet):
     """Union of half-open delta-squares in the plane.
 
     Cell (i, j) is [i*delta, (i+1)*delta) x [j*delta, (j+1)*delta).
@@ -327,30 +386,13 @@ class GridSet2:
     scale: Scale
     offset: tuple
     bits: np.ndarray
-
-    def __post_init__(self):
-        b = self.bits
-        _require(isinstance(b, np.ndarray) and b.dtype == np.bool_ and b.ndim == 2,
-                 "bits must be a 2D boolean array")
-        _require(b.size <= MAX_SPAN, f"cell span {b.size} exceeds dense-representation cap {MAX_SPAN}")
-        ox, oy = self.offset
-        object.__setattr__(self, "offset", (int(ox), int(oy)))
-        if b.size:
-            _require(b[0].any() and b[-1].any() and b[:, 0].any() and b[:, -1].any(),
-                     "bits must be trimmed (no empty border row/column)")
-        else:
-            _require(self.offset == (0, 0), "empty set uses offset (0, 0)")
-            _require(b.shape == (0, 0), "empty set uses a (0, 0) bits array")
-        _require(max(abs(self.offset[0]), abs(self.offset[1])) + max(b.shape, default=0) <= MAX_INDEX,
-                 "cell indices out of guarded range")
-        b.setflags(write=False)
+    _ndim = 2
 
     @classmethod
     def from_bits(cls, scale: Scale, offset, bits) -> "GridSet2":
-        arr = np.array(bits, dtype=bool, copy=True)
+        arr = np.asarray(bits, dtype=bool)
         _require(arr.ndim == 2, "bits must be a 2D boolean array")
-        arr, off = _trim2(arr, (int(offset[0]), int(offset[1])))
-        return cls(scale, off, arr)
+        return cls._at(scale, _origin(offset, 2), arr)
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
@@ -388,23 +430,6 @@ class GridSet2:
         return cls(scale, (0, 0), np.zeros((0, 0), dtype=bool))
 
     @property
-    def count(self) -> int:
-        """Occupied cells; computed once."""
-        c = self.__dict__.get("_count")
-        if c is None:
-            c = int(np.count_nonzero(self.bits))
-            object.__setattr__(self, "_count", c)
-        return c
-
-    @property
-    def is_empty(self) -> bool:
-        return self.bits.size == 0
-
-    @property
-    def measure(self) -> float:
-        return self.count * self.scale.delta ** 2
-
-    @property
     def width(self) -> int:
         return self.bits.shape[1]
 
@@ -425,59 +450,6 @@ class GridSet2:
             out.setflags(write=False)
             object.__setattr__(self, "_indices", out)
         return out
-
-    def _aligned(self, other: "GridSet2"):
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty or other.is_empty:
-            return None
-        ox = min(self.offset[0], other.offset[0])
-        oy = min(self.offset[1], other.offset[1])
-        hx = max(self.offset[0] + self.width, other.offset[0] + other.width)
-        hy = max(self.offset[1] + self.height, other.offset[1] + other.height)
-        a = np.zeros((hy - oy, hx - ox), dtype=bool)
-        b = np.zeros((hy - oy, hx - ox), dtype=bool)
-        a[self.offset[1] - oy:self.offset[1] - oy + self.height,
-          self.offset[0] - ox:self.offset[0] - ox + self.width] = self.bits
-        b[other.offset[1] - oy:other.offset[1] - oy + other.height,
-          other.offset[0] - ox:other.offset[0] - ox + other.width] = other.bits
-        return (ox, oy), a, b
-
-    def union(self, other: "GridSet2") -> "GridSet2":
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty:
-            return other
-        if other.is_empty:
-            return self
-        off, a, b = self._aligned(other)
-        return GridSet2.from_bits(self.scale, off, a | b)
-
-    def intersect(self, other: "GridSet2") -> "GridSet2":
-        al = self._aligned(other)
-        if al is None:
-            return GridSet2.empty(self.scale)
-        off, a, b = al
-        return GridSet2.from_bits(self.scale, off, a & b)
-
-    def difference(self, other: "GridSet2") -> "GridSet2":
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty or other.is_empty:
-            return self
-        off, a, b = self._aligned(other)
-        return GridSet2.from_bits(self.scale, off, a & ~b)
-
-    def subset_of(self, other: "GridSet2") -> bool:
-        if self.is_empty:
-            return True
-        if other.is_empty:
-            return False
-        off, a, b = self._aligned(other)
-        return bool(np.all(b[a]))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GridSet2):
-            return NotImplemented
-        return (self.scale == other.scale and self.offset == other.offset
-                and np.array_equal(self.bits, other.bits))
 
     def __repr__(self) -> str:
         return (f"GridSet2(n={self.scale.n}, count={self.count}, offset={self.offset}, "

@@ -40,8 +40,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, Scale,
-                   as_fraction, make_interval, _require)
+from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_SPAN, Scale, as_fraction,
+                   make_interval, _check_cells, _crop, _offset, _origin, _require, _window)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -58,90 +58,67 @@ def _validate_weights(w: np.ndarray) -> None:
     _require(abs(total - 1.0) <= MASS_RTOL, f"weights sum to {total!r}, not 1 within 2**-40")
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicMeasure1:
-    """Probability measure with weights on 1D cells, trimmed support."""
-
-    scale: Scale
-    offset: int
-    weights: np.ndarray
+class _CellMeasure:
+    """Validation, construction and comparison shared by DyadicMeasure1
+    and DyadicMeasure2: a probability measure with float64 weights on the
+    cells of a trimmed array placed at `offset`, as in GridSet1/GridSet2."""
 
     def __post_init__(self):
-        w = self.weights
-        _require(isinstance(w, np.ndarray) and w.dtype == np.float64 and w.ndim == 1,
-                 "weights must be a 1D float64 array")
+        w, nd = self.weights, self._ndim
+        _require(isinstance(w, np.ndarray) and w.dtype == np.float64 and w.ndim == nd,
+                 f"weights must be a {nd}D float64 array")
         _require(w.size > 0, "a probability measure needs support")
-        _require(w.size <= MAX_SPAN, f"cell span {w.size} exceeds dense-representation cap {MAX_SPAN}")
-        _require(w[0] > 0 and w[-1] > 0, "weights must be trimmed (nonzero first and last)")
+        origin = _origin(self.offset, nd)
+        _check_cells(origin, w, "weights")
         _validate_weights(w)
-        object.__setattr__(self, "offset", int(self.offset))
-        _require(abs(self.offset) + w.size <= MAX_INDEX, "cell indices out of guarded range")
+        object.__setattr__(self, "offset", _offset(origin))
         w.setflags(write=False)
 
     @classmethod
-    def from_weights(cls, scale: Scale, offset: int, weights) -> "DyadicMeasure1":
-        w = np.array(weights, dtype=np.float64, copy=True).reshape(-1)
-        nz = np.flatnonzero(w > 0)
-        _require(nz.size > 0, "a probability measure needs support")
-        return cls(scale, int(offset) + int(nz[0]), w[nz[0]:nz[-1] + 1])
+    def from_weights(cls, scale: Scale, offset, weights):
+        """The measure of `weights` placed at `offset`, trimmed to the box
+        of its nonzero weights, of which it keeps a copy."""
+        w = np.asarray(weights, dtype=np.float64)
+        if cls._ndim == 1:
+            w = w.reshape(-1)
+        _require(w.ndim == cls._ndim, f"weights must be a {cls._ndim}D array")
+        cropped = _crop(_origin(offset, w.ndim), w, w != 0)
+        _require(cropped is not None, "a probability measure needs support")
+        return cls(scale, _offset(cropped[0]), cropped[1])
 
     @property
     def mass(self) -> float:
         return float(np.sum(self.weights))
 
-    @property
-    def support(self) -> GridSet1:
-        return GridSet1.from_bits(self.scale, self.offset, self.weights > 0)
-
     def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicMeasure1):
+        if not isinstance(other, type(self)):
             return NotImplemented
         return (self.scale == other.scale and self.offset == other.offset
                 and np.array_equal(self.weights, other.weights))
 
     def __repr__(self) -> str:
-        return (f"DyadicMeasure1(n={self.scale.n}, support={int(np.count_nonzero(self.weights))}, "
-                f"offset={self.offset})")
+        return (f"{type(self).__name__}(n={self.scale.n}, "
+                f"support={int(np.count_nonzero(self.weights))}, offset={self.offset})")
 
 
-@dataclass(frozen=True, eq=False)
-class DyadicMeasure2:
+@dataclass(frozen=True, eq=False, repr=False)
+class DyadicMeasure1(_CellMeasure):
+    """Probability measure with weights on 1D cells, trimmed support."""
+
+    scale: Scale
+    offset: int
+    weights: np.ndarray
+    _ndim = 1
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class DyadicMeasure2(_CellMeasure):
     """Probability measure with weights on 2D cells (rows along y)."""
 
     scale: Scale
     offset: tuple
     weights: np.ndarray
-
-    def __post_init__(self):
-        w = self.weights
-        _require(isinstance(w, np.ndarray) and w.dtype == np.float64 and w.ndim == 2,
-                 "weights must be a 2D float64 array")
-        _require(w.size > 0, "a probability measure needs support")
-        _require(w.size <= MAX_SPAN, f"cell span {w.size} exceeds dense-representation cap {MAX_SPAN}")
-        _require(w[0].any() and w[-1].any() and w[:, 0].any() and w[:, -1].any(),
-                 "weights must be trimmed (no zero border row/column)")
-        _validate_weights(w)
-        ox, oy = self.offset
-        object.__setattr__(self, "offset", (int(ox), int(oy)))
-        w.setflags(write=False)
-
-    @classmethod
-    def from_weights(cls, scale: Scale, offset, weights) -> "DyadicMeasure2":
-        w = np.array(weights, dtype=np.float64, copy=True)
-        _require(w.ndim == 2, "weights must be a 2D array")
-        rows = np.flatnonzero(w.any(axis=1))
-        _require(rows.size > 0, "a probability measure needs support")
-        cols = np.flatnonzero(w.any(axis=0))
-        sub = w[rows[0]:rows[-1] + 1, cols[0]:cols[-1] + 1]
-        return cls(scale, (int(offset[0]) + int(cols[0]), int(offset[1]) + int(rows[0])), sub)
-
-    @property
-    def mass(self) -> float:
-        return float(np.sum(self.weights))
-
-    @property
-    def support(self) -> GridSet2:
-        return GridSet2.from_bits(self.scale, self.offset, self.weights > 0)
+    _ndim = 2
 
     @property
     def _centers(self):
@@ -157,15 +134,9 @@ class DyadicMeasure2:
             object.__setattr__(self, "_centers_cache", out)
         return out
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, DyadicMeasure2):
-            return NotImplemented
-        return (self.scale == other.scale and self.offset == other.offset
-                and np.array_equal(self.weights, other.weights))
 
-    def __repr__(self) -> str:
-        return (f"DyadicMeasure2(n={self.scale.n}, support={int(np.count_nonzero(self.weights))}, "
-                f"offset={self.offset})")
+# the cell-set type of each measure type
+_SUPPORT_TYPE = {DyadicMeasure1: GridSet1, DyadicMeasure2: GridSet2}
 
 
 @dataclass(frozen=True)
@@ -187,12 +158,9 @@ class MaximalIntervalResult:
 def uniform_on(S):
     """Uniform probability measure on a nonempty cell set."""
     _require(not S.is_empty, "uniform measure needs a nonempty set")
-    if isinstance(S, GridSet1):
-        w = S.bits.astype(np.float64) / S.count
-        return DyadicMeasure1(S.scale, S.offset, w)
-    if isinstance(S, GridSet2):
-        w = S.bits.astype(np.float64) / S.count
-        return DyadicMeasure2(S.scale, S.offset, w)
+    for measure_type, set_type in _SUPPORT_TYPE.items():
+        if isinstance(S, set_type):
+            return measure_type(S.scale, S.offset, S.bits.astype(np.float64) / S.count)
     raise PreconditionError(f"unsupported operand type {type(S).__name__}")
 
 
@@ -316,26 +284,16 @@ def _block_rows(width: int) -> int:
     return max(1, min(_ENERGY_CHUNK, _BLOCK_CELLS // width))
 
 
-def _energy_direct_1d(idx: np.ndarray, w: np.ndarray, delta: float, s: float) -> float:
-    centers = (idx + 0.5) * delta
-    parts = []
-    step = _block_rows(idx.size)
-    for lo in range(0, idx.size, step):
-        hi = min(lo + step, idx.size)
-        d = np.abs(centers[lo:hi, None] - centers[None, :])
-        np.maximum(d, delta, out=d)
-        parts.append(np.sum((w[lo:hi, None] * w[None, :]) * d ** -s))
-    return float(np.sum(parts))
-
-
-def _energy_direct_2d(pts: np.ndarray, w: np.ndarray, delta: float, s: float) -> float:
-    cx = (pts[:, 0] + 0.5) * delta
-    cy = (pts[:, 1] + 0.5) * delta
+def _energy_direct(cells: tuple, w: np.ndarray, delta: float, s: float) -> float:
+    """Direct pair sum over the cells `cells` (np.nonzero's coordinate
+    tuple, in array-axis order) with weights `w`, in blocks of rows."""
+    centers = [(c.astype(np.float64) + 0.5) * delta for c in cells[::-1]]  # x first in 2D
+    distance = np.abs if len(centers) == 1 else np.hypot
     parts = []
     step = _block_rows(w.size)
     for lo in range(0, w.size, step):
         hi = min(lo + step, w.size)
-        d = np.hypot(cx[lo:hi, None] - cx[None, :], cy[lo:hi, None] - cy[None, :])
+        d = distance(*(c[lo:hi, None] - c[None, :] for c in centers))
         np.maximum(d, delta, out=d)
         parts.append(np.sum((w[lo:hi, None] * w[None, :]) * d ** -s))
     return float(np.sum(parts))
@@ -502,12 +460,8 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
             method = "binned"
     if method == "binned":
         return _energy_binned_1d(w, delta, s)
-    if w.ndim == 1:
-        nz = np.flatnonzero(w > 0)
-        return _energy_direct_1d(nz.astype(np.float64), w[nz], delta, s)
-    jr, ir = np.nonzero(w > 0)
-    pts = np.stack([ir, jr], axis=1).astype(np.float64)
-    return _energy_direct_2d(pts, w[jr, ir], delta, s)
+    cells = np.nonzero(w > 0)
+    return _energy_direct(cells, w[cells], delta, s)
 
 
 def energy_bound_constant(t: float, kappa: float) -> float:
@@ -567,37 +521,23 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
 
 def condition(mu, S):
     """mu restricted to S and renormalized; requires mu(S) > 0."""
-    if isinstance(mu, DyadicMeasure1):
-        _require(isinstance(S, GridSet1), "conditioning set must be a GridSet1")
-        _require(mu.scale == S.scale, "operands must share one scale")
-        w = np.zeros_like(mu.weights)
-        if not S.is_empty:
-            lo = max(mu.offset, S.offset)
-            hi = min(mu.offset + mu.weights.size, S.offset + S.bits.size)
-            if lo < hi:
-                mask = S.bits[lo - S.offset:hi - S.offset]
-                w[lo - mu.offset:hi - mu.offset] = mu.weights[lo - mu.offset:hi - mu.offset] * mask
-        kept = float(np.sum(w))
-        _require(kept > 0, "conditioning set carries no mass")
-        return DyadicMeasure1.from_weights(mu.scale, mu.offset, w / kept)
-    if isinstance(mu, DyadicMeasure2):
-        _require(isinstance(S, GridSet2), "conditioning set must be a GridSet2")
-        _require(mu.scale == S.scale, "operands must share one scale")
-        w = np.zeros_like(mu.weights)
-        if not S.is_empty:
-            x0 = max(mu.offset[0], S.offset[0])
-            x1 = min(mu.offset[0] + mu.weights.shape[1], S.offset[0] + S.width)
-            y0 = max(mu.offset[1], S.offset[1])
-            y1 = min(mu.offset[1] + mu.weights.shape[0], S.offset[1] + S.height)
-            if x0 < x1 and y0 < y1:
-                mask = S.bits[y0 - S.offset[1]:y1 - S.offset[1], x0 - S.offset[0]:x1 - S.offset[0]]
-                w[y0 - mu.offset[1]:y1 - mu.offset[1], x0 - mu.offset[0]:x1 - mu.offset[0]] = \
-                    mu.weights[y0 - mu.offset[1]:y1 - mu.offset[1],
-                               x0 - mu.offset[0]:x1 - mu.offset[0]] * mask
-        kept = float(np.sum(w))
-        _require(kept > 0, "conditioning set carries no mass")
-        return DyadicMeasure2.from_weights(mu.scale, mu.offset, w / kept)
-    raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    set_type = _SUPPORT_TYPE.get(type(mu))
+    if set_type is None:
+        raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    _require(isinstance(S, set_type), f"conditioning set must be a {set_type.__name__}")
+    _require(mu.scale == S.scale, "operands must share one scale")
+    w = np.zeros_like(mu.weights)
+    if not S.is_empty:
+        mine, theirs = _origin(mu.offset, w.ndim), _origin(S.offset, w.ndim)
+        lo = tuple(map(max, mine, theirs))
+        shape = tuple(min(p + m, q + n) - l for l, p, q, m, n
+                      in zip(lo, mine, theirs, w.shape, S.bits.shape))
+        if min(shape) > 0:
+            here = _window(mine, lo, shape)
+            w[here] = mu.weights[here] * S.bits[_window(theirs, lo, shape)]
+    kept = float(np.sum(w))
+    _require(kept > 0, "conditioning set carries no mass")
+    return type(mu).from_weights(mu.scale, mu.offset, w / kept)
 
 
 def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:

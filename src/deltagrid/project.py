@@ -267,8 +267,8 @@ def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     x, y, weights = mu._centers
     K, keys = _center_keys(x, y, mu.offset, sum(mu.weights.shape), _as_direction(d))
     lo = int(keys.min())
-    return DyadicMeasure1.from_weights(mu.scale, K + lo,
-                                       np.bincount(keys - lo, weights=weights))
+    # fresh and trimmed: keys lo and max carry the mass of positive cells
+    return DyadicMeasure1(mu.scale, K + lo, np.bincount(keys - lo, weights=weights))
 
 
 def _fibers(E: GridSet2, d, fraction: float):

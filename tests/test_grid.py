@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (GridSet1, GridSet2, PreconditionError, Scale,
-                       cartesian_product, covering_number, gen_cantor,
+from deltagrid import (DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
+                       PreconditionError, Scale, cartesian_product, covering_number, gen_cantor,
                        gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
 
@@ -233,6 +233,81 @@ def test_set_algebra_roundtrip():
     assert A.intersect(B).indices.tolist() == [4, 9]
     assert A.difference(B).indices.tolist() == [3]
     assert A.translate(7).indices.tolist() == [10, 11, 16]
+
+
+def _cells(X) -> set:
+    return set(X.indices.tolist()) if isinstance(X, GridSet1) else set(map(tuple, X.indices.tolist()))
+
+
+def _random_operands(rng, build, sc):
+    """Pairs of sets from `build`: empty, disjoint, nested and overlapping,
+    at negative and positive offsets."""
+    def pick(m, lo, hi):
+        shape = (m,) if build is GridSet1 else (m, 2)
+        return build.from_indices(sc, rng.integers(lo, hi, size=shape))
+
+    base = int(rng.integers(-(1 << 40), 1 << 40))
+    A = pick(int(rng.integers(1, 30)), base - 20, base + 20)
+    yield A, build.empty(sc)
+    yield build.empty(sc), A
+    yield build.empty(sc), build.empty(sc)
+    yield A, A
+    yield A, pick(int(rng.integers(1, 30)), base + 40, base + 70)  # disjoint
+    inner = build.from_indices(sc, A.indices[rng.random(len(A.indices)) < 0.5])
+    yield inner, A  # nested
+    yield A, inner
+    yield A, pick(int(rng.integers(1, 30)), base - 30, base + 10)
+
+
+def test_set_algebra_matches_set_oracle():
+    """union, intersect, difference, subset_of and == on both dimensions
+    against Python sets of cells, and the canonical form of every result."""
+    rng = np.random.default_rng(21)
+    sc = Scale(10)
+    for build in (GridSet1, GridSet2):
+        for _ in range(25):
+            for A, B in _random_operands(rng, build, sc):
+                a, b = _cells(A), _cells(B)
+                for got, want in ((A.union(B), a | b), (A.intersect(B), a & b),
+                                  (A.difference(B), a - b)):
+                    assert isinstance(got, build) and _cells(got) == want
+                    assert got == build.from_indices(sc, sorted(want))
+                assert A.subset_of(B) == (a <= b)
+                assert (A == B) == (a == b) and (B == A) == (a == b)
+        one = build.from_indices(sc, [0] if build is GridSet1 else [(0, 0)])
+        other = build.from_indices(Scale(11), [0] if build is GridSet1 else [(0, 0)])
+        for op in (one.union, one.intersect, one.difference, one.subset_of):
+            with pytest.raises(PreconditionError, match="one scale"):
+                op(other)
+        assert one != other
+    assert GridSet1.from_indices(sc, [0]) != GridSet2.from_indices(sc, [(0, 0)])
+
+
+def test_trimmed_results_own_only_their_box():
+    """A trimmed result holds its own box, not a view into the larger
+    array it was cut from."""
+    def owns(arr):
+        return arr.base is None or arr.base.size == arr.size
+
+    sc = Scale(12)
+    plane = np.zeros((500, 400), dtype=bool)
+    plane[7, 9] = True
+    line = np.zeros(10 ** 5, dtype=bool)
+    line[70] = True
+    A = GridSet2.from_indices(sc, [(0, 0), (300, 300)])
+    B = GridSet2.from_indices(sc, [(150, 150), (300, 300), (600, 0)])
+    weights = np.zeros(10 ** 5)
+    weights[70] = 1.0
+    grid2 = np.zeros((300, 200))
+    grid2[3, 4] = 1.0
+    for X, arr in ((GridSet2.from_bits(sc, (0, 0), plane), "bits"),
+                   (GridSet1.from_bits(sc, 0, line), "bits"),
+                   (A.intersect(B), "bits"), (A.difference(B), "bits"),
+                   (GridSet1.from_indices(sc, [0, 9000]).intersect(GridSet1.from_indices(sc, [9000])),
+                    "bits"),
+                   (DyadicMeasure1.from_weights(sc, 0, weights), "weights"),
+                   (DyadicMeasure2.from_weights(sc, (0, 0), grid2), "weights")):
+        assert getattr(X, arr).size == 1 and owns(getattr(X, arr))
 
 
 def _old_from_indices_1d(scale, indices):

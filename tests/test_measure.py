@@ -39,6 +39,27 @@ def test_measure_validation():
         DyadicMeasure1.from_weights(Scale(3), 0, np.array([-0.5, 1.5]))
 
 
+def test_from_weights_checks_every_nonzero_weight():
+    """A negative or NaN weight at either end is kept and refused, in 1D
+    as in 2D, never trimmed away."""
+    for w in ([-0.5, 1.0], [1.0, -0.5], [-0.5, 1.5], [np.nan, 1.0], [1.0, 0.0, np.nan]):
+        for build, arr in ((DyadicMeasure1, np.array(w)), (DyadicMeasure2, np.array([w])),
+                           (DyadicMeasure2, np.array([w]).T)):
+            with pytest.raises(PreconditionError, match="nonnegative"):
+                build.from_weights(Scale(3), (0, 0) if build is DyadicMeasure2 else 0, arr)
+    mu = DyadicMeasure1.from_weights(Scale(3), 5, [0.0, 0.25, 0.0, 0.75, 0.0])
+    assert mu.offset == 6 and mu.weights.tolist() == [0.25, 0.0, 0.75]
+
+
+def test_measure_offsets_within_guarded_range():
+    for build, ones, far in ((DyadicMeasure1, np.ones(1), 2 ** 70),
+                             (DyadicMeasure2, np.ones((1, 1)), (2 ** 70, -2 ** 70)),
+                             (DyadicMeasure2, np.ones((1, 1)), (0, 2 ** 62))):
+        with pytest.raises(PreconditionError, match="guarded range"):
+            build(Scale(4), far, ones)
+    assert DyadicMeasure2(Scale(4), (2 ** 62 - 1, 0), np.ones((1, 1))).offset == (2 ** 62 - 1, 0)
+
+
 def test_frostman_uniform():
     rep = frostman_constant(uniform_on(make_interval(Scale(10), 0, 1)), 1.0)
     assert 1.0 <= rep.constant <= 2.01
@@ -302,8 +323,7 @@ def test_energy_kaufman_sized_supports_match_direct(monkeypatch):
 def test_energy_auto_path_by_cost(monkeypatch):
     """The cost rule on inputs sized like its calibration points: each goes
     to the path measured fastest there."""
-    calls = _count_calls(monkeypatch, "_energy_direct_1d", "_energy_direct_2d",
-                         "_energy_fft", "_energy_product")
+    calls = _count_calls(monkeypatch, "_energy_direct", "_energy_fft", "_energy_product")
     rng = np.random.default_rng(77)
     C9 = gen_cantor(Scale(9), 3, (0, 2), 5)
     C4 = gen_cantor(Scale(10), 4, (0, 3), 5)
@@ -313,7 +333,7 @@ def test_energy_auto_path_by_cost(monkeypatch):
         # a Kaufman projection: 536 cells in a 723-cell span
         (_random_measure1(rng, 536, 723, 40), "_energy_fft"),
         # the n=20 line: 2073 cells in a 960,711-cell span
-        (_random_measure1(rng, 2073, 960_711, 0), "_energy_direct_1d"),
+        (_random_measure1(rng, 2073, 960_711, 0), "_energy_direct"),
         # the 1024-cell base-4 square: a 1024 x 1024 box, a tie in cost with
         # its N**2 pairs that goes to the product path
         (uniform_on(cartesian_product(C4, C4)), "_energy_product"),
@@ -331,10 +351,10 @@ def test_energy_auto_path_by_cost(monkeypatch):
 def test_energy_product_needs_padded_shadows_within_cap(monkeypatch):
     """A product whose padded row or column shadow exceeds the FFT cap does
     not take the product path; one within it does."""
-    calls = _count_calls(monkeypatch, "_energy_product", "_energy_direct_2d")
+    calls = _count_calls(monkeypatch, "_energy_product", "_energy_direct")
     monkeypatch.setattr(measure, "_FFT_CELL_CAP", 64)
     rng = np.random.default_rng(78)
-    for width, height, path in ((50, 3, "_energy_direct_2d"), (3, 50, "_energy_direct_2d"),
+    for width, height, path in ((50, 3, "_energy_direct"), (3, 50, "_energy_direct"),
                                 (30, 3, "_energy_product"), (3, 30, "_energy_product")):
         mu = _random_product(rng, width, height, (-7, 11))
         before = dict(calls)
@@ -443,6 +463,46 @@ def test_condition():
     assert lhs == rhs
     with pytest.raises(PreconditionError):
         condition(mu, GridSet1.from_indices(Scale(3), [100]))
+
+
+def test_condition_2d_matches_oracle():
+    """2D conditioning against a cell-by-cell dictionary: the restricted
+    weights renormalized, on sets overlapping the measure's box partly,
+    wholly or not at all, at negative and positive offsets."""
+    rng = np.random.default_rng(22)
+    sc = Scale(12)
+    for _ in range(40):
+        shape = tuple(int(v) for v in rng.integers(1, 25, size=2))
+        mu = _random_measure2(rng, shape, tuple(int(v) for v in rng.integers(-60, 60, size=2)))
+        ox, oy = mu.offset
+        cells = rng.integers((ox - 10, oy - 10), (ox + shape[1] + 10, oy + shape[0] + 10),
+                             size=(int(rng.integers(1, 200)), 2))
+        S = GridSet2.from_indices(sc, cells)
+        weight = {(ox + int(i), oy + int(j)): float(mu.weights[j, i])
+                  for j, i in zip(*np.nonzero(mu.weights))}
+        kept = {c: v for c, v in weight.items() if c in set(map(tuple, S.indices.tolist()))}
+        if not kept:
+            with pytest.raises(PreconditionError, match="no mass"):
+                condition(mu, S)
+            continue
+        nu = condition(mu, S)
+        assert isinstance(nu, DyadicMeasure2) and nu.scale == sc
+        got = {(nu.offset[0] + int(i), nu.offset[1] + int(j)): float(nu.weights[j, i])
+               for j, i in zip(*np.nonzero(nu.weights))}
+        total = sum(kept.values())
+        assert got.keys() == kept.keys()
+        for c, v in kept.items():
+            assert got[c] == pytest.approx(v / total, rel=1e-12)
+        again = condition(nu, S)  # the identity, up to renormalization rounding
+        assert again.offset == nu.offset
+        assert np.allclose(again.weights, nu.weights, rtol=1e-12, atol=0)
+    mu = _random_measure2(rng, (4, 5), (0, 0))
+    with pytest.raises(PreconditionError):
+        condition(mu, GridSet1.from_indices(sc, [0]))
+    with pytest.raises(PreconditionError):
+        condition(mu, GridSet2.from_indices(Scale(11), [(0, 0)]))
+    with pytest.raises(PreconditionError):
+        condition(mu, GridSet2.empty(sc))
 
 
 def test_pushforward():

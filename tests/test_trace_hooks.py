@@ -1,0 +1,36 @@
+"""The benchmark's tracer (perfbench/tracing.py) wraps, rebinds or reads
+these names of the package where it looks for them; a refactor that
+moves one breaks `perfbench/run.py --trace 1`, so it fails here."""
+import inspect
+from concurrent.futures import ThreadPoolExecutor
+
+from deltagrid import expand, grid, measure, project
+
+
+def test_indices_properties_in_each_set_class():
+    for cls in (grid.GridSet1, grid.GridSet2):
+        prop = cls.__dict__["indices"]
+        assert isinstance(prop, property) and callable(prop.fget)
+
+
+def test_thread_pools_rebound_by_module():
+    for mod in (project, expand):
+        assert mod.__dict__["ThreadPoolExecutor"] is ThreadPoolExecutor
+
+
+def test_energy_hook_imports():
+    assert isinstance(measure.DIRECT_ENERGY_CAP, int)
+    assert inspect.isclass(measure.DyadicMeasure1)
+
+
+def test_hooked_functions_exist():
+    from deltagrid import gridio, setcalc
+    for mod, names in ((setcalc, ("sumset", "diffset", "nfold_sum", "graph_sum")),
+                       (project, ("adversarial_projection",)),
+                       (measure, ("riesz_energy",)),
+                       (gridio, ("read_gridset", "read_measure", "write_gridset",
+                                 "write_measure", "write_csv")),
+                       (expand, ("find_expander",))):
+        for name in names:
+            fn = mod.__dict__[name]
+            assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
