@@ -206,22 +206,21 @@ class _CellSet:
     def measure(self) -> float:
         return self.count * self.scale.delta ** self._ndim
 
-    def _aligned(self, other):
-        """(frame, a, b): both operands' bits placed in the smallest box
-        holding both, whose first cell is at `frame`; None when either
-        operand is empty."""
+    def _overlap(self, other):
+        """(frame, a, b): views of both operands' bits over the box where
+        their boxes overlap, whose first cell is at `frame`; None when
+        either operand is empty or the boxes are disjoint."""
         _require(self.scale == other.scale, "operands must share one scale")
         if self.is_empty or other.is_empty:
             return None
         mine, theirs = _origin(self.offset, self._ndim), _origin(other.offset, other._ndim)
-        frame = tuple(map(min, mine, theirs))
-        shape = tuple(max(p + m, q + n) - f for f, p, q, m, n
+        frame = tuple(map(max, mine, theirs))
+        shape = tuple(min(p + m, q + n) - f for f, p, q, m, n
                       in zip(frame, mine, theirs, self.bits.shape, other.bits.shape))
-        a = np.zeros(shape, dtype=bool)
-        b = np.zeros(shape, dtype=bool)
-        a[_window(frame, mine, self.bits.shape)] = self.bits
-        b[_window(frame, theirs, other.bits.shape)] = other.bits
-        return frame, a, b
+        if min(shape) <= 0:
+            return None
+        return (frame, self.bits[_window(mine, frame, shape)],
+                other.bits[_window(theirs, frame, shape)])
 
     def union(self, other):
         _require(self.scale == other.scale, "operands must share one scale")
@@ -229,30 +228,40 @@ class _CellSet:
             return other
         if other.is_empty:
             return self
-        frame, a, b = self._aligned(other)
-        return self._at(self.scale, frame, a | b)
+        mine, theirs = _origin(self.offset, self._ndim), _origin(other.offset, other._ndim)
+        frame = tuple(map(min, mine, theirs))
+        shape = tuple(max(p + m, q + n) - f for f, p, q, m, n
+                      in zip(frame, mine, theirs, self.bits.shape, other.bits.shape))
+        bits = np.zeros(shape, dtype=bool)
+        bits[_window(frame, mine, self.bits.shape)] = self.bits
+        bits[_window(frame, theirs, other.bits.shape)] |= other.bits
+        return self._at(self.scale, frame, bits)
 
     def intersect(self, other):
-        al = self._aligned(other)
-        if al is None:
+        ov = self._overlap(other)
+        if ov is None:
             return self.empty(self.scale)
-        frame, a, b = al
+        frame, a, b = ov
         return self._at(self.scale, frame, a & b)
 
     def difference(self, other):
-        _require(self.scale == other.scale, "operands must share one scale")
-        if self.is_empty or other.is_empty:
+        ov = self._overlap(other)
+        if ov is None:
             return self
-        frame, a, b = self._aligned(other)
-        return self._at(self.scale, frame, a & ~b)
+        frame, a, b = ov
+        mine = _origin(self.offset, self._ndim)
+        bits = self.bits.copy()
+        bits[_window(mine, frame, a.shape)] &= ~b
+        return self._at(self.scale, mine, bits)
 
     def subset_of(self, other) -> bool:
         if self.is_empty:
             return True
         if other.is_empty:
             return False
-        frame, a, b = self._aligned(other)
-        return bool(np.all(b[a]))
+        ov = self._overlap(other)
+        # Every cell of self lies inside other's box, and in other there.
+        return ov is not None and int(np.count_nonzero(ov[1] & ov[2])) == self.count
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, type(self)):

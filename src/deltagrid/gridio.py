@@ -21,7 +21,6 @@ drift beyond 1e-9 draws a warning.  Round-trips are lossless on canonical
 from __future__ import annotations
 
 import csv
-import itertools
 import json
 import re
 import warnings
@@ -39,10 +38,12 @@ TOOL_VERSION = "deltagrid 0.1.0"
 _RUN_RE = re.compile(r"(-?\d+)-(-?\d+)")
 _ROW_RE = re.compile(r"row=(-?\d+):(-?\d+)-(-?\d+)")
 _OFFSET2_RE = re.compile(r"offset=(-?\d+),(-?\d+)")
-# Whole bodies, each line ended by '\n'; no capture groups, which halves
-# the matching time.
-_GS1_BODY_RE = re.compile(r"(?:-?\d+--?\d+\n)*")
-_GS2_BODY_RE = re.compile(r"(?:row=-?\d+:-?\d+--?\d+\n)*")
+# Whole bodies as bytes, each line ended by b'\n' (a bytes \d is an ASCII
+# digit only); no capture groups, which halves the matching time.
+_GS1_BODY_RE = re.compile(rb"(?:-?\d+--?\d+\n)*")
+_GS2_BODY_RE = re.compile(rb"(?:row=-?\d+:-?\d+--?\d+\n)*")
+# The ASCII line breaks other than '\n' that str.splitlines honours.
+_OTHER_BREAKS_RE = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]")
 _DRIFT_WARN = 1e-9
 
 
@@ -89,8 +90,12 @@ def _header_int(lines, lineno: int, key: str, path) -> int:
         raise _parse_error(path, lineno, f"bad integer in '{line}'") from None
 
 
-def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> list:
-    """Check the body line by line, raising at the first faulty line."""
+def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> np.ndarray:
+    """Body lines from 1-based line `first` on, one int64 row of line_re's
+    numbers per line.  Each line must match line_re and hold an ascending
+    run `a-b` (the last two numbers), all numbers inside (-MAX_INDEX,
+    MAX_INDEX), and the runs together at most MAX_SPAN cells; the first
+    faulty line is named."""
     out = []
     total = 0
     for lineno in range(first, len(lines) + 1):
@@ -110,45 +115,52 @@ def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> l
                 raise _parse_error(path, lineno, f"index {v} outside the guarded range "
                                                  f"(-{MAX_INDEX}, {MAX_INDEX})")
         out.append(vals)
-    return out
+    return np.array(out, dtype=np.int64).reshape(-1, line_re.groups)
 
 
-def _read_body(path, lines, first: int, line_re: re.Pattern, body_re: re.Pattern,
-               expected: str) -> np.ndarray:
-    """Body lines from 1-based line `first` on, one int64 row of line_re's
-    numbers per line.  Each line must match line_re and hold an ascending
-    run `a-b` (the last two numbers), all numbers inside (-MAX_INDEX,
-    MAX_INDEX), and the runs together at most MAX_SPAN cells.
+def _parse_fast(raw: bytes, first: int, body_re: re.Pattern, k: int):
+    """(header lines, body numbers) of a grid-set file's bytes: the lines
+    before 1-based line `first`, and one int64 row of k numbers per body
+    line, exactly as _scan_body reads them from the text.  None sends the
+    file to the text path: a header line not ASCII or holding a line break
+    other than '\\n', a body that body_re rejects, a number of more than 18
+    digits, or a body that fails _scan_body's checks."""
+    *head, body = raw.split(b"\n", first - 1)
+    text = raw[:len(raw) - len(body)]
+    if (len(head) < first - 1 or not text.isascii() or _OTHER_BREAKS_RE.search(text)
+            or not body_re.fullmatch(body)):
+        return None
+    # The leading '\n' puts a non-digit before every number.
+    buf = np.frombuffer(b"\n" + body, dtype=np.uint8)
+    digit = (buf >= ord("0")) & (buf <= ord("9"))
+    edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
+    starts, ends = edges[0::2], edges[1::2]  # each number's digits: [start, end)
+    width = int((ends - starts).max(initial=0))
+    if width > 18:  # 18 digits always fit int64
+        return None
+    dig = (buf - ord("0")) * digit  # uint8, 0 at non-digits
+    vals = np.zeros(starts.size, dtype=np.int64)
+    for p in range(width, 0, -1):  # Horner's rule on the p-th digit from each end
+        vals = vals * 10 + dig[np.maximum(ends - p, starts - 1)]  # 0 left of a number
+    # A '-' before a number is its sign unless a digit precedes it (the run
+    # separator).  At starts == 1 the wrapped index is masked: buf[0] is '\n'.
+    neg = (buf[starts - 1] == ord("-")) & ~digit[starts - 2]
+    vals = np.where(neg, -vals, vals).reshape(-1, k)
+    a, b = vals[:, -2], vals[:, -1]
+    # Once |a|, |b| < 2**62, b - a + 1 cannot wrap; clipping each run keeps
+    # the sum small however many lines there are.
+    if (bool(((vals > -MAX_INDEX) & (vals < MAX_INDEX)).all())
+            and bool((b >= a).all())
+            and int(np.minimum(b - a + 1, MAX_SPAN + 1).sum()) <= MAX_SPAN):
+        return [h.decode("ascii") for h in head], vals
+    return None
 
-    The whole body is checked at once; only when that check fails does a
-    line-by-line scan run, to name the first faulty line.
-    """
-    k = line_re.groups
-    if len(lines) < first:
-        return np.zeros((0, k), dtype=np.int64)
-    body = "\n".join(lines[first - 1:]) + "\n"
-    if body_re.fullmatch(body):
-        flat = itertools.chain.from_iterable(line_re.findall(body))
-        try:
-            vals = np.fromiter(map(int, flat), dtype=np.int64).reshape(-1, k)
-        except OverflowError:  # a number beyond int64: the scan names its line
-            pass
-        else:
-            a, b = vals[:, -2], vals[:, -1]
-            # Once |a|, |b| < 2**62, b - a + 1 cannot wrap; clipping each
-            # run keeps the sum small however many lines there are.
-            if (bool(((vals > -MAX_INDEX) & (vals < MAX_INDEX)).all())
-                    and bool((b >= a).all())
-                    and int(np.minimum(b - a + 1, MAX_SPAN + 1).sum()) <= MAX_SPAN):
-                return vals
-    return np.array(_scan_body(path, lines, first, line_re, expected),
-                    dtype=np.int64).reshape(-1, k)
 
-
-def _read_gs1(path, lines) -> GridSet1:
+def _read_gs1(path, lines, runs) -> GridSet1:
     scale = Scale(_header_int(lines, 2, "n", path))
     offset = _header_int(lines, 3, "offset", path)
-    runs = _read_body(path, lines, 4, _RUN_RE, _GS1_BODY_RE, "run 'a-b'")
+    if runs is None:
+        runs = _scan_body(path, lines, 4, _RUN_RE, "run 'a-b'")
     if not runs.size:
         return GridSet1.empty(scale)
     first = int(runs[:, 0].min())
@@ -157,7 +169,7 @@ def _read_gs1(path, lines) -> GridSet1:
     return GridSet1.from_ranges(scale, runs[:, 0], runs[:, 1])
 
 
-def _read_gs2(path, lines) -> GridSet2:
+def _read_gs2(path, lines, runs) -> GridSet2:
     scale = Scale(_header_int(lines, 2, "n", path))
     off_line = lines[2] if len(lines) >= 3 else ""
     m = _OFFSET2_RE.fullmatch(off_line)
@@ -165,7 +177,8 @@ def _read_gs2(path, lines) -> GridSet2:
         raise _parse_error(path, 3, f"expected 'offset=<int>,<int>', got {off_line!r}")
     ox, oy = int(m.group(1)), int(m.group(2))
     rows = _header_int(lines, 4, "rows", path)
-    runs = _read_body(path, lines, 5, _ROW_RE, _GS2_BODY_RE, "'row=<j>:a-b'")
+    if runs is None:
+        runs = _scan_body(path, lines, 5, _ROW_RE, "'row=<j>:a-b'")
     if not runs.size:
         if rows != 0:
             raise _parse_error(path, 4, f"rows={rows} but no row lines follow")
@@ -189,14 +202,20 @@ def _read_gs2(path, lines) -> GridSet2:
 
 
 def read_gridset(path) -> Union[GridSet1, GridSet2]:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    """The set in a GS1 or GS2 file, read once as bytes.  A file the bytes
+    parse does not take is decoded and scanned line by line, which names
+    the first faulty line."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    fast = (_parse_fast(raw, 4, _GS1_BODY_RE, 2) if raw.startswith(b"GS1 v1\n") else
+            _parse_fast(raw, 5, _GS2_BODY_RE, 3) if raw.startswith(b"GS2 v1\n") else None)
+    lines, runs = fast or (raw.decode("utf-8").splitlines(), None)
     if not lines:
         raise _parse_error(path, 1, "empty file")
     if lines[0] == "GS1 v1":
-        return _read_gs1(path, lines)
+        return _read_gs1(path, lines, runs)
     if lines[0] == "GS2 v1":
-        return _read_gs2(path, lines)
+        return _read_gs2(path, lines, runs)
     raise _parse_error(path, 1, f"unknown format line {lines[0]!r}")
 
 
@@ -228,6 +247,9 @@ def read_measure(path) -> DyadicMeasure1:
             w = float(parts[1])
         except ValueError:
             raise _parse_error(path, lineno, f"bad number in {lines[lineno - 1]!r}") from None
+        if not -MAX_INDEX < i < MAX_INDEX:
+            raise _parse_error(path, lineno, f"index {i} outside the guarded range "
+                                             f"(-{MAX_INDEX}, {MAX_INDEX})")
         if i in seen:
             raise _parse_error(path, lineno, f"duplicate index {i}")
         if not (w >= 0) or not np.isfinite(w):
@@ -245,9 +267,12 @@ def read_measure(path) -> DyadicMeasure1:
         raise _parse_error(path, 4, f"cell span {span} exceeds {MAX_SPAN}")
     dense = np.zeros(span, dtype=np.float64)
     dense[np.asarray(idx) - lo] = wts
-    total = float(dense.sum())
+    with np.errstate(over="ignore"):  # an infinite sum is refused below
+        total = float(dense.sum())
     if total <= 0:
         raise _parse_error(path, 4, "weights sum to zero")
+    if not np.isfinite(total):
+        raise _parse_error(path, 4, "weights sum to a non-finite value")
     if abs(total - 1.0) > _DRIFT_WARN:
         warnings.warn(f"{path}: weights sum to {total!r}; renormalizing", stacklevel=2)
     dense /= total

@@ -3,6 +3,7 @@ and the non-concentration scan."""
 import array
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -308,6 +309,24 @@ def test_trimmed_results_own_only_their_box():
                    (DyadicMeasure1.from_weights(sc, 0, weights), "weights"),
                    (DyadicMeasure2.from_weights(sc, (0, 0), grid2), "weights")):
         assert getattr(X, arr).size == 1 and owns(getattr(X, arr))
+
+
+def test_intersect_difference_subset_of_stay_inside_the_overlap():
+    """Far-apart operands cost nothing to intersect, subtract or test: no
+    box holding both is allocated."""
+    sc = Scale(30)
+    pairs = [(GridSet1.from_indices(sc, [0]), GridSet1.from_indices(sc, [10 ** 7])),
+             (GridSet2.from_indices(sc, [(0, 0)]), GridSet2.from_indices(sc, [(3000, 3000)]))]
+    for A, B in pairs:
+        tracemalloc.start()
+        try:
+            assert A.intersect(B).is_empty and B.intersect(A).is_empty
+            assert not A.subset_of(B) and not B.subset_of(A)
+            assert A.difference(B) == A and B.difference(A) == B
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def _old_from_indices_1d(scale, indices):

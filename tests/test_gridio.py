@@ -1,9 +1,12 @@
 """File I/O tests: lossless round-trips of the text formats, parse
 errors carrying line numbers, and the measure renormalization warning."""
+import warnings
+
 import numpy as np
 import pytest
 
 from deltagrid import gridio
+from deltagrid.grid import MAX_INDEX
 from deltagrid import (DyadicMeasure1, GridSet1, GridSet2, PreconditionError,
                        Scale, gen_cantor, gen_random_frostman, make_interval,
                        read_gridset, read_measure, uniform_on, write_csv,
@@ -278,8 +281,174 @@ def test_noncanonical_bodies_match_set_oracle(tmp_path):
         assert sorted(map(tuple, E.indices.tolist())) == sorted(cells2)
         # the line-by-line scan that names faulty lines parses alike
         lines = q.read_text().splitlines()
-        fast = gridio._read_body(q, lines, 5, gridio._ROW_RE, gridio._GS2_BODY_RE, "")
-        assert fast.tolist() == [list(t) for t in gridio._scan_body(q, lines, 5, gridio._ROW_RE, "")]
+        head, fast = gridio._parse_fast(q.read_bytes(), 5, gridio._GS2_BODY_RE, 3)
+        assert head == lines[:4]
+        assert fast.tolist() == gridio._scan_body(q, lines, 5, gridio._ROW_RE, "").tolist()
         assert E.count == len(cells2)
         write_gridset(E, tmp_path / "canon.gs2")
         assert read_gridset(tmp_path / "canon.gs2") == E
+
+
+def test_measure_rejects_huge_index_and_infinite_mass(tmp_path):
+    p = tmp_path / "bad.dm1"
+    big = 2 ** 70
+    p.write_text(f"DM1 v1\nn=2\noffset={big}\n{big} 0.5\n{big + 1} 0.5\n")
+    with pytest.raises(PreconditionError) as ei:
+        read_measure(p)
+    assert str(ei.value) == (f"{p}:4: index {big} outside the guarded range "
+                             f"(-{MAX_INDEX}, {MAX_INDEX})")
+    p.write_text("DM1 v1\nn=2\noffset=0\n0 1e308\n1 1e308\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before the renormalizing warning
+        with pytest.raises(PreconditionError) as ei:
+            read_measure(p)
+    assert str(ei.value) == f"{p}:4: weights sum to a non-finite value"
+
+
+def _outcome(read, p):
+    """What reading `p` gives: the set's type, scale, offset and bits, or
+    the error's type and message."""
+    try:
+        S = read(p)
+    except (PreconditionError, UnicodeDecodeError) as e:
+        return type(e).__name__, str(e)
+    return type(S).__name__, S.scale, S.offset, S.bits.shape, S.bits.tobytes()
+
+
+_FORMATS = ((b"GS1 v1\n", 4, gridio._GS1_BODY_RE, 2, gridio._RUN_RE),
+            (b"GS2 v1\n", 5, gridio._GS2_BODY_RE, 3, gridio._ROW_RE))
+
+
+def _check_against_text_path(p, monkeypatch):
+    """read_gridset(p) gives what the text path gives, and wherever the
+    bytes parse takes the file, its header lines and numbers are those of
+    _scan_body on the decoded lines.  True when the bytes parse took it."""
+    got = _outcome(read_gridset, p)
+    with monkeypatch.context() as m:
+        m.setattr(gridio, "_parse_fast", lambda *args: None)
+        want = _outcome(read_gridset, p)
+    assert got == want
+    raw = p.read_bytes()
+    for fmt, first, body_re, k, line_re in _FORMATS:
+        fast = gridio._parse_fast(raw, first, body_re, k) if raw.startswith(fmt) else None
+        if fast is not None:
+            lines = raw.decode("utf-8").splitlines()
+            assert fast[0] == lines[:first - 1]
+            assert fast[1].tolist() == gridio._scan_body(p, lines, first, line_re, "").tolist()
+            return True
+    return False
+
+
+def _mutate(rng, raw: bytes) -> bytes:
+    """One or two random byte insertions, deletions or substitutions."""
+    alphabet = b"0123456789-\n:=,row \r\x0c"
+    buf = bytearray(raw)
+    for _ in range(int(rng.integers(1, 3))):
+        at = int(rng.integers(0, len(buf) + 1))
+        byte = (int(rng.integers(0, 256)) if rng.random() < 0.1
+                else alphabet[int(rng.integers(0, len(alphabet)))])
+        kind = int(rng.integers(0, 3))
+        if kind == 0 or at == len(buf):
+            buf.insert(at, byte)
+        elif kind == 1:
+            del buf[at]
+        else:
+            buf[at] = byte
+    return bytes(buf)
+
+
+def test_bytes_parse_matches_text_path(tmp_path, monkeypatch):
+    """Seeded canonical and non-canonical GS1/GS2 files, each also with
+    one or two random byte edits, read alike through the bytes parse and
+    the text path: the same set, or the same error and line."""
+    rng = np.random.default_rng(20261018)
+    taken = 0
+    for case in range(60):
+        base = int(rng.integers(-10 ** 4, 10 ** 4))
+        m = int(rng.integers(1, 40))
+        xs = base + rng.integers(0, 60, size=m)
+        ys = base + rng.integers(0, 9, size=m)
+        canonical = [GridSet1.from_indices(Scale(12), xs),
+                     GridSet2.from_indices(Scale(12), np.stack([xs, ys], axis=1))]
+        texts = []
+        for S, ext in zip(canonical, ("gs1", "gs2")):
+            q = tmp_path / f"canon.{ext}"
+            write_gridset(S, q)
+            texts.append(q.read_bytes())
+        lo = xs[:5]
+        hi = lo + rng.integers(0, 4, size=lo.size)
+        body1 = "".join(f"{a}-{b}\n" for a, b in zip(lo, hi))
+        body2 = "".join(f"row={j}:{a}-{b}\n" for a, b, j in zip(lo, hi, ys))
+        texts.append(f"GS1 v1\nn=12\noffset={lo.min()}\n{body1}".encode())
+        texts.append(f"GS2 v1\nn=12\noffset={lo.min()},{ys[:5].min()}\n"
+                     f"rows={ys[:5].max() - ys[:5].min() + 1}\n{body2}".encode())
+        for i, raw in enumerate(texts):
+            for edited in (raw, _mutate(rng, raw), _mutate(rng, raw)):
+                p = tmp_path / f"c{case}_{i}.gs"
+                p.write_bytes(edited)
+                taken += _check_against_text_path(p, monkeypatch)
+    assert taken > 240  # every unedited file, at least, takes the bytes parse
+
+
+@pytest.mark.parametrize("raw, fast", [
+    (b"GS1 v1\r\nn=4\r\noffset=0\r\n0-1\r\n", False),  # CRLF
+    (b"GS1 v1\rn=4\roffset=0\r0-1\r", False),  # lone CR
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0-1\r2-3\n", False),
+    (b"GS1 v1\nn=4\noffset=0\n0-1\n3-4", False),  # no final newline
+    (b"GS2 v1\r\nn=4\r\noffset=0,0\r\nrows=1\r\nrow=0:0-1", False),
+    (b"GS1 v1\nn=4\noffset=0\r\n", False),
+    (b"GS1 v1\nn=4\x0c\noffset=0\n0-1\n", False),  # form feed in a header line
+    (b"GS2 v1\nn=4\noffset=0,0\x1e\nrows=1\nrow=0:0-1\n", False),
+    (b"\xef\xbb\xbfGS1 v1\nn=4\noffset=0\n0-1\n", False),  # UTF-8 BOM
+    (b"GS1 v1\nn=4\noffset=0\n0-\xff\n", False),  # not UTF-8
+    (b"GS1 v1\nn=\xff4\noffset=0\n0-1\n", False),
+    ("GS1 v1\nn=4\noffset=0\n0-٣\n".encode(), False),  # an Arabic-Indic digit
+    ("GS1 v1\nn=٤\noffset=0\n0-1\n".encode(), False),
+    (b"GS1 v1\nn=4\noffset=0\n-0-007\n", True),  # leading zeros, -0
+    (b"GS2 v1\nn=4\noffset=-3,0\nrows=1\nrow=-00:-03--0\n", True),
+    (b"GS1 v1\nn=4\noffset=-999999999999999999\n"
+     b"-999999999999999999--999999999999999990\n999999999999999990-999999999999999999\n",
+     True),  # 18 digits
+    (b"GS1 v1\nn=4\noffset=1000000000000000000\n1000000000000000000-1000000000000000001\n",
+     False),  # 19 digits
+    (f"GS1 v1\nn=4\noffset={2 ** 62 - 1}\n{2 ** 62 - 1}-{2 ** 62 - 1}\n".encode(), False),
+    (f"GS1 v1\nn=4\noffset={1 - 2 ** 62}\n{1 - 2 ** 62}-{1 - 2 ** 62}\n".encode(), False),
+    (f"GS1 v1\nn=4\noffset=0\n0-{2 ** 62}\n".encode(), False),
+    (f"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow={2 ** 64}:0-1\n".encode(), False),  # beyond int64
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=0\n", True),  # empty body
+    (b"GS1 v1\nn=4\noffset=0\n", True),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=0", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=x\nrow=0:0-1\n", True),  # header fault, body fine
+    (b"GS1 v1\nn=4\noffset=0\n0-1\n\n", False),
+    (b"", False),
+])
+def test_bytes_parse_edge_files(tmp_path, monkeypatch, raw, fast):
+    p = tmp_path / "edge.gs"
+    p.write_bytes(raw)
+    assert _check_against_text_path(p, monkeypatch) == fast
+
+
+def test_unicode_digits_read_as_today(tmp_path):
+    # str \d matches every Unicode decimal digit, so the text path takes them
+    p = tmp_path / "u.gs1"
+    p.write_bytes("GS1 v1\nn=4\noffset=0\n0-٣\n".encode())
+    assert read_gridset(p).indices.tolist() == [0, 1, 2, 3]
+
+
+def test_canonical_files_take_the_bytes_parse(tmp_path, monkeypatch):
+    """Files write_gridset writes never reach the line-by-line text scan."""
+    from deltagrid import cartesian_product
+
+    def no_scan(*args):
+        raise AssertionError("canonical file sent to the text scan")
+
+    C = gen_cantor(Scale(10), 3, (0, 2), 6)
+    A = gen_random_frostman(Scale(10), 0.7, seed=5)
+    B = gen_random_frostman(Scale(10), 0.7, seed=6)
+    sets = [cartesian_product(C, C), cartesian_product(A, B),
+            gen_random_frostman(Scale(12), 0.5, seed=7)]
+    for i, S in enumerate(sets):
+        write_gridset(S, tmp_path / f"s{i}.gs")
+    monkeypatch.setattr(gridio, "_scan_body", no_scan)
+    for i, S in enumerate(sets):
+        assert read_gridset(tmp_path / f"s{i}.gs") == S
