@@ -1,9 +1,10 @@
 """Command-line front door: generators, set operations, measure tools,
 projections, lattice searches, verification suites, and experiments.
 
-Exit codes: 0 success, 1 precondition or usage rejection, 2 internal
-invariant failure (a constant-1 inequality violated is a bug by
-definition, never a data error).
+Exit codes: 0 success, 1 rejected input (a precondition, a usage error, or
+a file that cannot be read as text), 2 internal invariant failure (a
+constant-1 inequality violated is a bug by definition, never a data
+error).
 
 All configuration arrives via flags; there are no environment variables.
 --threads defaults to 1 and spreads the angles of `project sweep` and
@@ -14,9 +15,10 @@ header line.
 from __future__ import annotations
 
 import argparse
+import csv
 import math
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
 
 import numpy as np
@@ -58,23 +60,22 @@ class RunConfig:
     threads: int = 1
     out: str | None = None
 
-    def as_dict(self) -> dict:
-        return asdict(self)
+
+def _report(args, command: str, header, rows, **extra) -> None:
+    """Write the CSV report when --out asks for one.  Its echo line holds
+    every RunConfig field (the flag's value, or the field's default for a
+    command without that flag), the command and `extra`."""
+    if args.out:
+        echo = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+        gridio.write_csv(args.out, header, rows, dict(echo, command=command, **extra))
 
 
-def _config(args, **overrides) -> RunConfig:
-    fields = {}
-    for name in ("seed", "n", "kappa", "sigma", "epsilon", "eta", "threads", "out"):
-        if hasattr(args, name) and getattr(args, name) is not None:
-            fields[name] = getattr(args, name)
-    fields.update(overrides)
-    return RunConfig(**fields)
-
-
-def _echo(cfg: RunConfig, **extra) -> dict:
-    d = cfg.as_dict()
-    d.update(extra)
-    return d
+def _need(args, *flags) -> None:
+    """Refuse a run that lacks one of the flags its command needs."""
+    if any(getattr(args, f) is None for f in flags):
+        what = getattr(args, "what", None) or args.which
+        raise PreconditionError(f"{args.command} {what} requires "
+                                + " and ".join(f"--{f}" for f in flags))
 
 
 # ---------------------------------------------------------------------------
@@ -116,19 +117,10 @@ class _Parser(argparse.ArgumentParser):
         raise PreconditionError(f"{self.prog}: {message}")
 
 
-def _read_gs1(path) -> GridSet1:
-    _require(path is not None, "an input set file is required (--set)")
+def _read_set(path, cls=GridSet1):
     S = gridio.read_gridset(path)
-    if not isinstance(S, GridSet1):
-        raise PreconditionError(f"{path}: expected a 1D set (GS1)")
-    return S
-
-
-def _read_gs2(path) -> GridSet2:
-    _require(path is not None, "an input set file is required (--set)")
-    S = gridio.read_gridset(path)
-    if not isinstance(S, GridSet2):
-        raise PreconditionError(f"{path}: expected a 2D set (GS2)")
+    if not isinstance(S, cls):
+        raise PreconditionError(f"{path}: expected a {cls._ndim}D set (GS{cls._ndim})")
     return S
 
 
@@ -162,12 +154,11 @@ def _cmd_gen(args) -> int:
     elif args.what == "interval":
         S = make_interval(scale, args.a, args.b)
     elif args.what == "frostman":
-        if args.kappa is None:
-            raise PreconditionError("gen frostman requires --kappa")
+        _need(args, "kappa")
         S = gen_random_frostman(scale, args.kappa, args.seed)
     else:  # square: product of two 1D sets, default the interval [a, b)
-        A = _read_gs1(args.set) if args.set else make_interval(scale, args.a, args.b)
-        B = _read_gs1(args.set2) if args.set2 else A
+        A = _read_set(args.set) if args.set else make_interval(scale, args.a, args.b)
+        B = _read_set(args.set2) if args.set2 else A
         S = cartesian_product(A, B)
     gridio.write_gridset(S, args.out)
     print(f"wrote {args.out}: {S!r}")
@@ -181,21 +172,17 @@ def _cmd_gen(args) -> int:
 def _cmd_op(args) -> int:
     sem = _semantics(args.semantics)
     if args.which == "graphsum":
-        G = _read_gs2(args.set)
-        if args.factor is None:
-            raise PreconditionError("op graphsum requires --factor")
+        G = _read_set(args.set, GridSet2)
+        _need(args, "factor")
         R = graph_sum(G, args.factor, sem)
     else:
-        A = _read_gs1(args.set)
+        A = _read_set(args.set)
         if args.which == "sum":
-            B = _read_gs1(args.set2) if args.set2 else A
-            R = sumset(A, B, sem)
+            R = sumset(A, _read_set(args.set2) if args.set2 else A, sem)
         elif args.which == "diff":
-            B = _read_gs1(args.set2) if args.set2 else A
-            R = diffset(A, B, sem)
+            R = diffset(A, _read_set(args.set2) if args.set2 else A, sem)
         elif args.which == "dilate":
-            if args.factor is None:
-                raise PreconditionError("op dilate requires --factor")
+            _need(args, "factor")
             R = dilate(A, args.factor)
         elif args.which == "nfold":
             R = nfold_sum(A, args.count, sem)
@@ -212,77 +199,60 @@ def _cmd_op(args) -> int:
 # measure
 
 
-def _load_measure(args) -> DyadicMeasure1:
-    if getattr(args, "measure", None):
+def _measure_input(args):
+    """A measure tool's input: the --measure file's measure, which wins
+    over --set, else the --set file's 1D or 2D set."""
+    if args.measure:
         return gridio.read_measure(args.measure)
-    if getattr(args, "set", None):
-        S = gridio.read_gridset(args.set)
-        mu = uniform_on(S)
-        if not isinstance(mu, DyadicMeasure1):
-            raise PreconditionError("this operation needs a 1D measure")
-        return mu
+    if args.set:
+        return gridio.read_gridset(args.set)
     raise PreconditionError("provide --measure or --set")
 
 
 def _cmd_measure(args) -> int:
-    cfg = _config(args)
-    if args.what == "uniform":
-        mu = _load_measure(args)
-        gridio.write_measure(mu, args.out)
-        print(f"wrote {args.out}: {mu!r}")
-        return 0
-    if args.what == "frostman":
-        if args.kappa is None:
-            raise PreconditionError("measure frostman requires --kappa")
-        if getattr(args, "set", None) and not getattr(args, "measure", None):
-            rep = nonconcentration_constant(gridio.read_gridset(args.set), args.kappa)
-        else:
-            rep = frostman_constant(_load_measure(args), args.kappa)
+    what = args.what
+    if what != "uniform":
+        _need(args, "sigma" if what in ("energy", "prune") else "kappa")
+    src = _measure_input(args)
+    if what == "frostman":
+        if isinstance(src, DyadicMeasure1):
+            rep = frostman_constant(src, args.kappa)
+        else:  # normalized by the set's own mass: convention "set"
+            rep = nonconcentration_constant(src, args.kappa)
         print(f"constant={rep.constant!r} kappa={rep.kappa!r} convention={rep.convention}")
         print(f"witness center={rep.witness_center!r} radius={rep.witness_radius!r}")
-        if args.out:
-            gridio.write_csv(args.out, ["kappa", "constant", "witness_center", "witness_radius", "convention"],
-                             [[rep.kappa, rep.constant, rep.witness_center, rep.witness_radius, rep.convention]],
-                             _echo(cfg, command="measure frostman"))
+        _report(args, "measure frostman",
+                ["kappa", "constant", "witness_center", "witness_radius", "convention"],
+                [[rep.kappa, rep.constant, rep.witness_center, rep.witness_radius, rep.convention]])
         return 0
-    if args.what == "energy":
-        if args.sigma is None:
-            raise PreconditionError("measure energy requires --sigma (the exponent)")
-        S = gridio.read_gridset(args.set) if getattr(args, "set", None) and not getattr(args, "measure", None) else None
-        mu = uniform_on(S) if S is not None else _load_measure(args)
+    mu = src if isinstance(src, DyadicMeasure1) else uniform_on(src)
+    if what == "energy":
         val = riesz_energy(mu, args.sigma, method=args.method)
         print(f"energy s={args.sigma!r}: {val!r}")
+        _report(args, "measure energy", ["s", "energy", "method"],
+                [[args.sigma, val, args.method]])
+        return 0
+    _require(isinstance(mu, DyadicMeasure1), "this operation needs a 1D measure")
+    if what == "uniform":
+        _need(args, "out")
+        gridio.write_measure(mu, args.out)
+        print(f"wrote {args.out}: {mu!r}")
+    elif what == "prune":
+        kept, removed = prune_heavy_cubes(mu, args.sigma, args.K, args.L, strict=not args.loose)
+        print(f"kept {kept.count} cells, removed mass {removed!r}")
         if args.out:
-            gridio.write_csv(args.out, ["s", "energy", "method"],
-                             [[args.sigma, val, args.method]],
-                             _echo(cfg, command="measure energy"))
-        return 0
-    if args.what == "maximal":
-        if args.kappa is None:
-            raise PreconditionError("measure maximal requires --kappa")
-        mu = _load_measure(args)
+            gridio.write_gridset(kept, args.out)
+            print(f"wrote {args.out}")
+    else:
         mi = maximal_interval(mu, args.kappa)
-        print(f"level={mi.level} index={mi.index} r0={mi.r0} x0={mi.x0} "
-              f"m={mi.m_value!r} mass={mi.mass!r}")
-        return 0
-    if args.what == "rescale":
-        if args.kappa is None:
-            raise PreconditionError("measure rescale requires --kappa")
-        mu = _load_measure(args)
-        mi = maximal_interval(mu, args.kappa)
-        nu = rescale_to_unit(mu, mi.level, mi.index)
-        gridio.write_measure(nu, args.out)
-        print(f"zoomed to level={mi.level} index={mi.index}; wrote {args.out}: {nu!r}")
-        return 0
-    # prune
-    if args.sigma is None:
-        raise PreconditionError("measure prune requires --sigma")
-    mu = _load_measure(args)
-    kept, removed = prune_heavy_cubes(mu, args.sigma, args.K, args.L, strict=not args.loose)
-    print(f"kept {kept.count} cells, removed mass {removed!r}")
-    if args.out:
-        gridio.write_gridset(kept, args.out)
-        print(f"wrote {args.out}")
+        if what == "maximal":
+            print(f"level={mi.level} index={mi.index} r0={mi.r0} x0={mi.x0} "
+                  f"m={mi.m_value!r} mass={mi.mass!r}")
+        else:  # rescale
+            nu = rescale_to_unit(mu, mi.level, mi.index)
+            _need(args, "out")
+            gridio.write_measure(nu, args.out)
+            print(f"zoomed to level={mi.level} index={mi.index}; wrote {args.out}: {nu!r}")
     return 0
 
 
@@ -291,10 +261,10 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_project(args) -> int:
-    cfg = _config(args)
-    E = _read_gs2(args.set)
+    E = _read_set(args.set, GridSet2)
     if args.what == "shadow":
         R = project_set(E, args.theta)
+        _need(args, "out")
         gridio.write_gridset(R, args.out)
         print(f"wrote {args.out}: {R!r}")
         return 0
@@ -305,26 +275,20 @@ def _cmd_project(args) -> int:
         for name in ("projection", "adversarial"):
             q = rep.summary[name]
             print(f"{name}: min={q['min']!r} median={q['median']!r} max={q['max']!r}")
-        if args.out:
-            header = ["theta", "projection_count", "adversarial_count", "energy"]
-            rows = [[r.theta, r.projection_count, r.adversarial_count,
-                     "" if r.energy is None else r.energy] for r in rep.records]
-            gridio.write_csv(args.out, header, rows,
-                             _echo(cfg, command="project sweep", fraction=args.fraction,
-                                   angles=args.angles))
+        _report(args, "project sweep", ["theta", "projection_count", "adversarial_count", "energy"],
+                ([r.theta, r.projection_count, r.adversarial_count,
+                  "" if r.energy is None else r.energy] for r in rep.records),
+                fraction=args.fraction, angles=args.angles)
         return 0
     if args.what == "marstrand":
         st = marstrand_average(E, args.angles)
         print(f"angles={st.angles} mean={st.mean!r} median={st.median!r} "
               f"min={st.min!r} energy_i1={st.energy_i1!r}")
-        if args.out:
-            gridio.write_csv(args.out, ["theta", "measure"],
-                             list(zip(st.thetas, st.measures)),
-                             _echo(cfg, command="project marstrand", angles=args.angles))
+        _report(args, "project marstrand", ["theta", "measure"], zip(st.thetas, st.measures),
+                angles=args.angles)
         return 0
     # kaufman
-    if args.kappa is None:
-        raise PreconditionError("project kaufman requires --kappa")
+    _need(args, "kappa")
     nu = AngleMeasure.uniform(_angle_scale(args.angles))
     val = kaufman_average(uniform_on(E), nu, args.kappa)
     print(f"kaufman average kappa={args.kappa!r}: {val!r}")
@@ -336,38 +300,27 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_lattice(args) -> int:
-    cfg = _config(args)
     if args.what == "blichfeldt":
-        V = gridio.read_gridset(args.set)
-        res = blichfeldt_translate(V, args.modulus)
+        res = blichfeldt_translate(gridio.read_gridset(args.set), args.modulus)
         shift = ",".join(str(t) for t in res.translation)
         print(f"translation={shift} count={res.count} bound={res.bound!r} "
               f"examined={res.examined_shifts}")
-        if args.out:
-            gridio.write_csv(args.out,
-                             ["translation", "count", "bound", "examined"],
-                             [[shift, res.count, res.bound, res.examined_shifts]],
-                             _echo(cfg, command="lattice blichfeldt",
-                                   modulus=args.modulus))
+        _report(args, "lattice blichfeldt", ["translation", "count", "bound", "examined"],
+                [[shift, res.count, res.bound, res.examined_shifts]], modulus=args.modulus)
         return 0
     # collision
-    A = _read_gs1(args.set)
-    w = slab_collision(A, args.vector, len(args.vector), args.radius)
+    w = slab_collision(_read_set(args.set), args.vector, len(args.vector), args.radius)
     print(f"pair={w.pair_indices} ell={w.ell} eliminated={w.eliminated}")
     print(f"x={w.x}")
     print(f"z={w.z}")
     print(f"projection_gap={w.projection_gap!r} tolerance={w.tolerance!r}")
-    if args.out:
-        gridio.write_csv(
-            args.out,
-            ["pair_i", "pair_j", "ell", "eliminated", "x", "z",
-             "projection_gap", "tolerance"],
+    _report(args, "lattice collision",
+            ["pair_i", "pair_j", "ell", "eliminated", "x", "z", "projection_gap", "tolerance"],
             [[w.pair_indices[0], w.pair_indices[1],
               ";".join(str(e) for e in w.ell), w.eliminated,
               ";".join(repr(t) for t in w.x), ";".join(repr(t) for t in w.z),
               w.projection_gap, w.tolerance]],
-            _echo(cfg, command="lattice collision", vector=list(args.vector),
-                  radius=args.radius))
+            vector=list(args.vector), radius=args.radius)
     return 0
 
 
@@ -407,15 +360,13 @@ def _verify_case(suite: str, rng, scale: Scale, max_cells: int, span: int):
     dense = rng.random((A.count, B.count)) < 0.5
     if not dense.any():
         dense[0, 0] = True
-    Ai, Bi = A.indices, B.indices
-    pairs = [(int(Ai[i]), int(Bi[j])) for i, j in zip(*np.nonzero(dense))]
-    G = GridSet2.from_indices(scale, pairs)
+    i, j = np.nonzero(dense)
+    G = GridSet2.from_indices(scale, np.stack((A.indices[i], B.indices[j]), axis=1))
     x = int(rng.integers(1, 4))
     return check_graph_projection(A, B, G, x)
 
 
 def _cmd_verify(args) -> int:
-    cfg = _config(args)
     scale = Scale(args.n)
     suites = list(_SUITES) if args.suite == "all" else [args.suite]
     rows = []
@@ -426,10 +377,8 @@ def _cmd_verify(args) -> int:
             rows.append([suite, case, rec.name, rec.lhs, rec.rhs,
                          int(rec.ok), rec.inputs_digest])
         print(f"suite={suite} cases={args.cases} violations=0")
-    if args.out:
-        gridio.write_csv(args.out, ["suite", "case", "name", "lhs", "rhs", "ok", "digest"],
-                         rows, _echo(cfg, command="verify addcomb", suite=args.suite,
-                                     cases=args.cases))
+    _report(args, "verify addcomb", ["suite", "case", "name", "lhs", "rhs", "ok", "digest"],
+            rows, suite=args.suite, cases=args.cases)
     return 0
 
 
@@ -438,66 +387,54 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    cfg = _config(args)
     if args.what == "expander":
-        A = _read_gs1(args.set)
+        A = _read_set(args.set)
         xres = args.xres if args.xres is not None else max(1, A.scale.n // 2)
         lo, hi = args.candidates
-        cand = make_interval(Scale(xres), lo, hi)
-        rep = find_expander(A, cand, kappa=args.kappa)
+        rep = find_expander(A, make_interval(Scale(xres), lo, hi), kappa=args.kappa)
         b = rep.best
         print(f"best x={b.x} ratio={b.ratio!r} exponent={b.exponent!r}")
         if rep.frostman is not None:
             print(f"nonconcentration C={rep.frostman.constant!r} at kappa={args.kappa!r}")
-        if args.out:
-            gridio.write_csv(args.out, ["x", "ratio", "exponent"],
-                             [[r.x, r.ratio, r.exponent] for r in rep.records],
-                             _echo(cfg, command="experiment expander", xres=xres,
-                                   candidates=f"{lo}:{hi}"))
+        _report(args, "experiment expander", ["x", "ratio", "exponent"],
+                ([r.x, r.ratio, r.exponent] for r in rep.records),
+                xres=xres, candidates=f"{lo}:{hi}")
         return 0
     if args.what == "renorm":
-        A = _read_gs1(args.set)
-        if args.kappa is None:
-            raise PreconditionError("experiment renorm requires --kappa")
+        A = _read_set(args.set)
+        _need(args, "kappa")
         mu = gridio.read_measure(args.measure) if args.measure else uniform_on(A)
         rep = renormalized_find_expander(A, mu, args.kappa)
         b = rep.best
         print(f"best x={b.x} ratio={b.ratio!r} exponent={b.exponent!r}")
         print(f"zoom frostman constant={rep.frostman.constant!r} degenerate={rep.degenerate}")
-        if args.out:
-            rows = [["mapped", r.x, r.ratio, r.exponent] for r in rep.records]
-            rows += [["zoomed", r.x, r.ratio, r.exponent] for r in rep.renorm_records]
-            gridio.write_csv(args.out, ["frame", "x", "ratio", "exponent"], rows,
-                             _echo(cfg, command="experiment renorm"))
+        _report(args, "experiment renorm", ["frame", "x", "ratio", "exponent"],
+                ([frame, r.x, r.ratio, r.exponent]
+                 for frame, records in (("mapped", rep.records), ("zoomed", rep.renorm_records))
+                 for r in records))
         return 0
     if args.what == "nfold":
-        K = _read_gs1(args.set)
-        curve = nfold_expansion_curve(K, args.count)
+        curve = nfold_expansion_curve(_read_set(args.set), args.count)
         for N, m in curve.records:
             print(f"N={N} measure={m!r}")
         print(f"first_crossing={curve.first_crossing}")
-        if args.out:
-            gridio.write_csv(args.out, ["N", "measure"], list(curve.records),
-                             _echo(cfg, command="experiment nfold"))
+        _report(args, "experiment nfold", ["N", "measure"], curve.records)
         return 0
     # projection
-    E = _read_gs2(args.set)
-    if args.epsilon is None or args.eta is None:
-        raise PreconditionError("experiment projection requires --epsilon and --eta")
+    E = _read_set(args.set, GridSet2)
+    _need(args, "epsilon", "eta")
     nu = AngleMeasure.uniform(_angle_scale(args.nu_cells))
     exp = projection_theorem_experiment(E, nu, args.epsilon, args.eta, args.angles,
                                         threads=args.threads, energy_kappa=args.kappa)
-    print(f"good_mass={exp.good_mass!r} threshold={exp.threshold!r} "
-          f"lambda={min(1.0, E.scale.delta ** args.epsilon)!r}")
+    lam = min(1.0, E.scale.delta ** args.epsilon)
+    print(f"good_mass={exp.good_mass!r} threshold={exp.threshold!r} lambda={lam!r}")
     print(f"nonconcentration C={exp.nonconcentration.constant!r} at kappa=1")
-    if args.out:
-        lam = min(1.0, E.scale.delta ** args.epsilon)
-        good = set(float(t) for t in exp.good_angles)
-        rows = [[r.theta, r.projection_count, r.adversarial_count,
-                 int(float(r.theta) in good)] for r in exp.report.records]
-        gridio.write_csv(args.out, ["theta", "projection_count", "adversarial_count", "good"],
-                         rows, _echo(cfg, command="experiment projection", lam=lam,
-                                     angles=args.angles))
+    good = {float(t) for t in exp.good_angles}
+    _report(args, "experiment projection",
+            ["theta", "projection_count", "adversarial_count", "good"],
+            ([r.theta, r.projection_count, r.adversarial_count, int(float(r.theta) in good)]
+             for r in exp.report.records),
+            lam=lam, angles=args.angles)
     return 0
 
 
@@ -506,11 +443,9 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    import csv as _csv
-
     with open(args.path, "r", encoding="utf-8") as fh:
         first = fh.readline().rstrip("\n")
-        reader = _csv.reader(fh)
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
@@ -541,9 +476,8 @@ def _cmd_report(args) -> int:
     for r in rows:
         print(f"{r[0]}: count={r[1]} min={r[2]!r} median={r[3]!r} max={r[4]!r}"
               if r[2] != "" else f"{r[0]}: count={r[1]} (non-numeric)")
-    if args.out:
-        gridio.write_csv(args.out, ["column", "count", "min", "median", "max"], rows,
-                         _echo(_config(args), command="report summary", source=args.path))
+    _report(args, "report summary", ["column", "count", "min", "median", "max"], rows,
+            source=args.path)
     return 0
 
 
@@ -658,7 +592,7 @@ def main(argv=None) -> int:
         if getattr(args, "out_required", False) and not args.out:
             raise PreconditionError(f"{args.command}: --out is required")
         return args.fn(args)
-    except PreconditionError as exc:
+    except (PreconditionError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except InternalCheckError as exc:

@@ -11,25 +11,11 @@ Covering numbers are occupied-cell counts.  The cell count agrees with
 the least number of delta-balls needed to cover the set up to a factor
 of 2 per dimension, and every inequality exercised downstream tolerates
 absolute constants, so the exact count is the more useful convention.
-
-Non-concentration scans probe closed balls centered at occupied cell
-centers, at dyadic radii delta, 2*delta, 4*delta, ... up to the first
-radius reaching the diameter.  Ball mass is the exact Lebesgue overlap
-with the cell union; since ball edges land on cell centers, boundary
-cells contribute exactly half and everything stays in integer half-cell
-units.  In 2D the ball is the sup-norm square of half-side r (constants
-versus Euclidean balls differ by at most sqrt(2)**kappa).
-
-Two normalization conventions coexist for "the" non-concentration
-constant: the set-relative one (ball mass divided by total mass of the
-set, then by r**kappa) and the raw measure one (mass of a probability
-measure divided by r**kappa).  `measure` exposes both; FrostmanReport records
-which convention produced it.  They coincide for uniform measure on a
-set, and the single shared scan engine guarantees that exactly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
@@ -140,6 +126,19 @@ def _window(frame: tuple, origin: tuple, shape: tuple) -> tuple:
     return tuple(slice(o - f, o - f + n) for f, o, n in zip(frame, origin, shape))
 
 
+def _overlap_box(origin_a: tuple, shape_a: tuple, origin_b: tuple, shape_b: tuple):
+    """(frame, here_a, here_b) for two arrays placed at `origin_a` and
+    `origin_b`: the first cell of the box where their boxes overlap and
+    the slices selecting that box in each array; None when the boxes are
+    disjoint."""
+    frame = tuple(map(max, origin_a, origin_b))
+    shape = tuple(min(p + m, q + n) - f for f, p, q, m, n
+                  in zip(frame, origin_a, origin_b, shape_a, shape_b))
+    if min(shape) <= 0:
+        return None
+    return frame, _window(origin_a, frame, shape), _window(origin_b, frame, shape)
+
+
 def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
     """Constructor checks shared by sets and measures: at most MAX_SPAN
     cells, a nonzero entry on every border of a nonempty array (both ends
@@ -213,14 +212,12 @@ class _CellSet:
         _require(self.scale == other.scale, "operands must share one scale")
         if self.is_empty or other.is_empty:
             return None
-        mine, theirs = _origin(self.offset, self._ndim), _origin(other.offset, other._ndim)
-        frame = tuple(map(max, mine, theirs))
-        shape = tuple(min(p + m, q + n) - f for f, p, q, m, n
-                      in zip(frame, mine, theirs, self.bits.shape, other.bits.shape))
-        if min(shape) <= 0:
+        box = _overlap_box(_origin(self.offset, self._ndim), self.bits.shape,
+                           _origin(other.offset, other._ndim), other.bits.shape)
+        if box is None:
             return None
-        return (frame, self.bits[_window(mine, frame, shape)],
-                other.bits[_window(theirs, frame, shape)])
+        frame, here, there = box
+        return frame, self.bits[here], other.bits[there]
 
     def union(self, other):
         _require(self.scale == other.scale, "operands must share one scale")
@@ -309,7 +306,8 @@ class GridSet1(_CellSet):
 
         Ranges with monotone starts (every dilation's, the Cantor
         intervals', a set's neighbourhoods) merge with their neighbours in
-        one pass, and only the covered cells are painted.  Unsorted ranges
+        one pass, and the occupancy array is repeated out of the pieces and
+        the gaps between them, with no temporary per cell.  Unsorted ranges
         (graph sums, product covers, projections) are painted through a
         difference array over the whole span, which costs less than
         sorting them first.
@@ -324,12 +322,11 @@ class GridSet1(_CellSet):
             reach = np.maximum.accumulate(k_last)
             # range t opens a new piece unless it overlaps or abuts the cells so far
             opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
-            starts = k_first[np.concatenate(([0], opens))] - lo
-            lengths = reach[np.concatenate((opens - 1, [reach.size - 1]))] - lo + 1 - starts
-            before = np.concatenate(([0], np.cumsum(lengths[:-1])))
-            bits = np.zeros(span, dtype=bool)
-            bits[np.repeat(starts - before, lengths) + np.arange(int(lengths.sum()))] = True
-            return cls(scale, lo, bits)
+            # piece t is [edges[2t], edges[2t+1]); the gap after it ends at edges[2t+2]
+            edges = np.stack((k_first[np.concatenate(([0], opens))],
+                              reach[np.concatenate((opens - 1, [reach.size - 1]))] + 1),
+                             axis=1).reshape(-1)
+            return cls(scale, lo, np.repeat(np.arange(edges.size - 1) % 2 == 0, np.diff(edges)))
         diff = (np.bincount(k_first - lo, minlength=span + 1)
                 - np.bincount(k_last - lo + 1, minlength=span + 1))
         return cls(scale, lo, np.cumsum(diff)[:-1] > 0)
@@ -439,14 +436,6 @@ class GridSet2(_CellSet):
         return cls(scale, (0, 0), np.zeros((0, 0), dtype=bool))
 
     @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
-
-    @property
     def indices(self) -> np.ndarray:
         """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i);
         computed once, read-only."""
@@ -465,24 +454,6 @@ class GridSet2(_CellSet):
                 f"shape={self.bits.shape})")
 
 
-@dataclass(frozen=True)
-class FrostmanReport:
-    """Outcome of a non-concentration scan.
-
-    constant is the worst (largest) ratio found; witness_center is the
-    cell index (int, or (i, j) pair in 2D) and witness_radius the dyadic
-    radius where it occurred.  convention is "set" when mass was
-    normalized by the total mass of the set, "measure" when the raw
-    measure was used.
-    """
-
-    kappa: float
-    constant: float
-    witness_center: object
-    witness_radius: float
-    convention: str
-
-
 def make_interval(scale: Scale, lo, hi) -> GridSet1:
     """Cells covering [lo, hi) for delta-aligned rational endpoints."""
     flo, fhi = as_fraction(lo), as_fraction(hi)
@@ -493,6 +464,8 @@ def make_interval(scale: Scale, lo, hi) -> GridSet1:
     ilo, ihi = int(flo * u), int(fhi * u)
     _require(ilo < ihi, f"empty interval [{flo}, {fhi})")
     _require(max(abs(ilo), abs(ihi)) < MAX_INDEX, "interval endpoints out of guarded range")
+    _require(ihi - ilo <= MAX_SPAN,
+             f"cell span {ihi - ilo} exceeds dense-representation cap {MAX_SPAN}")
     return GridSet1(scale, ilo, np.ones(ihi - ilo, dtype=bool))
 
 
@@ -573,7 +546,9 @@ def neighborhood(S, r) -> "GridSet1 | GridSet2":
     k = int(k_f)
     if S.is_empty or k == 0:
         return S
-    _require(2 * k < MAX_SPAN, f"cell span exceeds dense-representation cap {MAX_SPAN}")
+    # the grown box, checked before any array of its size is made
+    _require(math.prod(m + 2 * k for m in S.bits.shape) <= MAX_SPAN,
+             f"cell span exceeds dense-representation cap {MAX_SPAN}")
     if isinstance(S, GridSet1):
         return GridSet1.from_ranges(S.scale, S.indices - k, S.indices + k)
     if isinstance(S, GridSet2):
@@ -599,5 +574,7 @@ def cartesian_product(A: GridSet1, B: GridSet1) -> GridSet2:
     _require(A.scale == B.scale, "operands must share one scale")
     if A.is_empty or B.is_empty:
         return GridSet2.empty(A.scale)
+    cells = A.bits.size * B.bits.size
+    _require(cells <= MAX_SPAN, f"cell span {cells} exceeds dense-representation cap {MAX_SPAN}")
     bits = np.outer(B.bits, A.bits)
     return GridSet2(A.scale, (A.offset, B.offset), bits)

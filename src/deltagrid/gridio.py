@@ -57,8 +57,12 @@ def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
         lines.append("GS1 v1")
         lines.append(f"n={S.scale.n}")
         lines.append(f"offset={S.offset}")
-        starts, ends = _runs(S.indices)
-        lines += [f"{a}-{b}" for a, b in zip(starts.tolist(), ends.tolist())]
+        # Run t is [edges[2t], edges[2t+1]), read off the bits with no array
+        # per cell: trimmed bits start and end set, so runs open at the
+        # offset and then flip at every change.
+        flips = (np.flatnonzero(S.bits[1:] != S.bits[:-1]) + 1 + S.offset).tolist()
+        edges = [S.offset, *flips, S.offset + S.bits.size] if S.bits.size else []
+        lines += [f"{a}-{b - 1}" for a, b in zip(edges[0::2], edges[1::2])]
     elif isinstance(S, GridSet2):
         lines.append("GS2 v1")
         lines.append(f"n={S.scale.n}")

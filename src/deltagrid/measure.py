@@ -8,6 +8,20 @@ centered at a cell center cuts boundary cells exactly in half, so every
 scan below works in integer half-cell (1D) or quarter-cell (2D) units
 with no rounding ambiguity.
 
+Non-concentration scans probe closed balls centered at occupied cell
+centers, at dyadic radii delta, 2*delta, 4*delta, ... up to the first
+radius reaching the diameter.  In 2D the ball is the sup-norm square of
+half-side r (constants versus Euclidean balls differ by at most
+sqrt(2)**kappa).
+
+Two normalization conventions coexist for "the" non-concentration
+constant: the set-relative one (ball mass divided by total mass of the
+set, then by r**kappa, from `nonconcentration_constant`) and the raw
+measure one (mass of a probability measure divided by r**kappa, from
+`frostman_constant`).  FrostmanReport records which convention produced
+it.  They coincide for uniform measure on a set, and the single shared
+scan engine guarantees that exactly.
+
 Energy convention: pair distance is max(delta, |center - center|), so
 the diagonal contributes delta**-s and single-cell measures have finite
 energy.  On the lattice the energy is delta**-s * sum_d acorr(w)[d] *
@@ -40,8 +54,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (FrostmanReport, GridSet1, GridSet2, MAX_SPAN, Scale, as_fraction,
-                   make_interval, _check_cells, _crop, _offset, _origin, _require, _window)
+from .grid import (GridSet1, GridSet2, MAX_SPAN, Scale, as_fraction, make_interval,
+                   _check_cells, _crop, _offset, _origin, _overlap_box, _require)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -137,6 +151,24 @@ class DyadicMeasure2(_CellMeasure):
 
 # the cell-set type of each measure type
 _SUPPORT_TYPE = {DyadicMeasure1: GridSet1, DyadicMeasure2: GridSet2}
+
+
+@dataclass(frozen=True)
+class FrostmanReport:
+    """Outcome of a non-concentration scan.
+
+    constant is the worst (largest) ratio found; witness_center is the
+    cell index (int, or (i, j) pair in 2D) and witness_radius the dyadic
+    radius where it occurred.  convention is "set" when mass was
+    normalized by the total mass of the set, "measure" when the raw
+    measure was used.
+    """
+
+    kappa: float
+    constant: float
+    witness_center: object
+    witness_radius: float
+    convention: str
 
 
 @dataclass(frozen=True)
@@ -527,14 +559,11 @@ def condition(mu, S):
     _require(isinstance(S, set_type), f"conditioning set must be a {set_type.__name__}")
     _require(mu.scale == S.scale, "operands must share one scale")
     w = np.zeros_like(mu.weights)
-    if not S.is_empty:
-        mine, theirs = _origin(mu.offset, w.ndim), _origin(S.offset, w.ndim)
-        lo = tuple(map(max, mine, theirs))
-        shape = tuple(min(p + m, q + n) - l for l, p, q, m, n
-                      in zip(lo, mine, theirs, w.shape, S.bits.shape))
-        if min(shape) > 0:
-            here = _window(mine, lo, shape)
-            w[here] = mu.weights[here] * S.bits[_window(theirs, lo, shape)]
+    box = None if S.is_empty else _overlap_box(_origin(mu.offset, w.ndim), w.shape,
+                                               _origin(S.offset, w.ndim), S.bits.shape)
+    if box is not None:
+        _, here, there = box
+        w[here] = mu.weights[here] * S.bits[there]
     kept = float(np.sum(w))
     _require(kept > 0, "conditioning set carries no mass")
     return type(mu).from_weights(mu.scale, mu.offset, w / kept)

@@ -40,7 +40,7 @@ import enum
 
 import numpy as np
 
-from .grid import GridSet1, GridSet2, MAX_INDEX, Scale, _require, _runs, as_fraction
+from .grid import GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, Scale, _require, _runs, as_fraction
 
 
 class SumSemantics(enum.Enum):
@@ -85,9 +85,11 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     # consecutive shifts is built by doubling: log(length) big-int ops.
     # Each distinct (length, start % 8) segment becomes bytes once and is
     # ORed in place into one buffer at byte start // 8.
+    nbits = big.bits.size + small.bits.size  # sum span, plus the COVER cell
+    span = nbits - (semantics is SumSemantics.INDEX)
+    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
     starts, ends = _runs(small.indices - small.offset)
     lengths = ends + 1 - starts
-    nbits = big.bits.size + small.bits.size  # sum span, plus the COVER cell
     buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
     doubled = {}
     segments = {}

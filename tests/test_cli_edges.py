@@ -1,0 +1,132 @@
+"""Every subcommand at the edges of its input domain ends cleanly: exit
+code 0, or exit code 1 with an `error:` line, and never an escaped
+exception such as a MemoryError from an array sized before its guard.
+
+One child process caps its own address space at 1 GiB, so an allocation
+that a guard should have refused fails there instead of on the host, and
+runs the whole table through `deltagrid.cli.main`.
+"""
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+MAX_INDEX = 1 << 62
+MAX_SPAN = 1 << 26
+BIG = 1 << 30
+
+FILES = {
+    "one.gs1": "GS1 v1\nn=4\noffset=3\n3-3\n",
+    "a.gs1": "GS1 v1\nn=2\noffset=0\n0-3\n",
+    "sq.gs2": "GS2 v1\nn=2\noffset=0,0\nrows=4\n" + "".join(f"row={j}:0-3\n" for j in range(4)),
+    "empty.gs1": "",
+    "trunc.gs1": "GS1 v1\nn=4\n",
+    "trunc.gs2": "GS2 v1\nn=4\noffset=0,0\nrows=3\nrow=0:0-",
+    "empty.dm1": "",
+    "trunc.dm1": "DM1 v1\nn=4\n",
+    "empty.csv": "",
+    "trunc.csv": '# {"seed": 0}\n',
+    "latin1.gs1": "GS1 v1\nn=4\noffset=0\n0-\xff\n",
+    "latin1.dm1": "DM1 v1\nn=4\noffset=0\n0 \xff\n",
+    "latin1.csv": "# {}\n\xff,\xfe\n",
+}
+
+CASES = [
+    # n = 30
+    "gen interval --n 30 --a 0 --b 1 --out x.gs1",
+    "gen interval --n 30 --a 0 --b 1/8 --out x.gs1",
+    f"gen interval --n 30 --a 0 --b 1/{BIG} --out p30.gs1",
+    "gen cantor --n 30 --out x.gs1",
+    "gen frostman --n 30 --kappa 0.5 --out x.gs1",
+    "gen square --n 30 --set p30.gs1 --out p30.gs2",
+    "experiment expander --set one.gs1 --xres 30 --candidates 1:2",
+    f"verify addcomb --n 30 --cases 2 --span {BIG}",
+    "project sweep --set p30.gs2 --angles 4",
+    # endpoints near +-MAX_INDEX
+    f"gen interval --n 0 --a {MAX_INDEX - 4} --b {MAX_INDEX - 1} --out hi.gs1",
+    f"gen interval --n 0 --a {-MAX_INDEX + 8} --b {-MAX_INDEX + 11} --out lo.gs1",
+    f"gen interval --n 0 --a {MAX_INDEX - 4} --b {MAX_INDEX + 1} --out x.gs1",
+    "op sum --set hi.gs1 --out x.gs1",
+    "op diff --set hi.gs1 --set2 lo.gs1 --out x.gs1",
+    "op reflect --set lo.gs1 --out x.gs1",
+    "op dilate --set hi.gs1 --factor 2 --out x.gs1",
+    "op nfold --set lo.gs1 --count 3 --out x.gs1",
+    "op product --set hi.gs1 --out x.gs1",
+    "gen square --n 0 --set hi.gs1 --set2 lo.gs1 --out hl.gs2",
+    "project shadow --set hl.gs2 --theta 0.7 --out x.gs1",
+    "measure frostman --set hi.gs1 --kappa 0.5",
+    "measure energy --set hl.gs2 --sigma 0.5",
+    "lattice blichfeldt --set hl.gs2",
+    # spans at MAX_SPAN and MAX_SPAN + 1
+    "gen interval --n 26 --a 0 --b 1 --out span.gs1",
+    f"gen interval --n 26 --a 0 --b {MAX_SPAN + 1}/{MAX_SPAN} --out x.gs1",
+    "op sum --set span.gs1 --out x.gs1",
+    "op reflect --set span.gs1 --out x.gs1",
+    "gen interval --n 26 --a 0 --b 1/2 --out half.gs1",
+    "op sum --set half.gs1 --out x.gs1",
+    # gen square beyond the cap
+    "gen square --n 13 --out x.gs2",
+    "gen square --n 14 --out x.gs2",
+    "gen square --n 16 --out x.gs2",
+    # factors at 2**30
+    f"op dilate --set a.gs1 --factor {BIG} --out x.gs1",
+    f"op dilate --set a.gs1 --factor 1/{BIG} --out x.gs1",
+    f"op graphsum --set sq.gs2 --factor {BIG} --out x.gs1",
+    f"op graphsum --set sq.gs2 --factor {BIG} --semantics cover --out x.gs1",
+    f"experiment expander --set a.gs1 --xres 0 --candidates 1:{BIG}",
+    f"lattice blichfeldt --set sq.gs2 --modulus 1/{BIG}",
+    f"lattice blichfeldt --set sq.gs2 --modulus {BIG}",
+    # empty and truncated files
+    "op reflect --set empty.gs1 --out x.gs1",
+    "op reflect --set trunc.gs1 --out x.gs1",
+    "project sweep --set trunc.gs2",
+    "measure energy --set empty.gs1 --sigma 0.5",
+    "measure energy --measure empty.dm1 --sigma 0.5",
+    "measure maximal --measure trunc.dm1 --kappa 0.5",
+    "report empty.csv",
+    "report trunc.csv",
+    "op reflect --set missing.gs1 --out x.gs1",
+    "report .",
+    "op reflect --set latin1.gs1 --out x.gs1",
+    "measure energy --measure latin1.dm1 --sigma 0.5",
+    "report latin1.csv",
+    # outputs the command needs
+    "measure uniform --set a.gs1",
+    "measure rescale --set a.gs1 --kappa 0.5",
+    "project shadow --set sq.gs2",
+]
+
+CHILD = textwrap.dedent("""
+    import contextlib, io, json, resource, sys, time
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+    from deltagrid.cli import main
+    results = []
+    for argv in json.load(sys.stdin):
+        err = io.StringIO()
+        t0 = time.perf_counter()
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv.split())
+        except BaseException as exc:
+            code = f"escaped {type(exc).__name__}: {exc}"[:200]
+        results.append([argv, code, err.getvalue(), time.perf_counter() - t0])
+    json.dump(results, sys.__stdout__)
+""")
+
+
+def test_edge_arguments_end_in_a_clean_exit(tmp_path):
+    for name, text in FILES.items():
+        (tmp_path / name).write_text(text, encoding="latin-1")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(CASES),
+                          capture_output=True, text=True, cwd=tmp_path, env=env,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    bad = []
+    for argv, code, err, seconds in json.loads(proc.stdout):
+        clean = code == 0 or (code == 1 and err.startswith("error: "))
+        if not clean or seconds > 10:
+            bad.append((argv, code, err[:120], round(seconds, 2)))
+    assert bad == []

@@ -3,13 +3,17 @@ and the non-concentration scan."""
 import array
 import itertools
 import math
+import os
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
+from deltagrid import (MAX_SPAN, DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
                        PreconditionError, Scale, cartesian_product, covering_number, gen_cantor,
                        gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
@@ -113,6 +117,46 @@ def test_neighborhood():
         for k in (1 << 25, 1 << 70):
             with pytest.raises(PreconditionError):
                 neighborhood(E, k * d)
+
+
+@pytest.mark.parametrize("build", [
+    lambda: make_interval(Scale(26), 0, Fraction(MAX_SPAN + 1, MAX_SPAN)),
+    lambda: cartesian_product(*[make_interval(Scale(13), 0, Fraction(8193, 8192))] * 2),
+], ids=["interval", "product"])
+def test_span_refused_before_allocating(build):
+    # one cell past the cap: refused before the 64 MiB array is made
+    tracemalloc.start()
+    try:
+        with pytest.raises(PreconditionError, match="exceeds dense-representation cap"):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_neighborhood_box_refused_before_allocating():
+    # The grown box of one cell at k = 2**12 holds 8193**2 > MAX_SPAN cells;
+    # sized as int64 before a check it takes over 1 GiB, so the child caps
+    # its own address space there and reports what it raised.
+    code = textwrap.dedent("""
+        import resource, tracemalloc
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from deltagrid import GridSet1, Scale, cartesian_product, neighborhood
+        one = GridSet1.from_indices(Scale(4), [5])
+        E = cartesian_product(one, one)
+        tracemalloc.start()
+        try:
+            neighborhood(E, (1 << 12) * Scale(4).delta)
+        except Exception as exc:
+            print(type(exc).__name__, tracemalloc.get_traced_memory()[1])
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    name, peak = out.stdout.split()
+    assert name == "PreconditionError" and int(peak) < 1 << 20
 
 
 def test_neighborhood_growth_bound():
