@@ -26,8 +26,7 @@ from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
                       maximal_interval, nonconcentration_constant, rescale_to_unit,
                       uniform_on)
 from .project import AngleMeasure, SweepReport, sweep
-from .setcalc import (SumSemantics, diffset, dilate, nfold_product, nfold_sum,
-                      sumset)
+from .setcalc import SumSemantics, diffset, dilate, nfold_product, nfold_sum, sumsets
 
 
 @dataclass(frozen=True)
@@ -135,12 +134,14 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
 
 
 def _sweep_candidates(A: GridSet1, xs):
-    """COVER ratios |A + xA| / |A| for each rational x, in order."""
+    """COVER ratios |A + xA| / |A| for each rational x of the list xs, in
+    order; A is the fixed operand of one `sumsets` pass."""
     n = A.scale.n
     logd = n * math.log(2.0)
     records = []
-    for x in xs:
-        ratio = sumset(A, dilate(A, x), SumSemantics.COVER).count / A.count
+    sums = sumsets(A, (dilate(A, x) for x in xs), SumSemantics.COVER)
+    for x, S in zip(xs, sums):
+        ratio = S.count / A.count
         expo = math.log(ratio) / logd if n > 0 else 0.0
         records.append(ExpanderRecord(x=x, ratio=ratio, exponent=expo))
     return records
@@ -159,6 +160,8 @@ def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
     """Sweep x over the cell centers of candidates, maximizing the
     covering ratio |A + xA| / |A|.
 
+    The sums run through one `sumsets` pass with A as the fixed operand,
+    so A's mask and shifted segments are built once for all candidates.
     threads is accepted and ignored: the candidates run in order on the
     calling thread, since the big-int and small numpy work of one
     candidate holds the GIL and a pool of threads measured slower.
@@ -195,9 +198,9 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
     nun = nu.scale.n
     ts = [Fraction(2 * int(i) + 1, 2 << nun)
           for i in np.flatnonzero(nu.weights > 0) + nu.offset]
-    renorm_records = _sweep_candidates(A, ts)
-    xs = [mi.x0 + mi.r0 * t for t in ts]
-    records = _sweep_candidates(A, xs)
+    # both sweeps in one pass, so A's segments serve the zoomed and mapped x
+    both = _sweep_candidates(A, ts + [mi.x0 + mi.r0 * t for t in ts])
+    renorm_records, records = both[:len(ts)], both[len(ts):]
     return ExpansionReport(records=tuple(records), best=_best(records),
                            kappa=kappa, frostman=rep, degenerate=degenerate,
                            renorm_records=tuple(renorm_records))

@@ -143,13 +143,14 @@ def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
     """Constructor checks shared by sets and measures: at most MAX_SPAN
     cells, a nonzero entry on every border of a nonempty array (both ends
     in 1D, the first and last row and column in 2D), and every cell index
-    within +-MAX_INDEX."""
+    inside (-MAX_INDEX, MAX_INDEX) on each axis.  Any sum of two such
+    indices, and of one with a cell span, fits int64."""
     _require(arr.size <= MAX_SPAN, f"cell span {arr.size} exceeds dense-representation cap {MAX_SPAN}")
     if arr.size:
         ends = ((arr[0], arr[-1]) if arr.ndim == 1 else
                 (arr[0].any(), arr[-1].any(), arr[:, 0].any(), arr[:, -1].any()))
         _require(all(ends), f"{name} must be trimmed (a nonzero entry on every border)")
-    _require(max(map(abs, origin)) + max(arr.shape) <= MAX_INDEX,
+    _require(all(-MAX_INDEX < o and o + m <= MAX_INDEX for o, m in zip(origin, arr.shape)),
              "cell indices out of guarded range")
 
 
@@ -463,7 +464,7 @@ def make_interval(scale: Scale, lo, hi) -> GridSet1:
                  f"endpoint {name}={f} is not a multiple of delta=2**-{scale.n}")
     ilo, ihi = int(flo * u), int(fhi * u)
     _require(ilo < ihi, f"empty interval [{flo}, {fhi})")
-    _require(max(abs(ilo), abs(ihi)) < MAX_INDEX, "interval endpoints out of guarded range")
+    _require(-MAX_INDEX < ilo and ihi <= MAX_INDEX, "interval endpoints out of guarded range")
     _require(ihi - ilo <= MAX_SPAN,
              f"cell span {ihi - ilo} exceeds dense-representation cap {MAX_SPAN}")
     return GridSet1(scale, ilo, np.ones(ihi - ilo, dtype=bool))

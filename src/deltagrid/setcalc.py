@@ -20,10 +20,12 @@ OR of the run's shifts is built by doubling.  Each distinct (run length,
 start mod 8) segment is turned into bytes once and ORed in place into a
 single preallocated byte buffer at byte start // 8, so no run copies
 the growing result.  The buffer is unpacked once, and the COVER cell is
-added by one shifted OR on the unpacked bits.  Difference sets are sums
-with the reflected operand (COVER then moves one cell left).  A naive
-double-loop implementation is kept behind method="naive" as a test
-oracle.
+added by one shifted OR on the unpacked bits.  The mask and its doubled
+and shifted segments depend on the mask operand alone, so `sumsets`
+builds them once for a fixed operand and a stream of others (the
+expander's dilation sweep).  Difference sets are sums with the reflected
+operand (COVER then moves one cell left).  A naive double-loop
+implementation is kept behind method="naive" as a test oracle.
 
 Products and rational dilations leave the lattice, so covers are
 computed from interval endpoints held in scaled integer units
@@ -48,18 +50,58 @@ class SumSemantics(enum.Enum):
     COVER = "cover"
 
 
-def _check_bounds(*sets: GridSet1) -> None:
-    total = 0
-    for s in sets:
-        total += max(abs(s.min_index), abs(s.max_index))
-    _require(total < MAX_INDEX, "sum indices would leave the guarded integer range")
-
-
 def _require_linear_range(terms, what: str) -> None:
     """Bound sum |a| * b over (a, b) terms in Python ints, before an int64
     product of magnitude up to that sum is formed, so it cannot wrap."""
     _require(sum(abs(int(a)) * int(b) for a, b in terms) < MAX_INDEX,
              f"{what} would leave the guarded integer range")
+
+
+def _sum_bits(A: GridSet1, B: GridSet1, semantics: SumSemantics) -> int:
+    """Checks A + B before anything is allocated; returns the bits the
+    kernel builds (the sum span plus the COVER cell), 0 for an empty operand."""
+    _require(A.scale == B.scale, "operands must share one scale")
+    if A.is_empty or B.is_empty:
+        return 0
+    cover = semantics is SumSemantics.COVER
+    _require(A.min_index + B.min_index > -MAX_INDEX
+             and A.max_index + B.max_index + cover < MAX_INDEX,
+             "sum indices would leave the guarded integer range")
+    nbits = A.bits.size + B.bits.size
+    _require(nbits - (not cover) <= MAX_SPAN,
+             f"cell span {nbits - (not cover)} exceeds dense-representation cap {MAX_SPAN}")
+    return nbits
+
+
+def _sum_kernel(M: GridSet1, mask: int, memo: dict, B: GridSet1,
+                semantics: SumSemantics, nbits: int) -> GridSet1:
+    """M + B from M's mask and B's runs.  memo holds, per run length, the
+    OR of the mask's shifts (log(length) doublings) and, per (length,
+    start % 8), its bytes; it depends on M alone, so sums sharing M share it."""
+    starts, ends = _runs(B.indices - B.offset)
+    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    for start, length in zip(starts.tolist(), (ends + 1 - starts).tolist()):
+        key = (length, start & 7)
+        seg = memo.get(key)
+        if seg is None:
+            run = memo.get(length)
+            if run is None:
+                run = mask
+                d = 1
+                while d < length:
+                    step = min(d, length - d)
+                    run |= run << step
+                    d += step
+                memo[length] = run
+            shifted = run << (start & 7)
+            seg = memo[key] = np.frombuffer(
+                shifted.to_bytes((shifted.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+        b = start >> 3
+        buf[b:b + seg.size] |= seg
+    bits = np.unpackbits(buf, count=nbits, bitorder="little").view(bool)
+    if semantics is SumSemantics.COVER:
+        bits[1:] |= bits[:-1]
+    return GridSet1.from_bits(M.scale, M.offset + B.offset, bits)
 
 
 def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX,
@@ -69,52 +111,30 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     INDEX: {i + j}.  COVER: exact cell cover of the Minkowski sum of
     the cell unions, i.e. {i + j, i + j + 1}.
     """
-    _require(A.scale == B.scale, "operands must share one scale")
     _require(method in ("bitmask", "naive"), f"unknown method {method!r}")
-    if A.is_empty or B.is_empty:
+    nbits = _sum_bits(A, B, semantics)
+    if not nbits:
         return GridSet1.empty(A.scale)
-    _check_bounds(A, B)
     if method == "naive":
         out = {int(i) + int(j) for i in A.indices for j in B.indices}
         if semantics is SumSemantics.COVER:
             out |= {v + 1 for v in out}
         return GridSet1.from_indices(A.scale, sorted(out))
     small, big = (A, B) if A.count <= B.count else (B, A)
-    bigmask = big.to_mask()
-    # per maximal run [start, start+length) of the small set, the OR of
-    # consecutive shifts is built by doubling: log(length) big-int ops.
-    # Each distinct (length, start % 8) segment becomes bytes once and is
-    # ORed in place into one buffer at byte start // 8.
-    nbits = big.bits.size + small.bits.size  # sum span, plus the COVER cell
-    span = nbits - (semantics is SumSemantics.INDEX)
-    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-    starts, ends = _runs(small.indices - small.offset)
-    lengths = ends + 1 - starts
-    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
-    doubled = {}
-    segments = {}
-    for start, length in zip(starts.tolist(), lengths.tolist()):
-        key = (length, start & 7)
-        seg = segments.get(key)
-        if seg is None:
-            run = doubled.get(length)
-            if run is None:
-                run = bigmask
-                d = 1
-                while d < length:
-                    step = min(d, length - d)
-                    run |= run << step
-                    d += step
-                doubled[length] = run
-            shifted = run << (start & 7)
-            seg = segments[key] = np.frombuffer(
-                shifted.to_bytes((shifted.bit_length() + 7) // 8, "little"), dtype=np.uint8)
-        b = start >> 3
-        buf[b:b + seg.size] |= seg
-    bits = np.unpackbits(buf, count=nbits, bitorder="little").view(bool)
-    if semantics is SumSemantics.COVER:
-        bits[1:] |= bits[:-1]
-    return GridSet1.from_bits(A.scale, small.offset + big.offset, bits)
+    return _sum_kernel(big, big.to_mask(), {}, small, semantics, nbits)
+
+
+def sumsets(A: GridSet1, Bs, semantics: SumSemantics = SumSemantics.INDEX):
+    """Yield sumset(A, B, semantics) for each B of the iterable Bs, in order.
+
+    A is always the mask operand: its mask, doubled runs and byte segments
+    are built once for all of Bs.  Each B is checked as sumset checks it,
+    before its sum is allocated.
+    """
+    mask, memo = A.to_mask(), {}
+    for B in Bs:
+        nbits = _sum_bits(A, B, semantics)
+        yield _sum_kernel(A, mask, memo, B, semantics, nbits) if nbits else GridSet1.empty(A.scale)
 
 
 def reflect(A: GridSet1) -> GridSet1:

@@ -7,10 +7,11 @@ import pytest
 from fractions import Fraction
 
 from deltagrid import (AngleMeasure, GridSet1, GridSet2, PreconditionError,
-                       Scale, cartesian_product, dilate, exhaust_decompose,
-                       find_expander, gen_cantor, make_interval,
+                       Scale, SumSemantics, cartesian_product, dilate,
+                       exhaust_decompose, find_expander, gen_cantor,
+                       gen_random_frostman, make_interval,
                        nfold_expansion_curve, projection_theorem_experiment,
-                       renormalized_find_expander, uniform_on)
+                       renormalized_find_expander, sumset, uniform_on)
 
 
 def test_curve_full_interval():
@@ -105,6 +106,21 @@ def test_expander_ratio_bounds():
             # each cell pair covers two target cells under closed sums
             D = dilate(A, r.x)
             assert r.ratio * A.count <= 2 * A.count * D.count + 1e-9
+
+
+def test_sweeps_match_per_candidate_sums_at_benchmark_size():
+    """Every record of both sweeps is |A + xA| / |A| from a fresh COVER sum."""
+    cantor = gen_cantor(Scale(16), 4, (0, 3), 8)
+    frostman = gen_random_frostman(Scale(13), 0.6, 5)
+    assert np.diff(frostman.indices).min() == 1 < np.diff(frostman.indices).max()
+    for A in (cantor, frostman):
+        reps = (find_expander(A, make_interval(Scale(8), 1, 2)),
+                renormalized_find_expander(A, uniform_on(A), 0.5))
+        assert len(reps[0].records) == 256
+        for records in (reps[0].records, reps[1].records, reps[1].renorm_records):
+            assert records
+            for r in records:
+                assert r.ratio == sumset(A, dilate(A, r.x), SumSemantics.COVER).count / A.count
 
 
 def test_renorm_uniform_reduces_to_direct():

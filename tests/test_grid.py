@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (MAX_SPAN, DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
+from deltagrid import (MAX_INDEX, MAX_SPAN, DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
                        PreconditionError, Scale, cartesian_product, covering_number, gen_cantor,
                        gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
@@ -440,6 +440,32 @@ def test_from_indices_rejects_indices_beyond_int64():
             build()
     # unsigned input inside int64 is taken as is
     assert GridSet1.from_indices(Scale(4), np.array([3, 1], dtype=np.uint64)).indices.tolist() == [1, 3]
+
+
+def test_cell_range_bounded_exactly_on_each_axis():
+    """Cells inside (-MAX_INDEX, MAX_INDEX) on each axis are accepted, at
+    either end and at any span; a cell at +-MAX_INDEX is refused."""
+    M, sc = MAX_INDEX, Scale(4)
+    for lo, hi in ((1 - M, 6 - M), (M - 6, M - 1)):
+        assert GridSet1.from_indices(sc, [lo, hi]).offset == lo
+        assert GridSet1.from_ranges(sc, np.array([lo]), np.array([hi])).count == 6
+        assert make_interval(Scale(0), lo, hi + 1).offset == lo  # endpoints in cells at n=0
+        E = GridSet2.from_indices(sc, [(lo, -hi), (hi, -lo)])
+        assert E.offset == (lo, -hi) and E.bits.shape == (6, 6)
+        assert DyadicMeasure1(sc, lo, np.full(6, 1 / 6)).offset == lo
+        assert DyadicMeasure2(sc, (-hi, lo), np.full((6, 6), 1 / 36)).offset == (-hi, lo)
+    for build in (lambda: GridSet1.from_indices(sc, [-M, 5 - M]),
+                  lambda: GridSet1.from_indices(sc, [M - 1, M]),
+                  lambda: make_interval(Scale(0), -M, 2 - M),
+                  lambda: make_interval(Scale(0), M - 2, M + 1),
+                  lambda: GridSet2.from_indices(sc, [(-M, 0)]),
+                  lambda: GridSet2.from_indices(sc, [(0, M)]),
+                  lambda: DyadicMeasure1(sc, -M, np.ones(1)),
+                  lambda: DyadicMeasure1(sc, M - 5, np.full(6, 1 / 6)),
+                  lambda: DyadicMeasure2(sc, (0, -M), np.ones((1, 1))),
+                  lambda: DyadicMeasure2(sc, (M - 5, 0), np.full((1, 6), 1 / 6))):
+        with pytest.raises(PreconditionError, match="guarded range"):
+            build()
 
 
 def test_indices_computed_once_read_only():

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (GridSet1, GridSet2, PreconditionError, Scale,
-                       SumSemantics, diffset, dilate, gen_cantor, graph_sum,
-                       make_interval, nfold_product, nfold_sum, reflect, sumset)
+from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionError,
+                       Scale, SumSemantics, diffset, dilate, gen_cantor, graph_sum,
+                       make_interval, nfold_product, nfold_sum, reflect, sumset,
+                       sumsets)
+from deltagrid.grid import _runs
 
 IDX = SumSemantics.INDEX
 COV = SumSemantics.COVER
@@ -311,3 +313,69 @@ def _runs_set(n, base, rng, residues):
 def test_scale_mismatch_rejected():
     with pytest.raises(PreconditionError):
         sumset(_set(3, [0]), _set(4, [0]), IDX)
+
+
+def test_sumsets_match_sumset_and_naive():
+    rng = np.random.default_rng(12)
+    n = 12
+    A = _runs_set(n, -300, rng, range(8))
+    # sets of twelve 1-3 cell runs at varied residues mod 8, whose
+    # (length, start % 8) keys repeat earlier ones and add new ones, then
+    # wider sets with more cells and many more runs than A
+    short = [_set(n, int(rng.integers(-2000, 2000))
+                  + np.concatenate([np.arange(p, p + int(rng.integers(1, 4)))
+                                    for p in np.cumsum(rng.integers(5, 12, size=12))]))
+             for _ in range(6)]
+    wide = [_set(n, int(rng.integers(-3000, 3000)) + rng.choice(1500, size=k, replace=False))
+            for k in (400, 900)]
+    Bs = [*short[:3], wide[0], GridSet1.empty(Scale(n)), _set(n, [5]), *short[3:],
+          wide[1], A, _runs_set(n, 700, rng, [0, 3, 5, 1, 7, 2, 6, 4])]
+    assert min(B.count for B in Bs if not B.is_empty) < A.count < wide[0].count
+    assert max(_runs(B.indices)[0].size for B in Bs) > _runs(A.indices)[0].size
+    seen = [_run_keys(B) for B in Bs]
+    reused = [bool(seen[t] & set().union(*seen[:t])) for t in range(1, len(Bs))]
+    fresh = [bool(seen[t] - set().union(*seen[:t])) for t in range(1, len(Bs))]
+    assert sum(reused) >= 8 and sum(fresh) >= 5, (reused, fresh)
+    for fixed in (A, _set(n, [-7]), _set(n, [1234])):
+        for sem in (IDX, COV):
+            got = list(sumsets(fixed, iter(Bs), sem))
+            assert len(got) == len(Bs)
+            for B, S in zip(Bs, got):
+                assert S == sumset(fixed, B, sem) == sumset(fixed, B, sem, method="naive")
+    assert list(sumsets(GridSet1.empty(Scale(n)), Bs[:3], COV)) == [GridSet1.empty(Scale(n))] * 3
+
+
+def _run_keys(S):
+    """The (length, start % 8) keys of S's runs, starts taken from S's first cell."""
+    starts, ends = _runs(S.indices - S.offset)
+    return set(zip((ends + 1 - starts).tolist(), (starts % 8).tolist()))
+
+
+def test_sumsets_check_each_operand_before_allocating():
+    A = _set(6, [0, 3])
+    sums = sumsets(A, [_set(6, [1]), _set(5, [1]), _set(6, [2])], IDX)
+    assert next(sums) == _set(6, [1, 4])
+    with pytest.raises(PreconditionError, match="share one scale"):
+        next(sums)
+    half = _set(6, [0, MAX_SPAN // 2])  # span MAX_SPAN/2 + 1: A + A spans MAX_SPAN + 1
+    sums = sumsets(half, [GridSet1.empty(Scale(6)), half, _set(6, [2])], IDX)
+    assert next(sums).is_empty
+    with pytest.raises(PreconditionError, match="dense-representation cap"):
+        next(sums)
+
+
+def test_sum_range_guard_is_exact():
+    M = MAX_INDEX
+    # every result cell inside (-MAX_INDEX, MAX_INDEX) is allowed, and no other
+    assert sumset(_set(30, [M - 10]), _set(30, [9]), IDX).indices.tolist() == [M - 1]
+    assert sumset(_set(30, [M - 10]), _set(30, [8]), COV).indices.tolist() == [M - 2, M - 1]
+    assert sumset(_set(30, [10 - M]), _set(30, [-9]), IDX).indices.tolist() == [1 - M]
+    for a, b, sem in ((M - 10, 10, IDX), (M - 10, 9, COV), (10 - M, -10, IDX)):
+        with pytest.raises(PreconditionError, match="guarded integer range"):
+            sumset(_set(30, [a]), _set(30, [b]), sem)
+    # near +MAX_INDEX a set reflects to near -MAX_INDEX, so A - A is allowed
+    A = _set(30, [M - 10, M - 5])
+    assert reflect(A).indices.tolist() == [5 - M, 10 - M]
+    for sem, want in ((IDX, [-5, 0, 5]), (COV, [-6, -5, -1, 0, 4, 5])):
+        assert diffset(A, A, sem).indices.tolist() == want
+        assert diffset(A, A, sem) == diffset(A, A, sem, method="naive")
