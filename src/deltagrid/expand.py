@@ -12,6 +12,7 @@ numbers, only against their own calibrated history.
 from __future__ import annotations
 
 import math
+import operator
 # Unused here since the candidate sweep runs on the calling thread; the
 # benchmark's tracer (perfbench/tracing.py) rebinds this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -135,33 +136,24 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
 
 def _sweep_candidates(A: GridSet1, xs):
     """COVER ratios |A + xA| / |A| for each rational x of the list xs, in
-    order; A is the fixed operand of one `sumsets` pass."""
+    order, from one `sumsets` pass; each sum is dropped once counted."""
     n = A.scale.n
     logd = n * math.log(2.0)
     records = []
     sums = sumsets(A, (dilate(A, x) for x in xs), SumSemantics.COVER)
-    for x, S in zip(xs, sums):
-        ratio = S.count / A.count
+    for x, count in zip(xs, map(operator.attrgetter("count"), sums)):
+        ratio = count / A.count
         expo = math.log(ratio) / logd if n > 0 else 0.0
         records.append(ExpanderRecord(x=x, ratio=ratio, exponent=expo))
     return records
 
 
-def _best(records) -> ExpanderRecord:
-    best = records[0]
-    for r in records[1:]:
-        if r.ratio > best.ratio:
-            best = r
-    return best
-
-
 def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
                   kappa: float | None = None) -> ExpansionReport:
     """Sweep x over the cell centers of candidates, maximizing the
-    covering ratio |A + xA| / |A|.
+    covering ratio |A + xA| / |A|, in one `sumsets` pass that builds A's
+    mask and shifted segments once for all candidates.
 
-    The sums run through one `sumsets` pass with A as the fixed operand,
-    so A's mask and shifted segments are built once for all candidates.
     threads is accepted and ignored: the candidates run in order on the
     calling thread, since the big-int and small numpy work of one
     candidate holds the GIL and a pool of threads measured slower.
@@ -172,7 +164,7 @@ def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
     xs = [Fraction(2 * int(i) + 1, 2 << cn) for i in candidates.indices]
     records = _sweep_candidates(A, xs)
     fr = nonconcentration_constant(A, kappa) if kappa is not None else None
-    return ExpansionReport(records=tuple(records), best=_best(records),
+    return ExpansionReport(records=tuple(records), best=max(records, key=lambda r: r.ratio),
                            kappa=kappa, frostman=fr)
 
 
@@ -201,7 +193,7 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
     # both sweeps in one pass, so A's segments serve the zoomed and mapped x
     both = _sweep_candidates(A, ts + [mi.x0 + mi.r0 * t for t in ts])
     renorm_records, records = both[:len(ts)], both[len(ts):]
-    return ExpansionReport(records=tuple(records), best=_best(records),
+    return ExpansionReport(records=tuple(records), best=max(records, key=lambda r: r.ratio),
                            kappa=kappa, frostman=rep, degenerate=degenerate,
                            renorm_records=tuple(renorm_records))
 

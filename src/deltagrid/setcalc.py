@@ -22,10 +22,11 @@ single preallocated byte buffer at byte start // 8, so no run copies
 the growing result.  The buffer is unpacked once, and the COVER cell is
 added by one shifted OR on the unpacked bits.  The mask and its doubled
 and shifted segments depend on the mask operand alone, so `sumsets`
-builds them once for a fixed operand and a stream of others (the
-expander's dilation sweep).  Difference sets are sums with the reflected
-operand (COVER then moves one cell left).  A naive double-loop
-implementation is kept behind method="naive" as a test oracle.
+keeps them, up to a fixed budget, for a fixed operand and a stream of
+others (the expander's dilation sweep).  Difference sets are sums with
+the reflected operand (COVER then moves one cell left).  A naive
+double-loop implementation is kept behind method="naive" as a test
+oracle.
 
 Products and rational dilations leave the lattice, so covers are
 computed from interval endpoints held in scaled integer units
@@ -73,12 +74,17 @@ def _sum_bits(A: GridSet1, B: GridSet1, semantics: SumSemantics) -> int:
     return nbits
 
 
+# Bytes of doubled runs and segments `sumsets` keeps: an n=16 expander sweep
+# of a short-run set needs 1.4 MiB, an n=20 one about 16 MiB.
+_MEMO_BYTES = 1 << 24
+
+
 def _sum_kernel(M: GridSet1, mask: int, memo: dict, B: GridSet1,
                 semantics: SumSemantics, nbits: int) -> GridSet1:
     """M + B from M's mask and B's runs.  memo holds, per run length, the
     OR of the mask's shifts (log(length) doublings) and, per (length,
     start % 8), its bytes; it depends on M alone, so sums sharing M share it."""
-    starts, ends = _runs(B.indices - B.offset)
+    starts, ends = _runs(np.flatnonzero(B.bits))
     buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
     for start, length in zip(starts.tolist(), (ends + 1 - starts).tolist()):
         key = (length, start & 7)
@@ -127,14 +133,21 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
 def sumsets(A: GridSet1, Bs, semantics: SumSemantics = SumSemantics.INDEX):
     """Yield sumset(A, B, semantics) for each B of the iterable Bs, in order.
 
-    A is always the mask operand: its mask, doubled runs and byte segments
-    are built once for all of Bs.  Each B is checked as sumset checks it,
-    before its sum is allocated.
+    A is always the mask operand: its mask is built once, and its doubled
+    runs and byte segments serve every B with a run of the same (length,
+    start % 8) until they pass _MEMO_BYTES and are dropped.  Each B is
+    checked as sumset checks it, before its sum is allocated.
     """
-    mask, memo = A.to_mask(), {}
+    mask, memo, kept = A.to_mask(), {}, 0
     for B in Bs:
         nbits = _sum_bits(A, B, semantics)
+        old = len(memo)
         yield _sum_kernel(A, mask, memo, B, semantics, nbits) if nbits else GridSet1.empty(A.scale)
+        kept += sum(v.nbytes if isinstance(v, np.ndarray) else v.bit_length() >> 3
+                    for v in list(memo.values())[old:])
+        if kept > _MEMO_BYTES:
+            memo, kept = {}, 0
+        del B  # not held while the next B is made
 
 
 def reflect(A: GridSet1) -> GridSet1:

@@ -65,6 +65,9 @@ CASES = [
     "op reflect --set span.gs1 --out x.gs1",
     "gen interval --n 26 --a 0 --b 1/2 --out half.gs1",
     "op sum --set half.gs1 --out x.gs1",
+    # an expander sweep whose dilations each add a run length of 2**20+ cells
+    "gen interval --n 20 --a 0 --b 1 --out i20.gs1",
+    "experiment expander --set i20.gs1 --xres 4",
     # gen square beyond the cap
     "gen square --n 13 --out x.gs2",
     "gen square --n 14 --out x.gs2",

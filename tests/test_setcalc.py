@@ -1,6 +1,7 @@
 """Sumset calculus tests: the two semantics, exact covers for dilation
 and products, graph sums, and bitmask-vs-naive equivalence."""
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionErro
                        Scale, SumSemantics, diffset, dilate, gen_cantor, graph_sum,
                        make_interval, nfold_product, nfold_sum, reflect, sumset,
                        sumsets)
+from deltagrid import setcalc
 from deltagrid.grid import _runs
 
 IDX = SumSemantics.INDEX
@@ -362,6 +364,22 @@ def test_sumsets_check_each_operand_before_allocating():
     assert next(sums).is_empty
     with pytest.raises(PreconditionError, match="dense-representation cap"):
         next(sums)
+
+
+def test_sumsets_memory_stays_flat_over_new_run_lengths():
+    # an interval of 2**20 cells against 300 intervals of distinct lengths:
+    # each sum adds two new values of 128 KB, so keeping all would hold 75 MiB
+    A = make_interval(Scale(0), 0, 1 << 20)
+    lengths = range(1, 301)
+    Bs = (make_interval(Scale(0), -7 * L, -6 * L) for L in lengths)
+    tracemalloc.start()
+    try:
+        counts = [S.count for S in sumsets(A, Bs, COV)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == [A.count + L for L in lengths]
+    assert peak < setcalc._MEMO_BYTES + (8 << 20), peak
 
 
 def test_sum_range_guard_is_exact():
