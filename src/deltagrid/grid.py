@@ -154,12 +154,15 @@ def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
              "cell indices out of guarded range")
 
 
-def _runs(idx: np.ndarray):
-    """Maximal runs of an ascending integer array as inclusive (starts,
-    ends) arrays; both are empty for an empty array."""
-    breaks = np.flatnonzero(idx[1:] > idx[:-1] + 1)
-    return (np.concatenate((idx[:1], idx[1:][breaks])),
-            np.concatenate((idx[:-1][breaks], idx[-1:])))
+def _runs(bits: np.ndarray) -> np.ndarray:
+    """Maximal runs of set entries of a trimmed 1D boolean array (empty, or
+    first and last entries set): row 0 their starts, row 1 their inclusive
+    ends.  A run opens at 0, then each flip alternately closes and opens one."""
+    if not bits.size:
+        return np.zeros((2, 0), dtype=np.int64)
+    edges = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [bits.size]))
+    edges[1::2] -= 1
+    return edges.reshape(-1, 2).T
 
 
 class _CellSet:
@@ -347,6 +350,17 @@ class GridSet1(_CellSet):
         return idx
 
     @property
+    def runs(self) -> np.ndarray:
+        """The maximal runs of cells, ascending: row 0 their first and row 1
+        their last absolute cell index; computed once, read-only."""
+        out = self.__dict__.get("_runs")
+        if out is None:
+            out = _runs(self.bits) + self.offset
+            out.setflags(write=False)
+            object.__setattr__(self, "_runs", out)
+        return out
+
+    @property
     def min_index(self) -> int:
         _require(not self.is_empty, "empty set has no cells")
         return self.offset
@@ -455,6 +469,13 @@ class GridSet2(_CellSet):
                 f"shape={self.bits.shape})")
 
 
+def _cover(scale: Scale, lo, hi, q: int, closed) -> GridSet1:
+    """The cells meeting intervals of positive length from lo to hi, in
+    delta/q units (cell k is [k*q, (k+1)*q)): the last one holds hi where
+    the supremum is attained (`closed`, bool or bool array), else hi - 1."""
+    return GridSet1.from_ranges(scale, lo // q, np.where(closed, hi, hi - 1) // q)
+
+
 def make_interval(scale: Scale, lo, hi) -> GridSet1:
     """Cells covering [lo, hi) for delta-aligned rational endpoints."""
     flo, fhi = as_fraction(lo), as_fraction(hi)
@@ -498,7 +519,7 @@ def gen_cantor(scale: Scale, base: int, digits: Iterable[int], levels: int) -> G
         ms = (ms[:, None] * base + darr).reshape(-1)
     u = 1 << scale.n
     # ms ascending -> both endpoints nondecreasing; touching covers merge
-    return GridSet1.from_ranges(scale, (ms * u) // bl, ((ms + 1) * u - 1) // bl)
+    return _cover(scale, ms * u, (ms + 1) * u, bl, False)
 
 
 def gen_random_frostman(scale: Scale, kappa: float, seed: int) -> GridSet1:
@@ -551,23 +572,27 @@ def neighborhood(S, r) -> "GridSet1 | GridSet2":
     _require(math.prod(m + 2 * k for m in S.bits.shape) <= MAX_SPAN,
              f"cell span exceeds dense-representation cap {MAX_SPAN}")
     if isinstance(S, GridSet1):
-        return GridSet1.from_ranges(S.scale, S.indices - k, S.indices + k)
+        return GridSet1.from_ranges(S.scale, S.runs[0] - k, S.runs[1] + k)
     if isinstance(S, GridSet2):
-        grown = _dilate_axis(S.bits.astype(np.int64), k, axis=1)
-        grown = _dilate_axis(grown, k, axis=0)
-        return GridSet2.from_bits(S.scale, (S.offset[0] - k, S.offset[1] - k), grown > 0)
+        h, w = S.bits.shape
+        grown = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
+        grown[k:k + h, k:k + w] = S.bits
+        _grow(grown[k:k + h], k)  # only the set's rows meet it along x
+        _grow(grown.T, k)
+        return GridSet2(S.scale, (S.offset[0] - k, S.offset[1] - k), grown)
     raise PreconditionError(f"unsupported operand type {type(S).__name__}")
 
 
-def _dilate_axis(arr: np.ndarray, k: int, axis: int) -> np.ndarray:
-    if axis == 0:
-        return _dilate_axis(arr.T, k, axis=1).T
-    h, w = arr.shape
-    ext = np.zeros((h, w + 2 * k), dtype=np.int64)
-    ext[:, k:k + w] = arr
-    P = np.concatenate((np.zeros((h, 1), dtype=np.int64), np.cumsum(ext, axis=1)), axis=1)
-    i = np.arange(ext.shape[1])
-    return P[:, np.minimum(i + k + 1, ext.shape[1])] - P[:, np.maximum(i - k, 0)]
+def _grow(bits: np.ndarray, k: int) -> None:
+    """ORs into each entry of a 2D boolean array, in place, those within k
+    along its rows: once each holds its window of radius r, shifts by
+    s <= r + 1 each way widen it to r + s with no gap."""
+    r = 0
+    while r < k:
+        s = min(r + 1, k - r)
+        bits[:, s:] |= bits[:, :-s]  # numpy buffers the overlapping operand
+        bits[:, :-s] |= bits[:, s:]
+        r += s
 
 
 def cartesian_product(A: GridSet1, B: GridSet1) -> GridSet2:

@@ -30,7 +30,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require, _runs
+from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _box, _require, _runs
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
@@ -57,12 +57,7 @@ def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
         lines.append("GS1 v1")
         lines.append(f"n={S.scale.n}")
         lines.append(f"offset={S.offset}")
-        # Run t is [edges[2t], edges[2t+1]), read off the bits with no array
-        # per cell: trimmed bits start and end set, so runs open at the
-        # offset and then flip at every change.
-        flips = (np.flatnonzero(S.bits[1:] != S.bits[:-1]) + 1 + S.offset).tolist()
-        edges = [S.offset, *flips, S.offset + S.bits.size] if S.bits.size else []
-        lines += [f"{a}-{b - 1}" for a, b in zip(edges[0::2], edges[1::2])]
+        lines += [f"{a}-{b}" for a, b in zip(*S.runs.tolist())]
     elif isinstance(S, GridSet2):
         lines.append("GS2 v1")
         lines.append(f"n={S.scale.n}")
@@ -70,11 +65,10 @@ def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
         lines.append(f"offset={ox},{oy}")
         lines.append(f"rows={S.bits.shape[0]}")
         for jr, row in enumerate(S.bits):
-            cols = np.flatnonzero(row)
-            if cols.size:  # skipping empty rows keeps sparse sets fast
-                starts, ends = _runs(cols + ox)
-                lines += [f"row={oy + jr}:{a}-{b}"
-                          for a, b in zip(starts.tolist(), ends.tolist())]
+            box = _box(row)
+            if box:  # skipping empty rows keeps sparse sets fast
+                starts, ends = (_runs(row[box]) + (ox + box[0].start)).tolist()
+                lines += [f"row={oy + jr}:{a}-{b}" for a, b in zip(starts, ends)]
     else:
         raise PreconditionError(f"cannot serialize {type(S).__name__}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

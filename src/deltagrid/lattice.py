@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, _require, _runs, as_fraction
+from .grid import GridSet1, GridSet2, Scale, _require, as_fraction
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -222,7 +222,7 @@ def _interval_union_minkowski(runs_a, runs_b):
 def _scaled_runs(A: GridSet1, factor: Fraction):
     """Closed-form intervals of factor * A (union of scaled runs)."""
     delta = Fraction(1, 1 << A.scale.n)
-    starts, ends = _runs(A.indices)
+    starts, ends = A.runs
     out = []
     for a, b in zip(starts.tolist(), ends.tolist()):
         lo = factor * a * delta

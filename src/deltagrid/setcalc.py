@@ -28,13 +28,13 @@ the reflected operand (COVER then moves one cell left).  A naive
 double-loop implementation is kept behind method="naive" as a test
 oracle.
 
-Products and rational dilations leave the lattice, so covers are
-computed from interval endpoints held in scaled integer units
-(delta**2 for products, delta/q for dilation by p/q).  Half-open cells
-mean an image's supremum may or may not be attained; attainedness is
-tracked through the corner arithmetic because it decides whether the
-final boundary cell belongs to the cover.  The cell ranges are painted
-by `GridSet1.from_ranges`.
+Products, rational dilations and graph sums leave the lattice, so
+covers are computed from interval endpoints in scaled integer units
+(delta**2 for products, delta/q for a factor p/q).  A cover of a union
+is the union of the covers, so a dilation covers one interval per run
+and a product one per pair of runs; graph sums stay per cell.  Whether
+an image's supremum is attained decides its last cell: `grid._cover`
+holds that one rule and paints the ranges by `GridSet1.from_ranges`.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import enum
 
 import numpy as np
 
-from .grid import GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, Scale, _require, _runs, as_fraction
+from .grid import GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, _cover, _require, _runs, as_fraction
 
 
 class SumSemantics(enum.Enum):
@@ -84,7 +84,7 @@ def _sum_kernel(M: GridSet1, mask: int, memo: dict, B: GridSet1,
     """M + B from M's mask and B's runs.  memo holds, per run length, the
     OR of the mask's shifts (log(length) doublings) and, per (length,
     start % 8), its bytes; it depends on M alone, so sums sharing M share it."""
-    starts, ends = _runs(np.flatnonzero(B.bits))
+    starts, ends = _runs(B.bits)
     buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
     for start, length in zip(starts.tolist(), (ends + 1 - starts).tolist()):
         key = (length, start & 7)
@@ -177,15 +177,17 @@ def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.IND
     return base if semantics is SumSemantics.INDEX else base.translate(-1)
 
 
+def _reach(A: GridSet1) -> int:  # the largest |cell end| of A
+    return max(abs(A.min_index), abs(A.max_index)) + 1
+
+
 def dilate(A: GridSet1, x) -> GridSet1:
     """Exact cell cover of x*A for rational x != 0.
 
-    Endpoints of x*[i*delta, (i+1)*delta) are held in delta/q units
+    Each run [s, e + 1) of A maps to one interval, held in delta/q units
     (x = p/q reduced), so the boundary-cell decision is integer-exact.
-    The left endpoint's cell always enters the cover; the right
-    endpoint's cell enters only when the supremum is attained, which
-    for half-open cells happens exactly when x < 0 (the closed end
-    i*delta maps to the image's max).
+    Its supremum is attained exactly when x < 0 (the closed end s*delta
+    maps to the image's max), and only then is the right end's cell in.
     """
     fx = as_fraction(x)
     _require(fx != 0, "dilation factor must be nonzero")
@@ -193,19 +195,12 @@ def dilate(A: GridSet1, x) -> GridSet1:
     _require(max(abs(p), q) <= (1 << 30), "dilation factor exceeds guarded magnitude 2**30")
     if A.is_empty:
         return A
-    idx = A.indices
-    _require_linear_range(((p, int(np.abs(idx).max()) + 1),), "dilated indices")
-    if p > 0:
-        lo = p * idx          # attained (cell's closed left end)
-        hi = p * (idx + 1)    # not attained
-        hi_incl = False
-    else:
-        lo = p * (idx + 1)    # not attained
-        hi = p * idx          # attained
-        hi_incl = True
-    k_first = lo // q
-    k_last = hi // q if hi_incl else (hi - 1) // q
-    return GridSet1.from_ranges(A.scale, k_first, k_last)
+    _require_linear_range(((p, _reach(A)),), "dilated indices")
+    starts, ends = A.runs
+    lo, hi = p * starts, p * (ends + 1)
+    if p < 0:
+        lo, hi = hi, lo
+    return _cover(A.scale, lo, hi, q, p < 0)
 
 
 def nfold_sum(A: GridSet1, N: int, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
@@ -223,34 +218,22 @@ def nfold_sum(A: GridSet1, N: int, semantics: SumSemantics = SumSemantics.INDEX)
     return acc
 
 
-def _product_cover_pairs(scale: Scale, idx_p: np.ndarray, idx_a: np.ndarray) -> GridSet1:
-    """Cover of the pointwise product of two cell unions.
-
-    Works in delta**2 units: the product of cells i and j has corner
-    values {i*j, i*(j+1), (i+1)*j, (i+1)*(j+1)} there, and a corner is
-    attained only when both factors sit at their closed left ends.
-    Output cell k covers [k*2**n, (k+1)*2**n) in those units.
+def _product_cover_pairs(P: GridSet1, A: GridSet1) -> GridSet1:
+    """Cover of the pointwise product of two cell unions, pair of runs by
+    pair of runs, in delta**2 units: runs [a, b) of P and [c, d) of A give
+    corners {a*c, a*d, b*c, b*d}, and output cell k is [k*2**n, (k+1)*2**n).
     """
-    _require_linear_range(((int(np.abs(idx_p).max()) + 1, int(np.abs(idx_a).max()) + 1),),
-                          "product indices")
-    u = 1 << scale.n
-    ii = np.repeat(idx_p, idx_a.size)
-    jj = np.tile(idx_a, idx_p.size)
-    c = np.empty((4, ii.size), dtype=np.int64)
-    c[0] = ii * jj
-    c[1] = ii * (jj + 1)
-    c[2] = (ii + 1) * jj
-    c[3] = (ii + 1) * (jj + 1)
-    lo = c.min(axis=0)
-    hi = c.max(axis=0)
+    _require_linear_range(((_reach(P), _reach(A)),), "product indices")
+    (s1, e1), (s2, e2) = P.runs, A.runs
+    a, b = np.repeat(s1, s2.size), np.repeat(e1 + 1, s2.size)
+    c, d = np.tile(s2, s1.size), np.tile(e2 + 1, s1.size)
+    corners = np.stack((a * c, a * d, b * c, b * d))
+    hi = corners.max(axis=0)
     # Corner 0 is the only corner both of whose factors sit at their
-    # closed ends, so it is the only attainable extremum.  Single-point
-    # images cannot occur: the corners of a positive-area box under
-    # (x, y) -> x*y never all coincide.
-    hi_att = hi == c[0]
-    k_first = np.floor_divide(lo, u)
-    k_last = np.where(hi_att, np.floor_divide(hi, u), np.floor_divide(hi - 1, u))
-    return GridSet1.from_ranges(scale, k_first, k_last.astype(np.int64))
+    # closed left ends, and xy has no maximum inside a box, so the supremum
+    # is attained exactly when corner 0 reaches it.  The corners of a
+    # positive-area box never all coincide, so no image is a single point.
+    return _cover(P.scale, corners.min(axis=0), hi, 1 << P.scale.n, hi == corners[0])
 
 
 def nfold_product(A: GridSet1, N: int) -> GridSet1:
@@ -265,7 +248,7 @@ def nfold_product(A: GridSet1, N: int) -> GridSet1:
     _require(not A.is_empty, "product of an empty set")
     acc = A
     for _ in range(N - 1):
-        acc = _product_cover_pairs(A.scale, acc.indices, A.indices)
+        acc = _product_cover_pairs(acc, A)
     return acc
 
 
@@ -280,11 +263,10 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
     """
     fx = as_fraction(x)
     _require(not G.is_empty, "graph sum of an empty graph")
-    pairs = G.indices
-    ii = pairs[:, 0].astype(np.int64)
-    jj = pairs[:, 1].astype(np.int64)
-    imax = int(np.abs(ii).max())
-    jmax = int(np.abs(jj).max())
+    (ox, oy), (h, w) = G.offset, G.bits.shape
+    imax = max(abs(ox), abs(ox + w - 1))
+    jmax = max(abs(oy), abs(oy + h - 1))
+    ii, jj = G.indices.T
     if semantics is SumSemantics.INDEX:
         _require(fx.denominator == 1, "INDEX graph sum needs integer x")
         xv = int(fx)
@@ -293,12 +275,7 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
     p, q = fx.numerator, fx.denominator
     _require(max(abs(p), q) <= (1 << 30), "graph-sum factor exceeds guarded magnitude 2**30")
     _require_linear_range(((q, imax + 1), (p, jmax + 1)), "graph-sum endpoints")
-    if p > 0:
-        lo = ii * q + p * jj
-        hi = (ii + 1) * q + p * (jj + 1)
-    else:
-        lo = ii * q + p * (jj + 1)
-        hi = (ii + 1) * q + p * jj
-    k_first = lo // q
-    k_last = (hi - 1) // q
-    return GridSet1.from_ranges(G.scale, k_first, k_last)
+    # the image of cells i and j starts at i*q + p*j (p > 0) or i*q + p*(j+1)
+    # and spans q + |p| units
+    lo = ii * q + p * (jj if p > 0 else jj + 1)
+    return _cover(G.scale, lo, lo + q + abs(p), q, False)

@@ -180,6 +180,47 @@ def test_neighborhood_matches_set_oracle():
             want = sorted({int(i) + t for i in cells for t in range(-k, k + 1)})
             got = neighborhood(S, Fraction(k, 1 << n))
             assert got.indices.tolist() == want and got.offset == want[0]
+    # 2D: the sup-norm ball, from sparse and dense boxes, one cell, one row
+    # and one column, at radii up to past the box's own size
+    for _ in range(40):
+        n = int(rng.integers(0, 12))
+        base = rng.integers(-2 ** 40, 2 ** 40, size=2)
+        h, w = (int(v) for v in rng.integers(1, 12, size=2))
+        shape = [(h, w), (1, 1), (1, w), (h, 1)][int(rng.integers(0, 4))]
+        cells = base + np.argwhere(rng.random(shape) < rng.uniform(0.05, 0.9))[:, ::-1]
+        if not cells.size:
+            cells = base[None, :]
+        E = GridSet2.from_indices(Scale(n), cells)
+        for k in (1, 2, 3, 5, 13):
+            want = sorted({(int(i) + s, int(j) + t) for i, j in cells
+                           for s in range(-k, k + 1) for t in range(-k, k + 1)},
+                          key=lambda c: (c[1], c[0]))
+            got = neighborhood(E, Fraction(k, 1 << n))
+            assert [tuple(c) for c in got.indices.tolist()] == want
+            assert got == GridSet2.from_indices(Scale(n), want)
+
+
+def test_neighborhood_2d_at_the_cap_fits_in_1_gib():
+    # One cell at k = 4095 grows to an 8191 x 8191 box, just inside
+    # MAX_SPAN; an int64 copy of that box alone is 512 MiB, so the child
+    # caps its own address space at 1 GiB and reports what it made.
+    code = textwrap.dedent("""
+        import resource, time
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+        from deltagrid import GridSet1, Scale, cartesian_product, neighborhood
+        one = GridSet1.from_indices(Scale(4), [5])
+        t0 = time.perf_counter()
+        G = neighborhood(cartesian_product(one, one), 4095 * Scale(4).delta)
+        print(G.count, G.offset[0], G.offset[1], time.perf_counter() - t0)
+    """)
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, timeout=120)
+    assert out.returncode == 0, out.stderr[-400:]
+    count, ox, oy, seconds = out.stdout.split()
+    assert (int(count), int(ox), int(oy)) == (8191 ** 2, 5 - 4095, 5 - 4095)
+    assert float(seconds) < 10
 
 
 def test_nonconcentration_examples():
@@ -487,6 +528,35 @@ def test_indices_computed_once_read_only():
         (tuple(p) for p in E.indices.tolist()), key=lambda p: (p[1], p[0]))
     # a translate is a new set with its own indices
     assert np.array_equal(S.translate(5).indices, S.indices + 5)
+
+
+def _runs_of_indices(idx):
+    """Maximal runs of an ascending integer array as inclusive (starts, ends)."""
+    breaks = np.flatnonzero(idx[1:] > idx[:-1] + 1)
+    return (np.concatenate((idx[:1], idx[1:][breaks])),
+            np.concatenate((idx[:-1][breaks], idx[-1:])))
+
+
+def test_runs_computed_once_read_only():
+    rng = np.random.default_rng(13)
+    sets = [GridSet1.from_indices(Scale(12), [-7]),
+            GridSet1.from_indices(Scale(12), [MAX_INDEX - 1]),
+            make_interval(Scale(12), -3, 5),
+            GridSet1.empty(Scale(12))]
+    for _ in range(20):
+        base = int(rng.integers(-2 ** 40, 2 ** 40))
+        sets.append(GridSet1.from_indices(
+            Scale(12), base + rng.integers(0, 300, size=int(rng.integers(1, 200)))))
+    for S in sets:
+        first = S.runs
+        assert S.runs is first
+        for got, want in zip(first, _runs_of_indices(S.indices)):
+            assert got.dtype == np.int64 and got.flags.writeable is False
+            assert np.array_equal(got, want)
+            with pytest.raises(ValueError):
+                got[:1] = 0
+        assert S.runs[0].size == S.runs[1].size
+    assert S.translate(5).runs[0].tolist() == (S.runs[0] + 5).tolist()
 
 
 def _fresh_indices(X):

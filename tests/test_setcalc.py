@@ -12,7 +12,6 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionErro
                        make_interval, nfold_product, nfold_sum, reflect, sumset,
                        sumsets)
 from deltagrid import setcalc
-from deltagrid.grid import _runs
 
 IDX = SumSemantics.INDEX
 COV = SumSemantics.COVER
@@ -78,6 +77,29 @@ def test_dilate_inverse_contains():
         assert set(a.indices.tolist()) <= set(back.indices.tolist())
 
 
+def _dilate_per_cell(A, x):
+    """x*A covered one cell at a time, in delta/q units: the image of cell i
+    runs from p*i to p*(i+1), and its top end is attained only for x < 0."""
+    x = Fraction(x)
+    p, q = x.numerator, x.denominator
+    idx = A.indices
+    lo, hi = p * idx, p * (idx + 1)
+    if p < 0:
+        lo, hi = hi, lo
+    k_last = hi // q if p < 0 else (hi - 1) // q
+    return GridSet1.from_ranges(A.scale, lo // q, k_last)
+
+
+def _long_runs_set(n, base, rng):
+    """Two to six runs of 1 to 2**12 cells with gaps of 1 to 40 cells."""
+    cells, pos = [], base
+    for _ in range(int(rng.integers(2, 7))):
+        length = int(rng.choice([1, 2, 3, int(rng.integers(4, 1 << 12)), 1 << 12]))
+        cells.append(np.arange(pos, pos + length))
+        pos += length + int(rng.integers(1, 41))
+    return _set(n, np.concatenate(cells))
+
+
 def test_dilate_exact_cover_oracle():
     # every output cell must intersect x*(some input cell), and every
     # input cell's image must be covered; rational interval arithmetic
@@ -98,6 +120,33 @@ def test_dilate_exact_cover_oracle():
                     expect.add(k)
                 k += 1
         assert out == expect
+        assert dilate(a, x) == _dilate_per_cell(a, x)
+    # runs of up to 2**12 cells, runs across 0, offsets near +-2**40, and
+    # factors of either sign with denominators above 1, against the
+    # per-cell cover
+    for _ in range(40):
+        base = int(rng.choice([-(1 << 40), -3000, -5, 0, (1 << 40) - 9000]))
+        a = _long_runs_set(20, base + int(rng.integers(-50, 50)), rng)
+        x = Fraction(int(rng.integers(-1000, 1001)) or -1, int(rng.integers(2, 1000)))
+        for y in (x, -x, 1 / x, Fraction(x.numerator)):
+            assert dilate(a, y) == _dilate_per_cell(a, y), (a, y)
+    across = make_interval(Scale(12), Fraction(-5, 4), Fraction(3, 2))
+    assert across.min_index < 0 < across.max_index
+    for y in (Fraction(-7, 3), Fraction(5, 8), Fraction(-1, 4096), 3):
+        assert dilate(across, y) == _dilate_per_cell(across, y)
+
+
+def test_dilate_memory_grows_with_runs_not_cells():
+    # one run of 2**22 cells maps to one range: the peak is the 4 MiB input
+    # and the 12 MiB result, where int64 arrays per cell took 32 MiB each
+    tracemalloc.start()
+    try:
+        R = dilate(make_interval(Scale(22), 0, 1), 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert R == make_interval(Scale(22), 0, 3)
+    assert peak < 64 << 20, peak
 
 
 def test_nfold_sum():
@@ -121,18 +170,50 @@ def test_nfold_product():
     assert nfold_product(zero, 2).indices.tolist() == [0]
 
 
+def _product_cover_per_cell(P, A):
+    """Cover of the pointwise product of P and A, one pair of cells at a
+    time, in delta**2 units: corner 0 (both factors at their closed left
+    ends) is the only corner attained."""
+    ii = np.repeat(P.indices, A.count)
+    jj = np.tile(A.indices, P.count)
+    c = np.stack((ii * jj, ii * (jj + 1), (ii + 1) * jj, (ii + 1) * (jj + 1)))
+    lo, hi = c.min(axis=0), c.max(axis=0)
+    u = 1 << P.scale.n
+    k_last = np.where(hi == c[0], hi // u, (hi - 1) // u)
+    return GridSet1.from_ranges(P.scale, lo // u, k_last)
+
+
 def test_nfold_product_interval_oracle():
     # folded product of the cover of [1,2) against rational intervals
     for n in (3, 5, 8):
         A = make_interval(Scale(n), 1, 2)
+        acc = A
         for N in (2, 3):
             got = nfold_product(A, N)
+            acc = _product_cover_per_cell(acc, A)
+            assert got == acc
             # [1, 2^N) exactly: products of N values in [1,2)
             expect = make_interval(Scale(n), 1, 2 ** N)
             # product cover may shave the open top endpoint's cell
             assert set(got.indices.tolist()) <= set(expect.indices.tolist())
             assert got.min_index == expect.min_index
             assert got.count >= expect.count - 1
+    # runs of up to 2**12 cells, runs across 0, factors of either sign and
+    # one factor near +-2**40 against small ones, against the per-cell cover
+    rng = np.random.default_rng(9)
+    across = make_interval(Scale(6), Fraction(-5, 4), Fraction(3, 2))
+    assert across.min_index < 0 < across.max_index
+    for A in (across, _set(6, [-3, -1, 0, 2, 5]), reflect(across)):
+        assert nfold_product(A, 2) == _product_cover_per_cell(A, A)
+        assert nfold_product(A, 3) == _product_cover_per_cell(_product_cover_per_cell(A, A), A)
+    for _ in range(20):
+        base = int(rng.choice([-(1 << 40), -3000, -5, 0, (1 << 40) - 9000]))
+        # at n = 30 a factor near 2**40 scales the small one by about 2**10
+        n = 30 if abs(base) > 1 << 20 else int(rng.integers(0, 13))
+        P = _long_runs_set(n, base + int(rng.integers(-50, 50)), rng)
+        A = _set(n, rng.integers(-12, 12, size=int(rng.integers(1, 8))))
+        for X, Y in ((P, A), (A, P), (reflect(P), A)):
+            assert setcalc._product_cover_pairs(X, Y) == _product_cover_per_cell(X, Y)
 
 
 def test_graph_sum_examples():
@@ -333,7 +414,7 @@ def test_sumsets_match_sumset_and_naive():
     Bs = [*short[:3], wide[0], GridSet1.empty(Scale(n)), _set(n, [5]), *short[3:],
           wide[1], A, _runs_set(n, 700, rng, [0, 3, 5, 1, 7, 2, 6, 4])]
     assert min(B.count for B in Bs if not B.is_empty) < A.count < wide[0].count
-    assert max(_runs(B.indices)[0].size for B in Bs) > _runs(A.indices)[0].size
+    assert max(B.runs[0].size for B in Bs) > A.runs[0].size
     seen = [_run_keys(B) for B in Bs]
     reused = [bool(seen[t] & set().union(*seen[:t])) for t in range(1, len(Bs))]
     fresh = [bool(seen[t] - set().union(*seen[:t])) for t in range(1, len(Bs))]
@@ -349,8 +430,8 @@ def test_sumsets_match_sumset_and_naive():
 
 def _run_keys(S):
     """The (length, start % 8) keys of S's runs, starts taken from S's first cell."""
-    starts, ends = _runs(S.indices - S.offset)
-    return set(zip((ends + 1 - starts).tolist(), (starts % 8).tolist()))
+    starts, ends = S.runs
+    return set(zip((ends + 1 - starts).tolist(), ((starts - S.offset) % 8).tolist()))
 
 
 def test_sumsets_check_each_operand_before_allocating():
