@@ -12,7 +12,7 @@ from .grid import (MAX_DEPTH, MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale,
                    as_fraction, cartesian_product, covering_number, gen_cantor,
                    gen_random_frostman, make_interval, neighborhood)
 from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
-                      nfold_sum, reflect, sumset, sumsets)
+                      nfold_sum, reflect, sumset)
 from .measure import (DyadicMeasure1, DyadicMeasure2, FrostmanReport,
                       MaximalIntervalResult, condition, energy_bound_constant,
                       frostman_constant, maximal_interval, nonconcentration_constant,
@@ -57,6 +57,6 @@ __all__ = [
     "nonconcentration_constant", "project_measure", "project_set",
     "projection_theorem_experiment", "prune_heavy_cubes", "pushforward_affine",
     "read_gridset", "read_measure", "reflect", "renormalized_find_expander",
-    "rescale_to_unit", "riesz_energy", "slab_collision", "sumset", "sumsets",
-    "sweep", "uniform_on", "write_csv", "write_gridset", "write_measure",
+    "rescale_to_unit", "riesz_energy", "slab_collision", "sumset", "sweep",
+    "uniform_on", "write_csv", "write_gridset", "write_measure",
 ]

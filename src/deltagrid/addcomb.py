@@ -19,7 +19,6 @@ cap is tighter than what was achieved.
 
 from __future__ import annotations
 
-import hashlib
 import logging
 import math
 from dataclasses import dataclass
@@ -27,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, cartesian_product, _require
+from .grid import GridSet1, GridSet2, cartesian_product, _digest, _require
 from .setcalc import SumSemantics, diffset, graph_sum, sumset
 
 log = logging.getLogger(__name__)
@@ -67,22 +66,6 @@ class BsgExtractionError(RuntimeError):
     def __init__(self, message: str, best: BsgResult):
         super().__init__(message)
         self.best = best
-
-
-def _digest(*objs) -> str:
-    h = hashlib.sha256()
-    for obj in objs:
-        if isinstance(obj, GridSet1):
-            h.update(b"G1")
-            h.update(str((obj.scale.n, obj.offset)).encode())
-            h.update(np.packbits(obj.bits).tobytes())
-        elif isinstance(obj, GridSet2):
-            h.update(b"G2")
-            h.update(str((obj.scale.n, obj.offset, obj.bits.shape)).encode())
-            h.update(np.packbits(obj.bits.ravel()).tobytes())
-        else:
-            h.update(str(obj).encode())
-    return h.hexdigest()[:16]
 
 
 def _assert_record(rec: InequalityRecord) -> InequalityRecord:

@@ -12,7 +12,6 @@ numbers, only against their own calibrated history.
 from __future__ import annotations
 
 import math
-import operator
 # Unused here since the candidate sweep runs on the calling thread; the
 # benchmark's tracer (perfbench/tracing.py) rebinds this name.
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
@@ -22,12 +21,12 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, _require
+from .grid import GridSet1, GridSet2, _digest, _require
 from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
                       maximal_interval, nonconcentration_constant, rescale_to_unit,
                       uniform_on)
 from .project import AngleMeasure, SweepReport, sweep
-from .setcalc import SumSemantics, diffset, dilate, nfold_product, nfold_sum, sumsets
+from .setcalc import SumSemantics, diffset, dilated_sum_counts, nfold_product, nfold_sum
 
 
 @dataclass(frozen=True)
@@ -126,7 +125,8 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
         if has_one and prev is not None and m < prev * (1 - 1e-12):
             raise InternalCheckError(
                 f"expansion curve decreased at N={N} ({prev} -> {m}) despite "
-                f"1 being in K; padding embedding makes this impossible; bug")
+                f"1 being in K; padding embedding makes this impossible "
+                f"(inputs {_digest(K, N_max)}); bug")
         records.append((N, m))
         if first is None and m >= 0.5:
             first = N
@@ -136,12 +136,11 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
 
 def _sweep_candidates(A: GridSet1, xs):
     """COVER ratios |A + xA| / |A| for each rational x of the list xs, in
-    order, from one `sumsets` pass; each sum is dropped once counted."""
+    order, from one `dilated_sum_counts` pass."""
     n = A.scale.n
     logd = n * math.log(2.0)
     records = []
-    sums = sumsets(A, (dilate(A, x) for x in xs), SumSemantics.COVER)
-    for x, count in zip(xs, map(operator.attrgetter("count"), sums)):
+    for x, count in zip(xs, dilated_sum_counts(A, xs)):
         ratio = count / A.count
         expo = math.log(ratio) / logd if n > 0 else 0.0
         records.append(ExpanderRecord(x=x, ratio=ratio, exponent=expo))
@@ -151,8 +150,8 @@ def _sweep_candidates(A: GridSet1, xs):
 def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
                   kappa: float | None = None) -> ExpansionReport:
     """Sweep x over the cell centers of candidates, maximizing the
-    covering ratio |A + xA| / |A|, in one `sumsets` pass that builds A's
-    mask and shifted segments once for all candidates.
+    covering ratio |A + xA| / |A|, in one `dilated_sum_counts` pass that
+    builds A's mask and shifted segments once for all candidates.
 
     threads is accepted and ignored: the candidates run in order on the
     calling thread, since the big-int and small numpy work of one
@@ -186,7 +185,8 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
     if not degenerate and rep.constant > 2 + 1e-9:
         raise InternalCheckError(
             f"zoomed measure has ball constant {rep.constant} above 2 at "
-            f"exponent {kappa / 2}; maximality of the chosen interval forbids this; bug")
+            f"exponent {kappa / 2}; maximality of the chosen interval forbids this "
+            f"(inputs {_digest(A, mu, kappa)}); bug")
     nun = nu.scale.n
     ts = [Fraction(2 * int(i) + 1, 2 << nun)
           for i in np.flatnonzero(nu.weights > 0) + nu.offset]
@@ -258,17 +258,21 @@ def exhaust_decompose(E: GridSet2, finder, threshold: float,
         residual = residual.difference(F)
         if residual.is_empty:
             break
+
+    def bug(what: str) -> InternalCheckError:
+        # the finder is code, not data, so the digest names the data it was given
+        return InternalCheckError(f"{what} (inputs {_digest(E, threshold, min_fraction)}); bug")
+
     total = sum(p.count for p in pieces) + residual.count
     if total != E.count:
-        raise InternalCheckError(
-            f"decomposition lost cells: {total} != {E.count}; bug")
+        raise bug(f"decomposition lost cells: {total} != {E.count}")
     union = residual
     for p in pieces:
         if not union.intersect(p).is_empty:
-            raise InternalCheckError("decomposition pieces overlap; bug")
+            raise bug("decomposition pieces overlap")
         union = union.union(p)
     if union != E:
-        raise InternalCheckError("decomposition does not reassemble E; bug")
+        raise bug("decomposition does not reassemble E")
     return ExhaustionDecomposition(
         pieces=tuple(pieces), angle_sets=tuple(angle_sets), leftover=residual,
         weights=tuple(p.measure for p in pieces), threshold=threshold)

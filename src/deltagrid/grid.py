@@ -15,6 +15,7 @@ absolute constants, so the exact count is the more useful convention.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -34,6 +35,10 @@ MAX_INDEX = 1 << 62
 def _require(cond: bool, msg: str) -> None:
     if not cond:
         raise PreconditionError(msg)
+
+
+def _require_span(span: int) -> None:
+    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
 
 
 def as_fraction(x) -> Fraction:
@@ -145,7 +150,7 @@ def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
     in 1D, the first and last row and column in 2D), and every cell index
     inside (-MAX_INDEX, MAX_INDEX) on each axis.  Any sum of two such
     indices, and of one with a cell span, fits int64."""
-    _require(arr.size <= MAX_SPAN, f"cell span {arr.size} exceeds dense-representation cap {MAX_SPAN}")
+    _require_span(arr.size)
     if arr.size:
         ends = ((arr[0], arr[-1]) if arr.ndim == 1 else
                 (arr[0].any(), arr[-1].any(), arr[:, 0].any(), arr[:, -1].any()))
@@ -163,6 +168,29 @@ def _runs(bits: np.ndarray) -> np.ndarray:
     edges = np.concatenate(([0], np.flatnonzero(bits[1:] != bits[:-1]) + 1, [bits.size]))
     edges[1::2] -= 1
     return edges.reshape(-1, 2).T
+
+
+def _digest(*objs) -> str:
+    """16 hex digits naming the inputs of a failed check, the same in every
+    run: a grid set by its scale, offset and cells, a measure by its scale,
+    offset and weights, anything else by its str."""
+    h = hashlib.sha256()
+    for obj in objs:
+        if isinstance(obj, GridSet1):
+            h.update(b"G1")
+            h.update(str((obj.scale.n, obj.offset)).encode())
+            h.update(np.packbits(obj.bits).tobytes())
+        elif isinstance(obj, GridSet2):
+            h.update(b"G2")
+            h.update(str((obj.scale.n, obj.offset, obj.bits.shape)).encode())
+            h.update(np.packbits(obj.bits.ravel()).tobytes())
+        elif isinstance(getattr(obj, "weights", None), np.ndarray):  # a measure
+            h.update(b"DM")
+            h.update(str((obj.scale.n, obj.offset, obj.weights.shape)).encode())
+            h.update(obj.weights.tobytes())
+        else:
+            h.update(str(obj).encode())
+    return h.hexdigest()[:16]
 
 
 class _CellSet:
@@ -298,7 +326,7 @@ class GridSet1(_CellSet):
             return cls.empty(scale)
         lo = int(idx.min())
         span = int(idx.max()) - lo + 1
-        _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
+        _require_span(span)
         bits = np.zeros(span, dtype=bool)
         bits[idx - lo] = True  # repeated indices just set a bit again
         return cls(scale, lo, bits)
@@ -308,10 +336,9 @@ class GridSet1(_CellSet):
         """Union of the inclusive int64 index ranges [k_first[t], k_last[t]]:
         at least one range, each with k_first[t] <= k_last[t].
 
-        Ranges with monotone starts (every dilation's, the Cantor
-        intervals', a set's neighbourhoods) merge with their neighbours in
-        one pass, and the occupancy array is repeated out of the pieces and
-        the gaps between them, with no temporary per cell.  Unsorted ranges
+        Ranges with monotone starts (the Cantor intervals', a set's
+        neighbourhoods) merge into maximal runs in one pass (`_merged`),
+        painted with no temporary per cell (`_from_runs`).  Unsorted ranges
         (graph sums, product covers, projections) are painted through a
         difference array over the whole span, which costs less than
         sorting them first.
@@ -319,21 +346,24 @@ class GridSet1(_CellSet):
         lo = int(k_first.min())
         hi = int(k_last.max())
         span = hi - lo + 1
-        _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-        if (k_first[1:] <= k_first[:-1]).all():
-            k_first, k_last = k_first[::-1], k_last[::-1]
-        if (k_first[1:] >= k_first[:-1]).all():
-            reach = np.maximum.accumulate(k_last)
-            # range t opens a new piece unless it overlaps or abuts the cells so far
-            opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
-            # piece t is [edges[2t], edges[2t+1]); the gap after it ends at edges[2t+2]
-            edges = np.stack((k_first[np.concatenate(([0], opens))],
-                              reach[np.concatenate((opens - 1, [reach.size - 1]))] + 1),
-                             axis=1).reshape(-1)
-            return cls(scale, lo, np.repeat(np.arange(edges.size - 1) % 2 == 0, np.diff(edges)))
+        _require_span(span)
+        runs = _merged(k_first, k_last)
+        if runs is not None:
+            return cls._from_runs(scale, *runs)
         diff = (np.bincount(k_first - lo, minlength=span + 1)
                 - np.bincount(k_last - lo + 1, minlength=span + 1))
         return cls(scale, lo, np.cumsum(diff)[:-1] > 0)
+
+    @classmethod
+    def _from_runs(cls, scale: Scale, first: np.ndarray, last: np.ndarray) -> "GridSet1":
+        """The set whose maximal runs are [first[t], last[t]], ascending and
+        separated by gaps, as `_merged` returns them; the occupancy array is
+        repeated out of the runs and the gaps between them.  The caller has
+        checked the span."""
+        # run t is [edges[2t], edges[2t+1]); the gap after it ends at edges[2t+2]
+        edges = np.stack((first, last + 1), axis=1).reshape(-1)
+        return cls(scale, int(first[0]),
+                   np.repeat(np.arange(edges.size - 1) % 2 == 0, np.diff(edges)))
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet1":
@@ -434,7 +464,7 @@ class GridSet2(_CellSet):
         ox, oy = int(pts[:, 0].min()), int(pts[:, 1].min())
         w = int(pts[:, 0].max()) - ox + 1
         h = int(pts[:, 1].max()) - oy + 1
-        _require(w * h <= MAX_SPAN, f"cell span {w * h} exceeds dense-representation cap {MAX_SPAN}")
+        _require_span(w * h)
         # row-major positions in the box: ascending exactly when pts is in (j, i)
         flat = (pts[:, 1] - oy) * w + (pts[:, 0] - ox)
         bits = np.zeros(h * w, dtype=bool)
@@ -469,11 +499,28 @@ class GridSet2(_CellSet):
                 f"shape={self.bits.shape})")
 
 
-def _cover(scale: Scale, lo, hi, q: int, closed) -> GridSet1:
-    """The cells meeting intervals of positive length from lo to hi, in
-    delta/q units (cell k is [k*q, (k+1)*q)): the last one holds hi where
-    the supremum is attained (`closed`, bool or bool array), else hi - 1."""
-    return GridSet1.from_ranges(scale, lo // q, np.where(closed, hi, hi - 1) // q)
+def _merged(k_first: np.ndarray, k_last: np.ndarray):
+    """(first, last): the maximal runs, ascending, of the union of the
+    inclusive ranges [k_first[t], k_last[t]] when their starts are monotone
+    (either way), in one pass with no temporary per cell; None when the
+    starts are not monotone."""
+    if (k_first[1:] <= k_first[:-1]).all():
+        k_first, k_last = k_first[::-1], k_last[::-1]
+    if not (k_first[1:] >= k_first[:-1]).all():
+        return None
+    reach = np.maximum.accumulate(k_last)
+    # range t opens a new run unless it overlaps or abuts the cells so far
+    opens = np.flatnonzero(k_first[1:] > reach[:-1] + 1) + 1
+    return (k_first[np.concatenate(([0], opens))],
+            reach[np.concatenate((opens - 1, [reach.size - 1]))])
+
+
+def _cover(lo, hi, q: int, closed):
+    """(k_first, k_last): the first and last cells meeting intervals of
+    positive length from lo to hi, in delta/q units (cell k is
+    [k*q, (k+1)*q)).  The last one holds hi where the supremum is attained
+    (`closed`, bool or bool array), else hi - 1."""
+    return lo // q, np.where(closed, hi, hi - 1) // q
 
 
 def make_interval(scale: Scale, lo, hi) -> GridSet1:
@@ -486,8 +533,7 @@ def make_interval(scale: Scale, lo, hi) -> GridSet1:
     ilo, ihi = int(flo * u), int(fhi * u)
     _require(ilo < ihi, f"empty interval [{flo}, {fhi})")
     _require(-MAX_INDEX < ilo and ihi <= MAX_INDEX, "interval endpoints out of guarded range")
-    _require(ihi - ilo <= MAX_SPAN,
-             f"cell span {ihi - ilo} exceeds dense-representation cap {MAX_SPAN}")
+    _require_span(ihi - ilo)
     return GridSet1(scale, ilo, np.ones(ihi - ilo, dtype=bool))
 
 
@@ -519,7 +565,7 @@ def gen_cantor(scale: Scale, base: int, digits: Iterable[int], levels: int) -> G
         ms = (ms[:, None] * base + darr).reshape(-1)
     u = 1 << scale.n
     # ms ascending -> both endpoints nondecreasing; touching covers merge
-    return _cover(scale, ms * u, (ms + 1) * u, bl, False)
+    return GridSet1.from_ranges(scale, *_cover(ms * u, (ms + 1) * u, bl, False))
 
 
 def gen_random_frostman(scale: Scale, kappa: float, seed: int) -> GridSet1:
@@ -601,6 +647,6 @@ def cartesian_product(A: GridSet1, B: GridSet1) -> GridSet2:
     if A.is_empty or B.is_empty:
         return GridSet2.empty(A.scale)
     cells = A.bits.size * B.bits.size
-    _require(cells <= MAX_SPAN, f"cell span {cells} exceeds dense-representation cap {MAX_SPAN}")
+    _require_span(cells)
     bits = np.outer(B.bits, A.bits)
     return GridSet2(A.scale, (A.offset, B.offset), bits)

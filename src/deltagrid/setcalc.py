@@ -16,25 +16,29 @@ stay exact under pairwise folding.
 
 Sums run bit-parallel in one kernel.  The larger operand becomes a
 big-integer occupancy mask; for each maximal run of the smaller one the
-OR of the run's shifts is built by doubling.  Each distinct (run length,
-start mod 8) segment is turned into bytes once and ORed in place into a
-single preallocated byte buffer at byte start // 8, so no run copies
-the growing result.  The buffer is unpacked once, and the COVER cell is
-added by one shifted OR on the unpacked bits.  The mask and its doubled
-and shifted segments depend on the mask operand alone, so `sumsets`
-keeps them, up to a fixed budget, for a fixed operand and a stream of
-others (the expander's dilation sweep).  Difference sets are sums with
-the reflected operand (COVER then moves one cell left).  A naive
-double-loop implementation is kept behind method="naive" as a test
-oracle.
+OR of the run's shifts is built by doubling.  The accumulator follows the
+result's size: up to 2**15 bits (`_INT_SUM_BITS`, where the two cross
+over) each run ORs its shifted OR into one Python int; above, each
+distinct (run length, start mod 8) segment is turned into bytes once and
+ORed in place into a single preallocated byte buffer at byte start // 8,
+so no run copies the growing result.  The COVER cell is one shifted OR of
+the packed sum, and a sum of trimmed operands is trimmed, so its bits are
+unpacked once, straight into the result.  The mask and its doubled and
+shifted segments depend on the mask operand alone, so `dilated_sum_counts`
+keeps them, up to a fixed budget, for the expander's dilation sweep, and
+takes each sum's count as a popcount, without building the dilation or
+the sum.  Difference sets are sums with the reflected operand (COVER then
+moves one cell left).  A naive double-loop implementation is kept behind
+method="naive" as a test oracle.
 
 Products, rational dilations and graph sums leave the lattice, so
 covers are computed from interval endpoints in scaled integer units
 (delta**2 for products, delta/q for a factor p/q).  A cover of a union
 is the union of the covers, so a dilation covers one interval per run
-and a product one per pair of runs; graph sums stay per cell.  Whether
-an image's supremum is attained decides its last cell: `grid._cover`
-holds that one rule and paints the ranges by `GridSet1.from_ranges`.
+and a product one per pair of runs, in blocks of bounded size; graph sums
+stay per cell.  Whether an image's supremum is attained decides its last
+cell: `grid._cover` holds that one rule, and a dilation's ranges, monotone
+in either sign, merge into runs by `grid._merged`.
 """
 
 from __future__ import annotations
@@ -43,7 +47,8 @@ import enum
 
 import numpy as np
 
-from .grid import GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, _cover, _require, _runs, as_fraction
+from .grid import (GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, _cover, _merged, _require,
+                   _require_span, as_fraction)
 
 
 class SumSemantics(enum.Enum):
@@ -58,56 +63,80 @@ def _require_linear_range(terms, what: str) -> None:
              f"{what} would leave the guarded integer range")
 
 
-def _sum_bits(A: GridSet1, B: GridSet1, semantics: SumSemantics) -> int:
-    """Checks A + B before anything is allocated; returns the bits the
-    kernel builds (the sum span plus the COVER cell), 0 for an empty operand."""
-    _require(A.scale == B.scale, "operands must share one scale")
-    if A.is_empty or B.is_empty:
-        return 0
+def _sum_bits(A: GridSet1, lo: int, hi: int, semantics: SumSemantics) -> int:
+    """Checks the sum of nonempty A and an operand whose first cell is lo and
+    last cell hi, before anything is allocated; returns the bits the kernel
+    builds (the sum span plus the COVER cell)."""
     cover = semantics is SumSemantics.COVER
-    _require(A.min_index + B.min_index > -MAX_INDEX
-             and A.max_index + B.max_index + cover < MAX_INDEX,
+    _require(A.min_index + lo > -MAX_INDEX and A.max_index + hi + cover < MAX_INDEX,
              "sum indices would leave the guarded integer range")
-    nbits = A.bits.size + B.bits.size
-    _require(nbits - (not cover) <= MAX_SPAN,
-             f"cell span {nbits - (not cover)} exceeds dense-representation cap {MAX_SPAN}")
+    nbits = A.bits.size + hi - lo + 1
+    _require_span(nbits - (not cover))
     return nbits
 
 
-# Bytes of doubled runs and segments `sumsets` keeps: an n=16 expander sweep
+# Bytes of doubled runs and segments a dilation sweep keeps: an n=16 sweep
 # of a short-run set needs 1.4 MiB, an n=20 one about 16 MiB.
 _MEMO_BYTES = 1 << 24
 
+# Sums of at most this many kernel bits are ORed into one Python int, larger
+# ones into a byte buffer.  An int OR takes time in proportion to the
+# result's size, a buffer OR about 1-2 us of numpy call per run, so the
+# crossover barely moves with the run count.  Kernel time per call with a
+# warm memo, int over buffer, for 4, 32 and 256 runs of 1-3 cells: 0.32-0.53
+# at 2**14 bits, 0.37-0.74 at 2**15, 0.42-1.20 at 2**16 and 0.52-1.96 at
+# 2**17 (2-vCPU x86 VM, Python 3.11, numpy 2.4).
+_INT_SUM_BITS = 1 << 15
 
-def _sum_kernel(M: GridSet1, mask: int, memo: dict, B: GridSet1,
-                semantics: SumSemantics, nbits: int) -> GridSet1:
-    """M + B from M's mask and B's runs.  memo holds, per run length, the
-    OR of the mask's shifts (log(length) doublings) and, per (length,
-    start % 8), its bytes; it depends on M alone, so sums sharing M share it."""
-    starts, ends = _runs(B.bits)
-    buf = np.zeros((nbits + 7) // 8, dtype=np.uint8)
-    for start, length in zip(starts.tolist(), (ends + 1 - starts).tolist()):
+
+def _doubled(mask: int, length: int) -> int:
+    """The OR of mask shifted by 0 .. length - 1, by log(length) doublings."""
+    run, d = mask, 1
+    while d < length:
+        step = min(d, length - d)
+        run |= run << step
+        d += step
+    return run
+
+
+def _sum_kernel(mask: int, memo: dict, starts, lengths, nbits: int):
+    """(sum, added): the INDEX sum of the mask operand and an operand whose
+    runs start at `starts` (relative to its first cell) with `lengths`, as a
+    Python int whose bit t is the cell t after the sum of both first cells,
+    and the bytes this call added to memo.
+
+    memo holds, per run length, the OR of the mask's shifts and, per
+    (length, start % 8), its bytes; it depends on the mask alone, so sums
+    sharing the mask share it.  Up to _INT_SUM_BITS each run ORs its shifted
+    OR into one int; above, its bytes are ORed in place into one byte buffer
+    at byte start // 8, so no run copies the growing result."""
+    into_int = nbits <= _INT_SUM_BITS
+    acc = 0 if into_int else np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    added = 0
+    for start, length in zip(starts, lengths):
+        run = memo.get(length)
+        if run is None:
+            run = memo[length] = _doubled(mask, length)
+            added += run.bit_length() >> 3
+        if into_int:
+            acc |= run << start
+            continue
         key = (length, start & 7)
         seg = memo.get(key)
         if seg is None:
-            run = memo.get(length)
-            if run is None:
-                run = mask
-                d = 1
-                while d < length:
-                    step = min(d, length - d)
-                    run |= run << step
-                    d += step
-                memo[length] = run
             shifted = run << (start & 7)
             seg = memo[key] = np.frombuffer(
                 shifted.to_bytes((shifted.bit_length() + 7) // 8, "little"), dtype=np.uint8)
+            added += seg.nbytes
         b = start >> 3
-        buf[b:b + seg.size] |= seg
-    bits = np.unpackbits(buf, count=nbits, bitorder="little").view(bool)
-    if semantics is SumSemantics.COVER:
-        bits[1:] |= bits[:-1]
-    return GridSet1.from_bits(M.scale, M.offset + B.offset, bits)
+        window = acc[b:b + seg.size]
+        np.bitwise_or(window, seg, out=window)  # `|=` on a slice would also copy it back
+    return (acc if into_int else int.from_bytes(acc, "little")), added
+
+
+def _rel_runs(first: np.ndarray, last: np.ndarray):
+    """Run starts relative to the first cell, and run lengths, as lists."""
+    return (first - first[0]).tolist(), (last + 1 - first).tolist()
 
 
 def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX,
@@ -118,36 +147,51 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     the cell unions, i.e. {i + j, i + j + 1}.
     """
     _require(method in ("bitmask", "naive"), f"unknown method {method!r}")
-    nbits = _sum_bits(A, B, semantics)
-    if not nbits:
+    _require(A.scale == B.scale, "operands must share one scale")
+    if A.is_empty or B.is_empty:
         return GridSet1.empty(A.scale)
+    nbits = _sum_bits(A, B.min_index, B.max_index, semantics)
     if method == "naive":
         out = {int(i) + int(j) for i in A.indices for j in B.indices}
         if semantics is SumSemantics.COVER:
             out |= {v + 1 for v in out}
         return GridSet1.from_indices(A.scale, sorted(out))
     small, big = (A, B) if A.count <= B.count else (B, A)
-    return _sum_kernel(big, big.to_mask(), {}, small, semantics, nbits)
+    acc, _ = _sum_kernel(big.to_mask(), {}, *_rel_runs(*small.runs), nbits)
+    if semantics is SumSemantics.COVER:
+        acc |= acc << 1
+    else:
+        nbits -= 1  # no COVER cell
+    # A sum of trimmed operands is trimmed: both end cells are set.
+    bits = np.unpackbits(np.frombuffer(acc.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8),
+                         count=nbits, bitorder="little").view(bool)
+    return GridSet1(A.scale, A.offset + B.offset, bits)
 
 
-def sumsets(A: GridSet1, Bs, semantics: SumSemantics = SumSemantics.INDEX):
-    """Yield sumset(A, B, semantics) for each B of the iterable Bs, in order.
+def dilated_sum_counts(A: GridSet1, xs) -> list:
+    """The cell count of sumset(A, dilate(A, x), COVER) for each rational x
+    of xs, in order, with the same checks and errors, from the dilation's
+    runs, without building the dilation or the sum.
 
-    A is always the mask operand: its mask is built once, and its doubled
-    runs and byte segments serve every B with a run of the same (length,
-    start % 8) until they pass _MEMO_BYTES and are dropped.  Each B is
-    checked as sumset checks it, before its sum is allocated.
+    A is the mask operand: its mask is built once, and its doubled runs and
+    byte segments serve every dilation with a run of the same (length,
+    start % 8) until they pass _MEMO_BYTES and are dropped.  The COVER cell
+    is one shifted OR of the sum's bits, and the count their popcount.
     """
-    mask, memo, kept = A.to_mask(), {}, 0
-    for B in Bs:
-        nbits = _sum_bits(A, B, semantics)
-        old = len(memo)
-        yield _sum_kernel(A, mask, memo, B, semantics, nbits) if nbits else GridSet1.empty(A.scale)
-        kept += sum(v.nbytes if isinstance(v, np.ndarray) else v.bit_length() >> 3
-                    for v in list(memo.values())[old:])
+    mask, memo, kept, counts = A.to_mask(), {}, 0, []
+    for x in xs:
+        runs = _dilation_runs(A, x)
+        if runs is None:  # A is empty
+            counts.append(0)
+            continue
+        first, last = runs
+        nbits = _sum_bits(A, int(first[0]), int(last[-1]), SumSemantics.COVER)
+        acc, added = _sum_kernel(mask, memo, *_rel_runs(first, last), nbits)
+        counts.append((acc | acc << 1).bit_count())
+        kept += added
         if kept > _MEMO_BYTES:
             memo, kept = {}, 0
-        del B  # not held while the next B is made
+    return counts
 
 
 def reflect(A: GridSet1) -> GridSet1:
@@ -181,6 +225,25 @@ def _reach(A: GridSet1) -> int:  # the largest |cell end| of A
     return max(abs(A.min_index), abs(A.max_index)) + 1
 
 
+def _dilation_runs(A: GridSet1, x):
+    """dilate's checks, then the maximal runs (first, last), ascending, of
+    the exact cell cover of x*A; None for an empty A."""
+    fx = as_fraction(x)
+    _require(fx != 0, "dilation factor must be nonzero")
+    p, q = fx.numerator, fx.denominator
+    _require(max(abs(p), q) <= (1 << 30), "dilation factor exceeds guarded magnitude 2**30")
+    if A.is_empty:
+        return None
+    _require_linear_range(((p, _reach(A)),), "dilated indices")
+    starts, ends = A.runs
+    lo, hi = p * starts, p * (ends + 1)
+    if p < 0:
+        lo, hi = hi, lo
+    first, last = _merged(*_cover(lo, hi, q, p < 0))  # starts are monotone in either sign
+    _require_span(int(last[-1] - first[0]) + 1)
+    return first, last
+
+
 def dilate(A: GridSet1, x) -> GridSet1:
     """Exact cell cover of x*A for rational x != 0.
 
@@ -189,18 +252,8 @@ def dilate(A: GridSet1, x) -> GridSet1:
     Its supremum is attained exactly when x < 0 (the closed end s*delta
     maps to the image's max), and only then is the right end's cell in.
     """
-    fx = as_fraction(x)
-    _require(fx != 0, "dilation factor must be nonzero")
-    p, q = fx.numerator, fx.denominator
-    _require(max(abs(p), q) <= (1 << 30), "dilation factor exceeds guarded magnitude 2**30")
-    if A.is_empty:
-        return A
-    _require_linear_range(((p, _reach(A)),), "dilated indices")
-    starts, ends = A.runs
-    lo, hi = p * starts, p * (ends + 1)
-    if p < 0:
-        lo, hi = hi, lo
-    return _cover(A.scale, lo, hi, q, p < 0)
+    runs = _dilation_runs(A, x)
+    return A if runs is None else GridSet1._from_runs(A.scale, *runs)
 
 
 def nfold_sum(A: GridSet1, N: int, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
@@ -218,22 +271,55 @@ def nfold_sum(A: GridSet1, N: int, semantics: SumSemantics = SumSemantics.INDEX)
     return acc
 
 
+# Run pairs whose product covers are computed at once: their int64
+# temporaries take about 100 bytes per pair, so a block stays near 100 MiB.
+_PAIR_BLOCK = 1 << 20
+
+
+def _pair_ranges(s1, e1, s2, e2, u: int):
+    """(k_first, k_last) of the cover of each product of a run [a, b) =
+    [s1, e1 + 1) by a run [c, d) = [s2, e2 + 1), the first runs outer, from
+    the corners {a*c, a*d, b*c, b*d} in delta**2 units (cell k is
+    [k*u, (k+1)*u))."""
+    a, b = s1[:, None], e1[:, None] + 1
+    c, d = s2, e2 + 1
+    ac, ad, bc, bd = a * c, a * d, b * c, b * d
+    hi = np.maximum(np.maximum(ac, ad), np.maximum(bc, bd))
+    lo = np.minimum(np.minimum(ac, ad), np.minimum(bc, bd))
+    # Corner a*c is the only corner both of whose factors sit at their
+    # closed left ends, and xy has no maximum inside a box, so the supremum
+    # is attained exactly when a*c reaches it.  The corners of a
+    # positive-area box never all coincide, so no image is a single point.
+    return _cover(lo.ravel(), hi.ravel(), u, (hi == ac).ravel())
+
+
 def _product_cover_pairs(P: GridSet1, A: GridSet1) -> GridSet1:
     """Cover of the pointwise product of two cell unions, pair of runs by
-    pair of runs, in delta**2 units: runs [a, b) of P and [c, d) of A give
-    corners {a*c, a*d, b*c, b*d}, and output cell k is [k*2**n, (k+1)*2**n).
+    pair of runs (`_pair_ranges`), with output cell k = [k*2**n, (k+1)*2**n).
+
+    The pairs are covered in blocks of at most _PAIR_BLOCK, each painted
+    into one array, so memory follows the result's span and not the pair
+    count; the result is the cover of all pairs at once.
     """
     _require_linear_range(((_reach(P), _reach(A)),), "product indices")
     (s1, e1), (s2, e2) = P.runs, A.runs
-    a, b = np.repeat(s1, s2.size), np.repeat(e1 + 1, s2.size)
-    c, d = np.tile(s2, s1.size), np.tile(e2 + 1, s1.size)
-    corners = np.stack((a * c, a * d, b * c, b * d))
-    hi = corners.max(axis=0)
-    # Corner 0 is the only corner both of whose factors sit at their
-    # closed left ends, and xy has no maximum inside a box, so the supremum
-    # is attained exactly when corner 0 reaches it.  The corners of a
-    # positive-area box never all coincide, so no image is a single point.
-    return _cover(P.scale, corners.min(axis=0), hi, 1 << P.scale.n, hi == corners[0])
+    u = 1 << P.scale.n
+    cols = min(s2.size, _PAIR_BLOCK)
+    rows = _PAIR_BLOCK // cols
+    blocks = [(s1[i:i + rows], e1[i:i + rows], s2[j:j + cols], e2[j:j + cols], u)
+              for i in range(0, s1.size, rows) for j in range(0, s2.size, cols)]
+    # xy is extreme over the box [s1[0], e1[-1] + 1) x [s2[0], e2[-1] + 1) at
+    # its corners, which are corners of pairs: they give the first cell, and
+    # the last one (hi or hi - 1 of the top corner) up to one cell.
+    ext = [int(x) * int(y) for x in (s1[0], e1[-1] + 1) for y in (s2[0], e2[-1] + 1)]
+    lo, top = min(ext) // u, max(ext) // u
+    if top - lo > MAX_SPAN:  # over the cap either way; the exact last cell names the span
+        _require_span(max(int(_pair_ranges(*blk)[1].max()) for blk in blocks) - lo + 1)
+    bits = np.zeros(top - lo + 1, dtype=bool)
+    for blk in blocks:
+        piece = GridSet1.from_ranges(P.scale, *_pair_ranges(*blk))
+        bits[piece.offset - lo:piece.offset - lo + piece.bits.size] |= piece.bits
+    return GridSet1.from_bits(P.scale, lo, bits)
 
 
 def nfold_product(A: GridSet1, N: int) -> GridSet1:
@@ -278,4 +364,4 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
     # the image of cells i and j starts at i*q + p*j (p > 0) or i*q + p*(j+1)
     # and spans q + |p| units
     lo = ii * q + p * (jj if p > 0 else jj + 1)
-    return _cover(G.scale, lo, lo + q + abs(p), q, False)
+    return GridSet1.from_ranges(G.scale, *_cover(lo, lo + q + abs(p), q, False))

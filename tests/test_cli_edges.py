@@ -102,10 +102,13 @@ CASES = [
 
 # Images of long runs, built one range per run (per pair of runs for
 # products): each once sized int64 arrays per cell (per pair of cells) and
-# ran out of memory, so each must succeed.
+# ran out of memory, so each must succeed.  The product of a set of 7,427
+# runs once sized its run pairs at once (421 MiB per array).
 SUCCEED = [
     "gen interval --n 12 --a 1 --b 2 --out i12.gs1",
     "op product --set i12.gs1 --out x.gs1",
+    "gen frostman --n 18 --kappa 0.8 --seed 3 --out f18.gs1",
+    "op product --set f18.gs1 --out x.gs1",
     "gen interval --n 24 --a 0 --b 1 --out i24.gs1",
     "op dilate --set i24.gs1 --factor 3 --out x.gs1",
     "op dilate --set span.gs1 --factor 1/2 --out x.gs1",

@@ -2,16 +2,20 @@
 structured and unstructured sets, renormalized sweeps, the adversarial
 angle experiment, and the exhaustion loop."""
 import math
+import re
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
-from deltagrid import (AngleMeasure, GridSet1, GridSet2, PreconditionError,
-                       Scale, SumSemantics, cartesian_product, dilate,
+from deltagrid import (AngleMeasure, DyadicMeasure1, GridSet1, GridSet2, InternalCheckError,
+                       PreconditionError, Scale, SumSemantics, cartesian_product, dilate,
                        exhaust_decompose, find_expander, gen_cantor,
                        gen_random_frostman, make_interval,
                        nfold_expansion_curve, projection_theorem_experiment,
                        renormalized_find_expander, sumset, uniform_on)
+from deltagrid import addcomb, expand
+from deltagrid.grid import _digest
 
 
 def test_curve_full_interval():
@@ -211,6 +215,33 @@ def test_exhaust_halving():
         u = u.union(p)
     assert u == E
     assert dec.weights == tuple(p.measure for p in dec.pieces)
+
+
+def test_exhaust_internal_error_names_an_input_digest(monkeypatch):
+    """A difference that drops a cell trips the lost-cells check, whose
+    message names the inputs by the digest the addcomb checks use."""
+    E = cartesian_product(make_interval(Scale(3), 0, 1), make_interval(Scale(3), 0, 1))
+    difference = GridSet2.difference
+
+    def lossy(self, other):
+        out = difference(self, other)
+        return difference(out, GridSet2.from_indices(out.scale, out.indices[:1]))
+
+    def first_row(S):
+        return GridSet2.from_indices(S.scale, S.indices[S.indices[:, 1] == S.indices[0, 1]]), [0.0]
+
+    monkeypatch.setattr(GridSet2, "difference", lossy)
+    with pytest.raises(InternalCheckError, match="lost cells") as err:
+        exhaust_decompose(E, first_row, 0.5)
+    digest = re.search(r"\(inputs ([0-9a-f]{16})\); bug$", str(err.value))
+    assert digest and digest.group(1) == _digest(E, 0.5, 1 / 64)
+    assert addcomb._digest is expand._digest is _digest
+    # a measure is named by all its weights, which its repr abbreviates
+    w = np.full(4096, 1 / 4096)
+    v = w.copy()
+    v[2000:2002] += [1e-6, -1e-6]
+    mus = [DyadicMeasure1(Scale(12), 0, w), DyadicMeasure1(Scale(12), 0, v)]
+    assert repr(mus[0]) == repr(mus[1]) and _digest(mus[0]) != _digest(mus[1])
 
 
 def test_exhaust_stall_aborts():

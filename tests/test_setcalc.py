@@ -8,10 +8,12 @@ import pytest
 from fractions import Fraction
 
 from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionError,
-                       Scale, SumSemantics, diffset, dilate, gen_cantor, graph_sum,
-                       make_interval, nfold_product, nfold_sum, reflect, sumset,
-                       sumsets)
-from deltagrid import setcalc
+                       Scale, SumSemantics, diffset, dilate, gen_cantor,
+                       gen_random_frostman, graph_sum, make_interval, nfold_product,
+                       nfold_sum, reflect, renormalized_find_expander, sumset,
+                       uniform_on)
+from deltagrid import expand, setcalc
+from deltagrid.setcalc import dilated_sum_counts
 
 IDX = SumSemantics.INDEX
 COV = SumSemantics.COVER
@@ -183,7 +185,7 @@ def _product_cover_per_cell(P, A):
     return GridSet1.from_ranges(P.scale, lo // u, k_last)
 
 
-def test_nfold_product_interval_oracle():
+def test_nfold_product_interval_oracle(monkeypatch):
     # folded product of the cover of [1,2) against rational intervals
     for n in (3, 5, 8):
         A = make_interval(Scale(n), 1, 2)
@@ -213,7 +215,27 @@ def test_nfold_product_interval_oracle():
         P = _long_runs_set(n, base + int(rng.integers(-50, 50)), rng)
         A = _set(n, rng.integers(-12, 12, size=int(rng.integers(1, 8))))
         for X, Y in ((P, A), (A, P), (reflect(P), A)):
-            assert setcalc._product_cover_pairs(X, Y) == _product_cover_per_cell(X, Y)
+            want = _product_cover_per_cell(X, Y)
+            # the pairs at once, and in blocks of one run pair, of part of a
+            # row, and of several rows
+            for block in (1 << 20, 1, 3, 7):
+                monkeypatch.setattr(setcalc, "_PAIR_BLOCK", block)
+                assert setcalc._product_cover_pairs(X, Y) == want
+            monkeypatch.undo()
+    # a top cell that only the bound from the extreme corners reaches is
+    # cropped, and a span over the cap is named exactly, in one block or many
+    u = 1 << 6
+    P, A = _set(6, [u, u + 2]), make_interval(Scale(6), 1, 2)
+    far = _set(0, [1, 9000])
+    with pytest.raises(PreconditionError, match="cell span") as want:
+        _product_cover_per_cell(far, far)
+    for block in (1 << 20, 1):
+        monkeypatch.setattr(setcalc, "_PAIR_BLOCK", block)
+        got = setcalc._product_cover_pairs(P, A)
+        assert got == _product_cover_per_cell(P, A) and got.max_index == 2 * u + 5
+        with pytest.raises(PreconditionError) as err:
+            setcalc._product_cover_pairs(far, far)
+        assert str(err.value) == str(want.value)
 
 
 def test_graph_sum_examples():
@@ -343,7 +365,7 @@ def test_commutative_associative():
         assert sumset(sumset(a, b, IDX), c, IDX) == sumset(a, sumset(b, c, IDX), IDX)
 
 
-def test_bitmask_matches_naive():
+def test_bitmask_matches_naive(monkeypatch):
     rng = np.random.default_rng(100)
     for _ in range(200):
         n = int(rng.integers(1, 9))
@@ -376,6 +398,26 @@ def test_bitmask_matches_naive():
                 assert sumset(b, a, sem) == sumset(b, a, sem, method="naive")
                 assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
                 assert diffset(b, a, sem) == diffset(b, a, sem, method="naive")
+    # kernel bits (the operands' spans added) just below, at and just above
+    # the accumulator threshold, so INDEX and COVER results span up to it
+    # exactly; then small sums forced through either accumulator
+    T = setcalc._INT_SUM_BITS
+    for nbits in (T - 1, T, T + 1):
+        sa = int(rng.integers(1, nbits))
+        a = _set(16, [0, sa - 1, *rng.integers(0, sa, size=6)])
+        b = _set(16, np.array([0, nbits - sa - 1, *rng.integers(0, nbits - sa, size=6)]) - 5000)
+        assert a.bits.size + b.bits.size == nbits
+        for sem in (IDX, COV):
+            assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
+            assert diffset(b, a, sem) == diffset(b, a, sem, method="naive")
+    for threshold in (0, 1 << 30):
+        monkeypatch.setattr(setcalc, "_INT_SUM_BITS", threshold)
+        for _ in range(20):
+            a = _set(8, rng.integers(-40, 40, size=rng.integers(1, 24)))
+            b = _set(8, rng.integers(-40, 40, size=rng.integers(1, 24)))
+            for sem in (IDX, COV):
+                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
+                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
 
 
 def _runs_set(n, base, rng, residues):
@@ -398,69 +440,98 @@ def test_scale_mismatch_rejected():
         sumset(_set(3, [0]), _set(4, [0]), IDX)
 
 
-def test_sumsets_match_sumset_and_naive():
+def _counts_by_sumset(A, xs, method="bitmask"):
+    return [sumset(A, dilate(A, x), COV, method=method).count for x in xs]
+
+
+def test_dilated_sum_counts_match_sumset_and_naive(monkeypatch):
     rng = np.random.default_rng(12)
-    n = 12
-    A = _runs_set(n, -300, rng, range(8))
-    # sets of twelve 1-3 cell runs at varied residues mod 8, whose
-    # (length, start % 8) keys repeat earlier ones and add new ones, then
-    # wider sets with more cells and many more runs than A
-    short = [_set(n, int(rng.integers(-2000, 2000))
-                  + np.concatenate([np.arange(p, p + int(rng.integers(1, 4)))
-                                    for p in np.cumsum(rng.integers(5, 12, size=12))]))
-             for _ in range(6)]
-    wide = [_set(n, int(rng.integers(-3000, 3000)) + rng.choice(1500, size=k, replace=False))
-            for k in (400, 900)]
-    Bs = [*short[:3], wide[0], GridSet1.empty(Scale(n)), _set(n, [5]), *short[3:],
-          wide[1], A, _runs_set(n, 700, rng, [0, 3, 5, 1, 7, 2, 6, 4])]
-    assert min(B.count for B in Bs if not B.is_empty) < A.count < wide[0].count
-    assert max(B.runs[0].size for B in Bs) > A.runs[0].size
-    seen = [_run_keys(B) for B in Bs]
-    reused = [bool(seen[t] & set().union(*seen[:t])) for t in range(1, len(Bs))]
-    fresh = [bool(seen[t] - set().union(*seen[:t])) for t in range(1, len(Bs))]
-    assert sum(reused) >= 8 and sum(fresh) >= 5, (reused, fresh)
-    for fixed in (A, _set(n, [-7]), _set(n, [1234])):
-        for sem in (IDX, COV):
-            got = list(sumsets(fixed, iter(Bs), sem))
-            assert len(got) == len(Bs)
-            for B, S in zip(Bs, got):
-                assert S == sumset(fixed, B, sem) == sumset(fixed, B, sem, method="naive")
-    assert list(sumsets(GridSet1.empty(Scale(n)), Bs[:3], COV)) == [GridSet1.empty(Scale(n))] * 3
+    # small sets against the naive oracle, factors of both signs
+    for _ in range(12):
+        n = int(rng.integers(3, 9))
+        A = _set(n, rng.integers(-40, 40, size=int(rng.integers(1, 16))))
+        xs = [Fraction(int(rng.integers(-40, 41)) or 1, int(rng.integers(1, 12)))
+              for _ in range(6)]
+        assert dilated_sum_counts(A, xs) == _counts_by_sumset(A, xs, "naive")
+    # Cantor and random-Frostman sets, at sizes on both sides of the
+    # accumulator threshold, with factors of both signs
+    sets = [gen_cantor(Scale(10), 4, (0, 3), 5), gen_cantor(Scale(16), 4, (0, 3), 8),
+            gen_random_frostman(Scale(12), 0.6, 5), gen_random_frostman(Scale(16), 0.5, 2)]
+    kernel_bits = [2 * A.bits.size for A in sets]  # A + xA for x near 1
+    assert min(kernel_bits) < setcalc._INT_SUM_BITS < max(kernel_bits)
+    for A in sets:
+        xs = [Fraction(int(k), 64) for k in rng.integers(1, 129, size=5)]
+        xs += [-x for x in xs[:3]] + [Fraction(-1, 3), Fraction(7, 5)]
+        assert dilated_sum_counts(A, xs) == _counts_by_sumset(A, xs)
+    # both sweeps of the renormalized expander, as it passes them
+    calls = []
+
+    def recording(A, xs):
+        calls.append((A, list(xs)))
+        return dilated_sum_counts(A, xs)
+
+    monkeypatch.setattr(expand, "dilated_sum_counts", recording)
+    for A in sets[1:3]:
+        rep = renormalized_find_expander(A, uniform_on(A), 0.5)
+        assert rep.renorm_records and rep.records
+    assert len(calls) == 2
+    for A, xs in calls:
+        assert dilated_sum_counts(A, xs) == _counts_by_sumset(A, xs)
+    assert dilated_sum_counts(GridSet1.empty(Scale(6)), [1, Fraction(-1, 2)]) == [0, 0]
+    assert dilated_sum_counts(sets[0], []) == []
 
 
-def _run_keys(S):
-    """The (length, start % 8) keys of S's runs, starts taken from S's first cell."""
-    starts, ends = S.runs
-    return set(zip((ends + 1 - starts).tolist(), ((starts - S.offset) % 8).tolist()))
+def test_dilated_sum_counts_raise_as_sumset_of_dilate():
+    """The same PreconditionError as sumset(A, dilate(A, x), COVER) at the
+    first x that has one, with the dilation's checks before the sum's."""
+    cases = [
+        (_set(6, [0, 3]), [1, 0]),  # zero factor
+        (_set(6, [0, 3]), [2, Fraction(1, 2 ** 31)]),  # factor magnitude
+        (_set(30, [2 ** 40]), [1, 2 ** 30]),  # dilated indices
+        (_set(30, [0, 2 ** 20]), [2, 2 ** 7]),  # dilated span (the sum's too)
+        (_set(30, [MAX_INDEX // 4]), [1, 3]),  # sum indices
+        (_set(6, [0, MAX_SPAN // 2]), [Fraction(1, 2 ** 20), 1]),  # sum span
+    ]
+    messages = set()
+    for A, xs in cases:
+        with pytest.raises(PreconditionError) as want:
+            _counts_by_sumset(A, xs)
+        with pytest.raises(PreconditionError) as got:
+            dilated_sum_counts(A, xs)
+        assert str(got.value) == str(want.value)
+        messages.add(str(want.value))
+    assert len(messages) == len(cases)  # each case stops at a different check
 
 
-def test_sumsets_check_each_operand_before_allocating():
-    A = _set(6, [0, 3])
-    sums = sumsets(A, [_set(6, [1]), _set(5, [1]), _set(6, [2])], IDX)
-    assert next(sums) == _set(6, [1, 4])
-    with pytest.raises(PreconditionError, match="share one scale"):
-        next(sums)
-    half = _set(6, [0, MAX_SPAN // 2])  # span MAX_SPAN/2 + 1: A + A spans MAX_SPAN + 1
-    sums = sumsets(half, [GridSet1.empty(Scale(6)), half, _set(6, [2])], IDX)
-    assert next(sums).is_empty
-    with pytest.raises(PreconditionError, match="dense-representation cap"):
-        next(sums)
-
-
-def test_sumsets_memory_stays_flat_over_new_run_lengths():
-    # an interval of 2**20 cells against 300 intervals of distinct lengths:
-    # each sum adds two new values of 128 KB, so keeping all would hold 75 MiB
-    A = make_interval(Scale(0), 0, 1 << 20)
-    lengths = range(1, 301)
-    Bs = (make_interval(Scale(0), -7 * L, -6 * L) for L in lengths)
+def test_dilated_sum_counts_memo_flushes_over_new_run_lengths(monkeypatch):
+    # an interval of 2**20 cells: each dilation is one run of a new length,
+    # so each candidate adds two values of about 256 KiB to the memo
+    A = make_interval(Scale(20), 0, 1)
+    xs = [Fraction(64 + k, 64) for k in range(60)]
     tracemalloc.start()
     try:
-        counts = [S.count for S in sumsets(A, Bs, COV)]
+        counts = dilated_sum_counts(A, xs)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts == [A.count + L for L in lengths]
+    assert counts == [math.ceil((1 + x) * A.count) for x in xs]
     assert peak < setcalc._MEMO_BYTES + (8 << 20), peak
+    # a small budget flushes mid-sweep: a repeated factor rebuilds its run
+    built = []
+    doubled = setcalc._doubled
+
+    def counting(mask, length):
+        built.append(length)
+        return doubled(mask, length)
+
+    monkeypatch.setattr(setcalc, "_doubled", counting)
+    xs = [Fraction(3, 2), Fraction(-5, 4), Fraction(7, 4), Fraction(3, 2)]
+    want = _counts_by_sumset(A, xs)
+    for budget, builds in ((1 << 40, 3), (1 << 20, 4)):
+        monkeypatch.setattr(setcalc, "_MEMO_BYTES", budget)
+        built.clear()
+        assert dilated_sum_counts(A, xs) == want
+        assert len(built) == builds, (budget, built)
 
 
 def test_sum_range_guard_is_exact():

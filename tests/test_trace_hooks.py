@@ -34,3 +34,14 @@ def test_hooked_functions_exist():
         for name in names:
             fn = mod.__dict__[name]
             assert inspect.isfunction(fn) and fn.__module__ == mod.__name__
+
+
+def test_sweep_counts_are_a_plain_setcalc_function():
+    """The tracer times a call, so a generator's work would be charged to
+    whoever consumes it: the expander sweep's counts stay a plain function
+    of `setcalc`, bound by name in `expand`, so `setcalc` keeps their time."""
+    from deltagrid import setcalc
+    fn = setcalc.__dict__["dilated_sum_counts"]
+    assert inspect.isfunction(fn) and fn.__module__ == setcalc.__name__
+    assert not inspect.isgeneratorfunction(fn)
+    assert expand.__dict__["dilated_sum_counts"] is fn
