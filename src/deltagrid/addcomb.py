@@ -1,13 +1,15 @@
 """Additive-combinatorics inequality verifiers and a constructive
 Balog-Szemeredi-Gowers extraction.
 
-Every check runs in INDEX semantics (exact integer index sumsets),
-where the classical inequalities are theorems with absolute constant
-1; a violation therefore raises InternalCheckError rather than
-returning a failed record.  The same quantities in COVER semantics
-pick up bounded discretisation slack, so they are logged at slack 4
-but never asserted, and computed only when this module's logger is
-enabled for INFO.
+Each check states its inequality once, as integer sides (lhs, num,
+den) of lhs <= num / den in a given sum semantics.  In INDEX semantics
+(exact integer index sumsets) the classical inequalities are theorems
+with absolute constant 1, so every check asserts lhs * den <= num in
+Python ints, the one exact comparison, and a violation raises
+InternalCheckError naming an input digest rather than returning a
+failed record.  The same sides in COVER semantics pick up bounded
+discretisation slack: they are computed only when this module's logger
+is enabled for INFO, and then logged at slack 4, never asserted.
 
 bsg_extract implements the standard popularity argument: prune
 low-degree rows, pick a popular pivot column, take its neighborhood
@@ -22,12 +24,13 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .grid import GridSet1, GridSet2, cartesian_product, _digest, _require
-from .setcalc import SumSemantics, diffset, graph_sum, sumset
+from .setcalc import SumSemantics, _require_linear_range, diffset, graph_sum, sumset
 
 log = logging.getLogger(__name__)
 
@@ -68,89 +71,57 @@ class BsgExtractionError(RuntimeError):
         self.best = best
 
 
-def _assert_record(rec: InequalityRecord) -> InequalityRecord:
-    if not rec.ok:
+def _checked(name: str, sides, *inputs) -> InequalityRecord:
+    """The one path of every check: sides(semantics) gives integers (lhs,
+    num, den), and lhs <= num / den is asserted exactly, as lhs * den <=
+    num, at INDEX.  The COVER sides are computed and logged against slack
+    4 only when INFO is enabled."""
+    lhs, num, den = sides(SumSemantics.INDEX)
+    digest = _digest(*inputs)
+    if lhs * den > num:
         raise InternalCheckError(
-            f"{rec.name} violated: {rec.lhs} > {rec.slack_used} * {rec.rhs} "
-            f"(inputs {rec.inputs_digest}); this is a theorem, so a bug")
-    return rec
-
-
-def _log_cover(name: str, lhs: int, rhs: float) -> None:
-    log.info("%s cover-semantics measurement: lhs=%d rhs=%g ok_at_slack_4=%s",
-             name, lhs, rhs, lhs <= 4 * rhs)
+            f"{name} violated: {lhs} * {den} > {num} (inputs {digest}); "
+            f"this is a theorem, so a bug")
+    if log.isEnabledFor(logging.INFO):
+        c_lhs, c_num, c_den = sides(SumSemantics.COVER)
+        log.info("%s cover-semantics measurement: lhs=%d rhs=%g ok_at_slack_4=%s",
+                 name, c_lhs, c_num / c_den, c_lhs * c_den <= 4 * c_num)
+    return InequalityRecord(name, lhs, num / den, 1.0, digest)
 
 
 def check_ruzsa_triangle(X: GridSet1, Y: GridSet1, Z: GridSet1) -> InequalityRecord:
-    """|X - Z| * |Y| <= |X - Y| * |Y - Z|, exact in index arithmetic."""
+    """|X - Z| * |Y| <= |X - Y| * |Y - Z|."""
     for S in (X, Y, Z):
         _require(not S.is_empty, "sets must be nonempty")
-    IX = SumSemantics.INDEX
-    rec = InequalityRecord(
-        name="ruzsa_triangle",
-        lhs=diffset(X, Z, IX).count * Y.count,
-        rhs=float(diffset(X, Y, IX).count * diffset(Y, Z, IX).count),
-        slack_used=1.0, inputs_digest=_digest(X, Y, Z))
-    if log.isEnabledFor(logging.INFO):
-        CV = SumSemantics.COVER
-        _log_cover("ruzsa_triangle", diffset(X, Z, CV).count * Y.count,
-                   float(diffset(X, Y, CV).count * diffset(Y, Z, CV).count))
-    return _assert_record(rec)
+    return _checked("ruzsa_triangle", lambda sem: (
+        diffset(X, Z, sem).count * Y.count,
+        diffset(X, Y, sem).count * diffset(Y, Z, sem).count, 1), X, Y, Z)
 
 
 def check_plunnecke(X: GridSet1, Ys) -> InequalityRecord:
-    """|Y1 + ... + Yk| <= a1*...*ak * |X| with ai = |X + Yi| / |X|."""
+    """|Y1 + ... + Yk| <= a1*...*ak * |X| with ai = |X + Yi| / |X|, that is
+    |Y1 + ... + Yk| * |X|**(k-1) <= |X + Y1| * ... * |X + Yk|."""
     Ys = list(Ys)
     _require(1 <= len(Ys) <= 4, "supports 1 to 4 summands")
     _require(not X.is_empty, "sets must be nonempty")
     for Y in Ys:
         _require(not Y.is_empty, "sets must be nonempty")
-    IX = SumSemantics.INDEX
-    total = Ys[0]
-    for Y in Ys[1:]:
-        total = sumset(total, Y, IX)
-    # compare lhs * |X|^(k-1) <= prod |X + Yi| exactly in integers
-    alphas_num = 1
-    for Y in Ys:
-        alphas_num *= sumset(X, Y, IX).count
-    k = len(Ys)
-    rhs = alphas_num / float(X.count) ** (k - 1)
-    rec = InequalityRecord(
-        name="plunnecke", lhs=total.count, rhs=rhs, slack_used=1.0,
-        inputs_digest=_digest(X, *Ys))
-    if total.count * X.count ** (k - 1) > alphas_num:
-        raise InternalCheckError(
-            f"plunnecke violated exactly: {total.count}*{X.count}^{k - 1} > "
-            f"{alphas_num} (inputs {rec.inputs_digest}); this is a theorem, so a bug")
-    if log.isEnabledFor(logging.INFO):
-        CV = SumSemantics.COVER
-        total_c = Ys[0]
-        prod_c = 1
-        for Y in Ys[1:]:
-            total_c = sumset(total_c, Y, CV)
-        for Y in Ys:
-            prod_c *= sumset(X, Y, CV).count
-        _log_cover("plunnecke", total_c.count, prod_c / float(X.count) ** (k - 1))
-    return rec
+    return _checked("plunnecke", lambda sem: (
+        reduce(lambda S, Y: sumset(S, Y, sem), Ys).count,
+        math.prod(sumset(X, Y, sem).count for Y in Ys),
+        X.count ** (len(Ys) - 1)), X, *Ys)
 
 
 def check_cor_simple(X: GridSet1, Y: GridSet1, sign: str = "+") -> InequalityRecord:
     """max(|X - X|, |X + X|) * |Y| <= |X +- Y|**2."""
     _require(sign in ("+", "-"), f"sign must be '+' or '-', got {sign!r}")
     _require(not X.is_empty and not Y.is_empty, "sets must be nonempty")
-    IX = SumSemantics.INDEX
-    mixed = sumset(X, Y, IX) if sign == "+" else diffset(X, Y, IX)
-    lhs = max(diffset(X, X, IX).count, sumset(X, X, IX).count) * Y.count
-    rec = InequalityRecord(name=f"cor_simple[{sign}]", lhs=lhs,
-                           rhs=float(mixed.count) ** 2, slack_used=1.0,
-                           inputs_digest=_digest(X, Y, sign))
-    if log.isEnabledFor(logging.INFO):
-        CV = SumSemantics.COVER
-        mixed_c = sumset(X, Y, CV) if sign == "+" else diffset(X, Y, CV)
-        _log_cover(f"cor_simple[{sign}]",
-                   max(diffset(X, X, CV).count, sumset(X, X, CV).count) * Y.count,
-                   float(mixed_c.count) ** 2)
-    return _assert_record(rec)
+
+    def sides(sem):
+        mixed = (sumset if sign == "+" else diffset)(X, Y, sem).count
+        return (max(diffset(X, X, sem).count, sumset(X, X, sem).count) * Y.count,
+                mixed ** 2, 1)
+    return _checked(f"cor_simple[{sign}]", sides, X, Y, sign)
 
 
 def check_sum_to_difference(X: GridSet1, Y: GridSet1) -> InequalityRecord:
@@ -160,20 +131,14 @@ def check_sum_to_difference(X: GridSet1, Y: GridSet1) -> InequalityRecord:
     asserted.
     """
     _require(not X.is_empty and not Y.is_empty, "sets must be nonempty")
-    IX = SumSemantics.INDEX
-    diff = diffset(X, Y, IX).count
-    summ = sumset(X, Y, IX).count
-    rec = InequalityRecord(name="sum_to_difference", lhs=diff * X.count * Y.count,
-                           rhs=float(summ) ** 3, slack_used=1.0,
-                           inputs_digest=_digest(X, Y))
-    if log.isEnabledFor(logging.INFO):
-        log.info("sum_to_difference |Y|^2-variant measurement: lhs=%d rhs=%g ok=%s",
-                 diff * Y.count ** 2, float(summ) ** 3,
-                 diff * Y.count ** 2 <= float(summ) ** 3)
-        CV = SumSemantics.COVER
-        _log_cover("sum_to_difference", diffset(X, Y, CV).count * X.count * Y.count,
-                   float(sumset(X, Y, CV).count) ** 3)
-    return _assert_record(rec)
+
+    def sides(sem):
+        diff, summ = diffset(X, Y, sem).count, sumset(X, Y, sem).count
+        if sem is SumSemantics.INDEX and log.isEnabledFor(logging.INFO):
+            log.info("sum_to_difference |Y|^2-variant measurement: lhs=%d rhs=%g ok=%s",
+                     diff * Y.count ** 2, summ ** 3, diff * Y.count ** 2 <= summ ** 3)
+        return diff * X.count * Y.count, summ ** 3, 1
+    return _checked("sum_to_difference", sides, X, Y)
 
 
 def check_graph_projection(A: GridSet1, B: GridSet1, G: GridSet2,
@@ -188,19 +153,12 @@ def check_graph_projection(A: GridSet1, B: GridSet1, G: GridSet2,
     _require(isinstance(x, (int, np.integer)), "x must be an integer")
     _require(G.subset_of(cartesian_product(A, B)), "graph must sit inside A x B")
     x = int(x)
-    IX = SumSemantics.INDEX
+    _require_linear_range(((x, max(abs(A.min_index), abs(A.max_index))),), "x*A indices")
     xA = GridSet1.from_indices(A.scale, x * A.indices)
-    pi_count = graph_sum(G, x, IX).count
-    lhs = G.count * sumset(A, xA, IX).count
-    rhs = float(pi_count * diffset(A, A, IX).count * diffset(A, B, IX).count)
-    rec = InequalityRecord(name="graph_projection", lhs=lhs, rhs=rhs,
-                           slack_used=1.0, inputs_digest=_digest(A, B, G, x))
-    if log.isEnabledFor(logging.INFO):
-        CV = SumSemantics.COVER
-        _log_cover("graph_projection", G.count * sumset(A, xA, CV).count,
-                   float(graph_sum(G, x, CV).count * diffset(A, A, CV).count
-                         * diffset(A, B, CV).count))
-    return _assert_record(rec)
+    return _checked("graph_projection", lambda sem: (
+        G.count * sumset(A, xA, sem).count,
+        graph_sum(G, x, sem).count * diffset(A, A, sem).count * diffset(A, B, sem).count,
+        1), A, B, G, x)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +237,8 @@ def bsg_extract(A: GridSet1, B: GridSet1, G: GridSet2, C_cap: float) -> BsgResul
         raise PreconditionError("graph too sparse: no pivot survives degree pruning")
     k_out, measured, Ap, Bp = best
     if not (Ap.subset_of(A) and Bp.subset_of(B)):
-        raise InternalCheckError("extracted sets escaped their parents; bug")
+        raise InternalCheckError(f"extracted sets escaped their parents "
+                                 f"(inputs {_digest(A, B, G, C_cap)}); bug")
     result = BsgResult(Aprime=Ap, Bprime=Bp, K_in=K_in, measured=measured,
                        K_out=k_out)
     if k_out > C_cap:

@@ -20,6 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -39,8 +40,6 @@ from .project import (AngleMeasure, kaufman_average, marstrand_average,
                       project_set, sweep)
 from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
                       nfold_sum, reflect, sumset)
-
-_SUITES = ("ruzsa", "plunnecke", "simple-sum", "simple-diff", "sumdiff", "graphproj")
 
 
 @dataclass(frozen=True)
@@ -334,46 +333,38 @@ def _random_set(rng, scale: Scale, max_cells: int, span: int) -> GridSet1:
     return GridSet1.from_indices(scale, idx)
 
 
-def _verify_case(suite: str, rng, scale: Scale, max_cells: int, span: int):
-    if suite == "ruzsa":
-        X = _random_set(rng, scale, max_cells, span)
-        Y = _random_set(rng, scale, max_cells, span)
-        Z = _random_set(rng, scale, max_cells, span)
-        return check_ruzsa_triangle(X, Y, Z)
-    if suite == "plunnecke":
-        X = _random_set(rng, scale, max_cells, span)
-        k = int(rng.integers(2, 4))
-        Ys = [_random_set(rng, scale, max_cells, span) for _ in range(k)]
-        return check_plunnecke(X, Ys)
-    if suite == "simple-sum":
-        return check_cor_simple(_random_set(rng, scale, max_cells, span),
-                                _random_set(rng, scale, max_cells, span), "+")
-    if suite == "simple-diff":
-        return check_cor_simple(_random_set(rng, scale, max_cells, span),
-                                _random_set(rng, scale, max_cells, span), "-")
-    if suite == "sumdiff":
-        return check_sum_to_difference(_random_set(rng, scale, max_cells, span),
-                                       _random_set(rng, scale, max_cells, span))
-    # graphproj
-    A = _random_set(rng, scale, max_cells, span)
-    B = _random_set(rng, scale, max_cells, span)
+def _graph_case(draw, rng):
+    A, B = draw(), draw()
     dense = rng.random((A.count, B.count)) < 0.5
     if not dense.any():
         dense[0, 0] = True
     i, j = np.nonzero(dense)
-    G = GridSet2.from_indices(scale, np.stack((A.indices[i], B.indices[j]), axis=1))
-    x = int(rng.integers(1, 4))
-    return check_graph_projection(A, B, G, x)
+    G = GridSet2.from_indices(A.scale, np.stack((A.indices[i], B.indices[j]), axis=1))
+    return check_graph_projection(A, B, G, int(rng.integers(1, 4)))
+
+
+# Each suite's check of sets drawn, in argument order, from the case's stream;
+# a suite's position seeds its cases.
+_SUITES = {
+    "ruzsa": lambda draw, rng: check_ruzsa_triangle(draw(), draw(), draw()),
+    "plunnecke": lambda draw, rng: check_plunnecke(
+        draw(), [draw() for _ in range(int(rng.integers(2, 4)))]),
+    "simple-sum": lambda draw, rng: check_cor_simple(draw(), draw(), "+"),
+    "simple-diff": lambda draw, rng: check_cor_simple(draw(), draw(), "-"),
+    "sumdiff": lambda draw, rng: check_sum_to_difference(draw(), draw()),
+    "graphproj": _graph_case,
+}
 
 
 def _cmd_verify(args) -> int:
     scale = Scale(args.n)
-    suites = list(_SUITES) if args.suite == "all" else [args.suite]
     rows = []
-    for suite in suites:
+    for k, (suite, check) in enumerate(_SUITES.items()):
+        if args.suite not in ("all", suite):
+            continue
         for case in range(args.cases):
-            rng = np.random.default_rng([args.seed, _SUITES.index(suite), case])
-            rec = _verify_case(suite, rng, scale, args.max_cells, args.span)
+            rng = np.random.default_rng([args.seed, k, case])
+            rec = check(partial(_random_set, rng, scale, args.max_cells, args.span), rng)
             rows.append([suite, case, rec.name, rec.lhs, rec.rhs,
                          int(rec.ok), rec.inputs_digest])
         print(f"suite={suite} cases={args.cases} violations=0")

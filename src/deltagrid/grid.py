@@ -173,7 +173,8 @@ def _runs(bits: np.ndarray) -> np.ndarray:
 def _digest(*objs) -> str:
     """16 hex digits naming the inputs of a failed check, the same in every
     run: a grid set by its scale, offset and cells, a measure by its scale,
-    offset and weights, anything else by its str."""
+    offset and weights, a cell cloud by its scale and index rows, anything
+    else by its str."""
     h = hashlib.sha256()
     for obj in objs:
         if isinstance(obj, GridSet1):
@@ -188,6 +189,10 @@ def _digest(*objs) -> str:
             h.update(b"DM")
             h.update(str((obj.scale.n, obj.offset, obj.weights.shape)).encode())
             h.update(obj.weights.tobytes())
+        elif isinstance(getattr(obj, "indices", None), np.ndarray):  # a cell cloud
+            h.update(b"CC")
+            h.update(str((obj.scale.n, obj.indices.shape)).encode())
+            h.update(obj.indices.tobytes())
         else:
             h.update(str(obj).encode())
     return h.hexdigest()[:16]

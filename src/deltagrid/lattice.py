@@ -32,7 +32,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, _require, as_fraction
+from .grid import GridSet1, GridSet2, Scale, _digest, _require, as_fraction
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -182,7 +182,7 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     if count < math.ceil(bound - 1e-9):
         raise InternalCheckError(
             f"translate search found max count {count} below averaging bound "
-            f"{bound} (|V|={V.count} cells, k={k}, dim={V.dim}); bug")
+            f"{bound} (|V|={V.count} cells, k={k}, dim={V.dim}) (inputs {_digest(V, fs)}); bug")
     shift = tuple(Fraction(int(r), 1 << V.scale.n) for r in uniq[best])
     return LatticeSearchResult(translation=shift, count=count, bound=bound,
                                examined_shifts=k ** V.dim)
@@ -282,6 +282,10 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     _require(np.all(v >= 0.5) and np.all(v <= 1.0), "direction must lie in [1/2, 1]^n")
     _require(R > 0, "slab radius must be positive")
     _require(A.count >= 2, "need at least two cells to separate a coordinate")
+
+    def bug(what: str) -> InternalCheckError:
+        return InternalCheckError(f"{what} (inputs {_digest(A, tuple(v.tolist()), n, R)}); bug")
+
     scale = A.scale
     delta = scale.delta
     span = A.max_index - A.min_index + 1
@@ -311,9 +315,7 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     sel = np.all(np.mod(rows - r, kmod) == 0, axis=1)
     taus = (rows[sel] - r) // kmod  # lex-sorted since rows are
     if taus.shape[0] < M:
-        raise InternalCheckError(
-            f"translate count {taus.shape[0]} fell below required {M} "
-            f"(bound {bound}); bug")
+        raise bug(f"translate count {taus.shape[0]} fell below required {M} (bound {bound})")
     taus = taus[:M]
     base = (r + taus * kmod) * delta  # lattice points, exact binary64
 
@@ -345,20 +347,18 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
             z = base[j] + centers[b_flat]
             gap = abs(float(x @ v) - float(z @ v))
             if gap > tol * (1 + 1e-9):
-                raise InternalCheckError(f"witness gap {gap} exceeds tolerance {tol}; bug")
+                raise bug(f"witness gap {gap} exceeds tolerance {tol}")
             nz = np.flatnonzero(ell != 0)
             if nz.size == 0:
-                raise InternalCheckError("collision with zero lattice vector; bug")
+                raise bug("collision with zero lattice vector")
             elim = int(nz[-1])
             if abs(float(z[elim] - x[elim])) < diam - 2 * delta:
-                raise InternalCheckError(
-                    f"eliminated coordinate moved only {abs(float(z[elim] - x[elim]))}, "
-                    f"below diam - 2*delta = {diam - 2 * delta}; bug")
+                raise bug(f"eliminated coordinate moved only {abs(float(z[elim] - x[elim]))}, "
+                          f"below diam - 2*delta = {diam - 2 * delta}")
             return CollisionWitness(
                 pair_indices=(i, j), ell=tuple(int(e) for e in ell),
                 x=tuple(float(t) for t in x), y=tuple(float(t) for t in y),
                 z=tuple(float(t) for t in z), eliminated=elim,
                 tolerance=tol, projection_gap=gap)
-    raise InternalCheckError(
-        f"no collision among {M} translates despite projection measure {lam}; "
-        f"theory guarantees one; bug")
+    raise bug(f"no collision among {M} translates despite projection measure {lam}; "
+              f"theory guarantees one")

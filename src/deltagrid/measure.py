@@ -55,7 +55,7 @@ import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
 from .grid import (GridSet1, GridSet2, MAX_SPAN, Scale, as_fraction, make_interval,
-                   _check_cells, _crop, _offset, _origin, _overlap_box, _require)
+                   _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -511,6 +511,21 @@ def energy_bound_constant(t: float, kappa: float) -> float:
 # Heavy-cube pruning (energy -> Frostman)
 
 
+def _support(mu: DyadicMeasure1):
+    """Absolute indices and weights of mu's positive cells."""
+    nz = np.flatnonzero(mu.weights > 0)
+    return nz.astype(np.int64) + mu.offset, mu.weights[nz]
+
+
+def _cube_masses(idx: np.ndarray, w: np.ndarray, n: int, levels):
+    """For each level j in `levels`: j, the level-j dyadic cubes meeting the
+    cells idx (ascending), each cell's position among them, and their masses
+    under the weights w."""
+    for j in levels:
+        uniq, inv = np.unique(idx >> (n - j), return_inverse=True)
+        yield j, uniq, inv, np.bincount(inv, weights=w)
+
+
 def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
                       strict: bool = True):
     """Remove dyadic cubes with mass above K*L*2**(-j*s/2), j = 0..n-1.
@@ -524,14 +539,9 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     _require(s > 0, "energy exponent must be positive")
     _require(K >= 1 and L >= 1, "K and L must be at least 1")
     n = mu.scale.n
-    nz = np.flatnonzero(mu.weights > 0)
-    idx = nz.astype(np.int64) + mu.offset
-    w = mu.weights[nz]
+    idx, w = _support(mu)
     removed = np.zeros(idx.size, dtype=bool)
-    for j in range(n):
-        keys = idx >> (n - j)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        masses = np.bincount(inv, weights=w)
+    for j, _, inv, masses in _cube_masses(idx, w, n, range(n)):
         thr = K * L * 2.0 ** (-j * s / 2.0)
         heavy = masses > thr if strict else masses >= thr
         if heavy.any():
@@ -543,7 +553,8 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     bound = energy / (K * L) * geom
     if n and removed_mass > bound * (1 + 1e-9) + 1e-12:
         raise InternalCheckError(
-            f"pruned mass {removed_mass} exceeds energy bound {bound} (c=1); bug")
+            f"pruned mass {removed_mass} exceeds energy bound {bound} (c=1) "
+            f"(inputs {_digest(mu, s, K, L, strict)}); bug")
     return kept, removed_mass
 
 
@@ -609,11 +620,9 @@ def rescale_to_unit(mu: DyadicMeasure1, level: int, index: int) -> DyadicMeasure
     I = make_interval(mu.scale, Fraction(index, 1 << level),
                       Fraction(index + 1, 1 << level))
     restricted = condition(mu, I)
-    base = index << (n - level)
-    nz = np.flatnonzero(restricted.weights > 0)
-    rel = nz + restricted.offset - base
+    idx, mass = _support(restricted)
     w = np.zeros(1 << (n - level)) if n > level else np.zeros(1)
-    w[rel] = restricted.weights[nz]
+    w[idx - (index << (n - level))] = mass
     return DyadicMeasure1.from_weights(Scale(n - level), 0, w)
 
 
@@ -632,14 +641,8 @@ def maximal_interval(mu: DyadicMeasure1, kappa: float) -> MaximalIntervalResult:
     n = mu.scale.n
     _require(mu.offset >= 0 and mu.offset + mu.weights.size <= (1 << n),
              "measure must be supported in [0, 1)")
-    nz = np.flatnonzero(mu.weights > 0)
-    idx = nz.astype(np.int64) + mu.offset
-    w = mu.weights[nz]
     best = None
-    for j in range(n + 1):
-        keys = idx >> (n - j)
-        uniq, inv = np.unique(keys, return_inverse=True)
-        masses = np.bincount(inv, weights=w)
+    for j, uniq, _, masses in _cube_masses(*_support(mu), n, range(n + 1)):
         mvals = masses * 2.0 ** (j * kappa / 2.0)
         p = int(np.argmax(mvals))
         if best is None or mvals[p] > best[0]:

@@ -33,7 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalCheckError
-from .grid import GridSet1, GridSet2, Scale, _require
+from .grid import GridSet1, GridSet2, Scale, _digest, _require
 from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
 
 
@@ -146,7 +146,8 @@ class SweepReport:
             if r.adversarial_count > r.projection_count:
                 raise InternalCheckError(
                     f"adversarial count {r.adversarial_count} exceeds projection "
-                    f"count {r.projection_count} at theta={r.theta}; bug")
+                    f"count {r.projection_count} at theta={r.theta} "
+                    f"(inputs {_digest(self.fraction, *self.records)}); bug")
 
     @classmethod
     def build(cls, fraction: float, records) -> "SweepReport":

@@ -1,17 +1,20 @@
 """Additive-inequality verifier tests: pinned small counts, random
-zero-violation suites, the constructive dense-pair extraction, and the
-COVER-semantics measurements that go only to the INFO log."""
+zero-violation suites, the violation path, the constructive dense-pair
+extraction, and the COVER-semantics measurements that go only to the
+INFO log."""
 import logging
+import re
 
 import numpy as np
 import pytest
 
-from deltagrid import (BsgExtractionError, GridSet1, GridSet2,
+from deltagrid import (BsgExtractionError, GridSet1, GridSet2, InternalCheckError,
                        PreconditionError, Scale, SumSemantics, addcomb,
                        bsg_extract, cartesian_product, check_cor_simple,
                        check_graph_projection, check_plunnecke,
                        check_ruzsa_triangle, check_sum_to_difference, diffset,
                        graph_sum, make_interval, sumset)
+from deltagrid.cli import main
 
 import _baselines as B
 
@@ -141,6 +144,62 @@ def test_graph_projection_rejects_outside():
     G = GridSet2.from_indices(Scale(4), [(0, 5)])
     with pytest.raises(PreconditionError):
         check_graph_projection(A, A, G, 1)
+
+
+def test_graph_projection_refuses_a_wrapping_dilation():
+    # x*A would leave the int64 range: 2**61 * 8 = 2**64 wrapped to 0 and
+    # gave lhs=4 (the true value is 8); 2**70 escaped as OverflowError
+    A, B = _set(4, [0, 8]), _set(4, [0])
+    G = GridSet2.from_indices(Scale(4), [(0, 0), (8, 0)])
+    for x in (2 ** 61, 2 ** 70):
+        with pytest.raises(PreconditionError, match=r"x\*A indices"):
+            check_graph_projection(A, B, G, x)
+    assert check_graph_projection(A, B, G, 3).lhs == 2 * 4
+
+
+class _Huge:
+    """A stand-in sum result with a huge count; sums with it stay huge."""
+    count = 10 ** 30
+
+
+def _inflate_first(monkeypatch, name):
+    """Make addcomb's first call of `name` (the left side in every check)
+    return a huge set."""
+    real, calls = getattr(addcomb, name), []
+
+    def inflated(*args):
+        calls.append(args)
+        huge = len(calls) == 1 or any(isinstance(a, _Huge) for a in args)
+        return _Huge() if huge else real(*args)
+    monkeypatch.setattr(addcomb, name, inflated)
+
+
+_VIOLATIONS = [  # (verify suite, inflated sum, check of three sets and a graph)
+    ("ruzsa", "diffset", lambda X, Y, Z, G: check_ruzsa_triangle(X, Y, Z)),
+    ("plunnecke", "sumset", lambda X, Y, Z, G: check_plunnecke(X, [Y, Z])),
+    ("simple-sum", "diffset", lambda X, Y, Z, G: check_cor_simple(X, Y, "+")),
+    ("sumdiff", "diffset", lambda X, Y, Z, G: check_sum_to_difference(X, Y)),
+    ("graphproj", "sumset", lambda X, Y, Z, G: check_graph_projection(X, Y, G, 2)),
+]
+
+
+@pytest.mark.parametrize("suite, name, check", _VIOLATIONS, ids=[v[0] for v in _VIOLATIONS])
+def test_violation_raises_with_input_digest(monkeypatch, tmp_path, capsys, suite, name, check):
+    X, Y, Z = _set(6, [1]), _set(6, [3]), _set(6, [4])
+    G = GridSet2.from_indices(Scale(6), [(1, 3)])
+    rec = check(X, Y, Z, G)  # singletons: both sides equal, and that passes
+    assert rec.ok and rec.lhs == rec.rhs == 1
+    _inflate_first(monkeypatch, name)
+    with pytest.raises(InternalCheckError,
+                       match=r"violated: 10{30} \* \d+ > \d+ \(inputs [0-9a-f]{16}\)"):
+        check(X, Y, Z, G)
+    monkeypatch.undo()
+    _inflate_first(monkeypatch, name)
+    out = str(tmp_path / "v.csv")
+    assert main(["verify", "addcomb", "--suite", suite, "--cases", "1", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("internal check failed:")
+    assert re.search(r"\(inputs [0-9a-f]{16}\)", err)
 
 
 def test_degenerate_identity():

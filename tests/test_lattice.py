@@ -7,6 +7,7 @@ import pytest
 from deltagrid import (CellCloud, GridSet1, PreconditionError, Scale,
                        blichfeldt_translate, count_lattice_points,
                        make_interval, slab_collision)
+from deltagrid.grid import _digest
 
 
 def test_unit_square():
@@ -114,3 +115,13 @@ def test_slab_rejections():
         slab_collision(A, (0.7, 0.7), 4, 8.0)  # dimension
     with pytest.raises(PreconditionError):
         slab_collision(A, (0.7, 0.7), 2, 2.0)  # slab too small for M
+
+
+def test_cell_clouds_digest_by_their_rows():
+    # same scale, dimension and count, so the same repr, but other rows
+    a = CellCloud.from_indices(Scale(4), [[0, 0], [1, 2]])
+    b = CellCloud.from_indices(Scale(4), [[0, 0], [1, 3]])
+    assert repr(a) == repr(b)
+    assert _digest(a) != _digest(b)
+    assert _digest(a) == _digest(CellCloud.from_indices(Scale(4), [[1, 2], [0, 0]]))
+    assert _digest(a) != _digest(CellCloud.from_indices(Scale(5), [[0, 0], [1, 2]]))
