@@ -20,7 +20,7 @@ import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 
 import numpy as np
 
@@ -268,6 +268,7 @@ def _cmd_project(args) -> int:
         print(f"wrote {args.out}: {R!r}")
         return 0
     if args.what == "sweep":
+        _require(args.angles >= 1, f"--angles must be at least 1, got {args.angles}")
         thetas = np.arange(args.angles) * math.pi / args.angles
         mu = uniform_on(E) if args.kappa is not None else None
         rep = sweep(E, thetas, args.fraction, mu=mu, kappa=args.kappa, threads=args.threads)
@@ -357,6 +358,9 @@ _SUITES = {
 
 
 def _cmd_verify(args) -> int:
+    _require(args.cases >= 0, f"--cases must be nonnegative, got {args.cases}")
+    _require(args.max_cells >= 1, f"--max-cells must be at least 1, got {args.max_cells}")
+    _require(args.span >= 1, f"--span must be at least 1, got {args.span}")
     scale = Scale(args.n)
     rows = []
     for k, (suite, check) in enumerate(_SUITES.items()):
@@ -476,6 +480,7 @@ def _cmd_report(args) -> int:
 # Parser wiring
 
 
+@cache
 def _build_parser() -> _Parser:
     p = _Parser(prog="deltagrid", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)

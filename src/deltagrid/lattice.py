@@ -16,11 +16,15 @@ B^(n-1)(0, R) x [-1, 1] (last factor along v/|v|), chosen by
 blichfeldt_translate.  The projection x -> <x, v> maps the slab onto
 an interval of length 2|v| independent of R, while each translate
 projects onto a congruent copy of pi(A^n) of measure lambda, computed
-here exactly by interval arithmetic on rational endpoints.  Taking
+here exactly in integers: each v_i is p_i/q over one power of two q, so
+every interval end is an integer in units of delta/q.  Taking
 M = ceil(2(n diam A + 2 sqrt(n)) / lambda) + 1 makes the projections
 overspill the window strictly, so two translates must overlap in
 positive measure and a center pair within tolerance 2*delta*|v|_1
 exists.  Not finding one is an internal error.
+
+Boxes, discs and slabs are rasters of a product of ascending axes, so
+their rows are canonical (unique, lex-sorted) as built.
 """
 
 from __future__ import annotations
@@ -38,6 +42,17 @@ _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
 _MAX_RUN_PAIRS = 4_000_000
 _MAX_TRANSLATES = 100_000
+
+
+def _raster(axes) -> np.ndarray:
+    """Rows of the product of ascending int64 axes, in lexicographic order."""
+    grids = np.meshgrid(*axes, indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _on_lattice(rows: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
+    """Mask of the rows lying in r + k*Z^dim."""
+    return np.all(np.mod(rows - r, k) == 0, axis=1)
 
 
 @dataclass(frozen=True, eq=False)
@@ -86,8 +101,7 @@ class CellCloud:
             axes.append(np.arange(int(klo), int(khi), dtype=np.int64))
             total *= int(khi - klo)
             _require(total <= _MAX_RASTER, f"box raster has {total} cells; too large")
-        grids = np.meshgrid(*axes, indexing="ij")
-        return cls.from_indices(scale, np.stack([g.ravel() for g in grids], axis=1))
+        return cls(scale, _raster(axes))
 
     @classmethod
     def disc(cls, scale: Scale, radius: float, center=(0.0, 0.0)) -> "CellCloud":
@@ -97,13 +111,12 @@ class CellCloud:
         cx, cy = float(center[0]), float(center[1])
         k = int(math.ceil((radius + delta) / delta)) + 1
         i0, j0 = int(math.floor(cx / delta)), int(math.floor(cy / delta))
-        ii, jj = np.meshgrid(np.arange(i0 - k, i0 + k + 1, dtype=np.int64),
-                             np.arange(j0 - k, j0 + k + 1, dtype=np.int64), indexing="ij")
+        rows = _raster((np.arange(i0 - k, i0 + k + 1, dtype=np.int64),
+                        np.arange(j0 - k, j0 + k + 1, dtype=np.int64)))
         # nearest point of the closed cell to the disc center
-        dx = np.maximum(np.abs(cx - (ii + 0.5) * delta) - 0.5 * delta, 0.0)
-        dy = np.maximum(np.abs(cy - (jj + 0.5) * delta) - 0.5 * delta, 0.0)
-        keep = dx * dx + dy * dy <= radius * radius
-        return cls.from_indices(scale, np.stack([ii[keep], jj[keep]], axis=1))
+        dx = np.maximum(np.abs(cx - (rows[:, 0] + 0.5) * delta) - 0.5 * delta, 0.0)
+        dy = np.maximum(np.abs(cy - (rows[:, 1] + 0.5) * delta) - 0.5 * delta, 0.0)
+        return cls(scale, rows[dx * dx + dy * dy <= radius * radius])
 
     @property
     def dim(self) -> int:
@@ -174,8 +187,7 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     _require(kf.denominator == 1, f"spacing {fs} is not a multiple of delta=2**-{V.scale.n}")
     k = int(kf)
     res = np.mod(V.indices, k)
-    uniq, inv = np.unique(res, axis=0, return_inverse=True)
-    counts = np.bincount(inv.ravel(), minlength=uniq.shape[0])
+    uniq, counts = np.unique(res, axis=0, return_counts=True)
     best = int(np.argmax(counts))  # uniq rows are lex-sorted: first argmax wins
     count = int(counts[best])
     bound = V.count / float(k) ** V.dim
@@ -194,52 +206,34 @@ def count_lattice_points(V, s, translation) -> int:
     k = int(as_fraction(s) * (1 << V.scale.n))
     r = np.array([int(as_fraction(t) * (1 << V.scale.n)) for t in translation], dtype=np.int64)
     _require(r.size == V.dim, "translation dimension mismatch")
-    hit = np.all(np.mod(V.indices - r, k) == 0, axis=1)
-    return int(np.count_nonzero(hit))
+    return int(np.count_nonzero(_on_lattice(V.indices, r, k)))
 
 
 # ---------------------------------------------------------------------------
 # Slab collision
 
 
-def _interval_union_minkowski(runs_a, runs_b):
-    """Minkowski sum of two sorted disjoint interval unions; Fractions."""
-    sums = []
-    for (a0, a1) in runs_a:
-        for (b0, b1) in runs_b:
-            sums.append((a0 + b0, a1 + b1))
-    _require(len(sums) <= _MAX_RUN_PAIRS, "projection interval count exploded")
-    sums.sort()
-    merged = [list(sums[0])]
-    for lo, hi in sums[1:]:
-        if lo <= merged[-1][1]:
-            merged[-1][1] = max(merged[-1][1], hi)
-        else:
-            merged.append([lo, hi])
-    return [(lo, hi) for lo, hi in merged]
-
-
-def _scaled_runs(A: GridSet1, factor: Fraction):
-    """Closed-form intervals of factor * A (union of scaled runs)."""
-    delta = Fraction(1, 1 << A.scale.n)
-    starts, ends = A.runs
-    out = []
-    for a, b in zip(starts.tolist(), ends.tolist()):
-        lo = factor * a * delta
-        hi = factor * (b + 1) * delta
-        if factor < 0:
-            lo, hi = hi, lo
-        out.append((lo, hi))
-    out.sort()
-    return out
-
-
 def _exact_projection_measure(A: GridSet1, v) -> Fraction:
-    """Lebesgue measure of sum_i v_i * A, exact over binary64 rationals."""
-    runs = _scaled_runs(A, as_fraction(v[0]))
-    for vi in v[1:]:
-        runs = _interval_union_minkowski(runs, _scaled_runs(A, as_fraction(vi)))
-    return sum((hi - lo for lo, hi in runs), Fraction(0))
+    """Lebesgue measure of sum_i v_i * A, exact over binary64 rationals.
+
+    With v_i = p_i/q > 0, the runs of A scale to sorted disjoint integer
+    intervals [p_i*a, p_i*(b+1)] in units of delta/q."""
+    ratios = [float(x).as_integer_ratio() for x in v]
+    q = max(d for _, d in ratios)
+    starts, ends = A.runs
+    a_runs = list(zip(starts.tolist(), (ends + 1).tolist()))
+    runs = [(0, 0)]
+    for p, d in ratios:
+        p *= q // d
+        _require(len(runs) * len(a_runs) <= _MAX_RUN_PAIRS, "projection interval count exploded")
+        sums = sorted((lo + p * a, hi + p * b) for lo, hi in runs for a, b in a_runs)
+        runs = [sums[0]]
+        for lo, hi in sums[1:]:
+            if lo > runs[-1][1]:
+                runs.append((lo, hi))
+            elif hi > runs[-1][1]:
+                runs[-1] = (runs[-1][0], hi)
+    return Fraction(sum(hi - lo for lo, hi in runs), q << A.scale.n)
 
 
 def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
@@ -257,14 +251,13 @@ def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
     axis = np.arange(-k, k + 1, dtype=np.int64)
     _require(float(axis.size) ** n <= _MAX_RASTER,
              f"slab raster would need {axis.size}**{n} cells; reduce R or the scale depth")
-    grids = np.meshgrid(*([axis] * n), indexing="ij")
-    idx = np.stack([g.ravel() for g in grids], axis=1)
+    idx = _raster([axis] * n)
     centers = (idx + 0.5) * delta
     t = centers @ u
     radial2 = np.sum(centers * centers, axis=1) - t * t
     keep = (np.abs(t) <= 1.0 + h) & (radial2 <= (R + h) ** 2)
     _require(bool(keep.any()), "slab raster came out empty; bug in extents")
-    return CellCloud.from_indices(scale, idx[keep])
+    return CellCloud(scale, idx[keep])
 
 
 def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
@@ -280,8 +273,10 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     v = np.asarray([float(x) for x in np.atleast_1d(v)], dtype=np.float64)
     _require(v.size == n, f"direction must have {n} coordinates")
     _require(np.all(v >= 0.5) and np.all(v <= 1.0), "direction must lie in [1/2, 1]^n")
-    _require(R > 0, "slab radius must be positive")
+    _require(0 < R < math.inf, "slab radius must be positive and finite")
     _require(A.count >= 2, "need at least two cells to separate a coordinate")
+    _require(float(A.count) ** n <= _MAX_PI_POINTS,
+             f"product set has {A.count}**{n} points; too many for the pair scan")
 
     def bug(what: str) -> InternalCheckError:
         return InternalCheckError(f"{what} (inputs {_digest(A, tuple(v.tolist()), n, R)}); bug")
@@ -293,6 +288,7 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     spacing_cells = 2 * span
     spacing = spacing_cells * delta
 
+    V = _raster_slab(scale, v / float(np.linalg.norm(v)), R)
     lam = float(_exact_projection_measure(A, v))
     _require(lam > 0, "projection of the product set has zero measure")
     need = 2.0 * (n * diam + 2.0 * math.sqrt(n))
@@ -300,9 +296,6 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     _require(M <= _MAX_TRANSLATES,
              f"need {M} translates (projection measure {lam}); too small a set for this demo")
 
-    vnorm = float(np.linalg.norm(v))
-    u = v / vnorm
-    V = _raster_slab(scale, u, R)
     kmod = spacing_cells
     bound = V.count / float(kmod) ** n
     _require(bound >= M,
@@ -312,19 +305,13 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     search = blichfeldt_translate(V, spacing)
     r = np.array([int(t * (1 << scale.n)) for t in search.translation], dtype=np.int64)
     rows = V.indices
-    sel = np.all(np.mod(rows - r, kmod) == 0, axis=1)
-    taus = (rows[sel] - r) // kmod  # lex-sorted since rows are
+    taus = (rows[_on_lattice(rows, r, kmod)] - r) // kmod  # lex-sorted since rows are
     if taus.shape[0] < M:
         raise bug(f"translate count {taus.shape[0]} fell below required {M} (bound {bound})")
     taus = taus[:M]
     base = (r + taus * kmod) * delta  # lattice points, exact binary64
 
-    a_idx = A.indices.astype(np.int64)
-    _require(float(a_idx.size) ** n <= _MAX_PI_POINTS,
-             f"product set has {a_idx.size}**{n} points; too many for the pair scan")
-    grids = np.meshgrid(*([a_idx] * n), indexing="ij")
-    tuples = np.stack([g.ravel() for g in grids], axis=1)
-    centers = (tuples + 0.5) * delta
+    centers = (_raster([A.indices.astype(np.int64)] * n) + 0.5) * delta
     pvals = centers @ v
     order = np.argsort(pvals, kind="stable")
     psort = pvals[order]

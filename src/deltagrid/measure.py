@@ -54,8 +54,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (GridSet1, GridSet2, MAX_SPAN, Scale, as_fraction, make_interval,
-                   _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require)
+from .grid import (GridSet1, GridSet2, Scale, as_fraction, make_interval,
+                   _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
+                   _require_span)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -597,12 +598,11 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     # target = floor( (pa*(2i+1)*qb + pb*qa*2^(n+1)) / (2*qa*qb) ), exact.
     num = [pa * (2 * int(i) + 1) * qb + pb * qa * (2 << n) for i in src]
     den = 2 * qa * qb
-    tgt = np.asarray([v // den for v in num], dtype=np.int64)
-    _require(int(np.abs(tgt).max()) < (1 << 48), "pushforward target cells out of guarded range")
-    lo = int(tgt.min())
-    span = int(tgt.max()) - lo + 1
-    _require(span <= MAX_SPAN, f"cell span {span} exceeds dense-representation cap {MAX_SPAN}")
-    w = np.bincount(tgt - lo, weights=mu.weights[nz])
+    tgt = [v // den for v in num]
+    lo, hi = min(tgt), max(tgt)
+    _require(max(abs(lo), abs(hi)) < (1 << 48), "pushforward target cells out of guarded range")
+    _require_span(hi - lo + 1)
+    w = np.bincount(np.asarray(tgt, dtype=np.int64) - lo, weights=mu.weights[nz])
     return DyadicMeasure1.from_weights(mu.scale, lo, w)
 
 
@@ -641,6 +641,7 @@ def maximal_interval(mu: DyadicMeasure1, kappa: float) -> MaximalIntervalResult:
     n = mu.scale.n
     _require(mu.offset >= 0 and mu.offset + mu.weights.size <= (1 << n),
              "measure must be supported in [0, 1)")
+    _require(np.isfinite(kappa), "kappa must be finite")
     best = None
     for j, uniq, _, masses in _cube_masses(*_support(mu), n, range(n + 1)):
         mvals = masses * 2.0 ** (j * kappa / 2.0)

@@ -357,7 +357,7 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
         _require(fx.denominator == 1, "INDEX graph sum needs integer x")
         xv = int(fx)
         _require_linear_range(((1, imax), (xv, jmax + 1)), "graph-sum indices")
-        return GridSet1.from_indices(G.scale, np.unique(ii + xv * jj))
+        return GridSet1.from_indices(G.scale, ii + xv * jj)
     p, q = fx.numerator, fx.denominator
     _require(max(abs(p), q) <= (1 << 30), "graph-sum factor exceeds guarded magnitude 2**30")
     _require_linear_range(((q, imax + 1), (p, jmax + 1)), "graph-sum endpoints")

@@ -1,6 +1,8 @@
 """Every subcommand at the edges of its input domain ends cleanly: exit
 code 0, or exit code 1 with an `error:` line, and never an escaped
 exception such as a MemoryError from an array sized before its guard.
+Rows in SUCCEED must exit 0, and rows in REFUSE must end with the
+`error:` line.
 
 One child process caps its own address space at 1 GiB, so an allocation
 that a guard should have refused fails there instead of on the host, and
@@ -98,6 +100,8 @@ CASES = [
     "measure uniform --set a.gs1",
     "measure rescale --set a.gs1 --kappa 0.5",
     "project shadow --set sq.gs2",
+    # a set of 3,540 cells in 807 runs: both slab caps refuse it at once
+    "gen frostman --n 14 --kappa 0.8 --seed 3 --out f14.gs1",
 ]
 
 # Images of long runs, built one range per run (per pair of runs for
@@ -112,6 +116,20 @@ SUCCEED = [
     "gen interval --n 24 --a 0 --b 1 --out i24.gs1",
     "op dilate --set i24.gs1 --factor 3 --out x.gs1",
     "op dilate --set span.gs1 --factor 1/2 --out x.gs1",
+]
+
+# Flag values outside a command's domain, each refused before any work
+REFUSE = [
+    "lattice collision --set f14.gs1",
+    "lattice collision --set a.gs1 --radius inf",
+    "verify addcomb --max-cells 0",
+    "verify addcomb --span -1",
+    "verify addcomb --span 0",
+    "verify addcomb --cases -1",
+    "project sweep --set sq.gs2 --angles 0",
+    "project sweep --set sq.gs2 --angles -3",
+    "measure maximal --set a.gs1 --kappa nan",
+    "measure rescale --set a.gs1 --kappa nan --out x.dm1",
 ]
 
 CHILD = textwrap.dedent("""
@@ -137,13 +155,16 @@ def test_edge_arguments_end_in_a_clean_exit(tmp_path):
         (tmp_path / name).write_text(text, encoding="latin-1")
     env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
                PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-    proc = subprocess.run([sys.executable, "-c", CHILD], input=json.dumps(CASES + SUCCEED),
+    proc = subprocess.run([sys.executable, "-c", CHILD],
+                          input=json.dumps(CASES + SUCCEED + REFUSE),
                           capture_output=True, text=True, cwd=tmp_path, env=env,
                           timeout=600)
     assert proc.returncode == 0, proc.stderr
     bad = []
     for argv, code, err, seconds in json.loads(proc.stdout):
-        clean = code == 0 or (code == 1 and err.startswith("error: ") and argv not in SUCCEED)
+        refused = code == 1 and err.startswith("error: ")
+        clean = (code == 0 if argv in SUCCEED else refused if argv in REFUSE
+                 else code == 0 or refused)
         if not clean or seconds > 10:
             bad.append((argv, code, err[:120], round(seconds, 2)))
     assert bad == []

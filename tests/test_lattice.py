@@ -1,6 +1,9 @@
 """Lattice tests: translate search against the averaging bound with an
-independent recount, and the slab-collision witness invariants."""
+independent recount, the slab-collision witness invariants, canonical
+rasters, and the integer projection measure against a Fraction oracle."""
 import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -8,6 +11,7 @@ from deltagrid import (CellCloud, GridSet1, PreconditionError, Scale,
                        blichfeldt_translate, count_lattice_points,
                        make_interval, slab_collision)
 from deltagrid.grid import _digest
+from deltagrid.lattice import _exact_projection_measure, _raster_slab
 
 
 def test_unit_square():
@@ -125,3 +129,59 @@ def test_cell_clouds_digest_by_their_rows():
     assert _digest(a) != _digest(b)
     assert _digest(a) == _digest(CellCloud.from_indices(Scale(4), [[1, 2], [0, 0]]))
     assert _digest(a) != _digest(CellCloud.from_indices(Scale(5), [[0, 0], [1, 2]]))
+
+
+def _fraction_projection_measure(A, v):
+    """Oracle: measure of sum_i v_i * A by Fraction interval arithmetic,
+    merging each sorted Minkowski sum of interval unions."""
+    delta = Fraction(1, 1 << A.scale.n)
+    starts, ends = A.runs
+    runs = [(Fraction(0), Fraction(0))]
+    for vi in v:
+        f = Fraction(float(vi))
+        scaled = [(f * a * delta, f * (b + 1) * delta)
+                  for a, b in zip(starts.tolist(), ends.tolist())]
+        sums = sorted((a0 + b0, a1 + b1) for a0, a1 in runs for b0, b1 in scaled)
+        merged = [list(sums[0])]
+        for lo, hi in sums[1:]:
+            if lo <= merged[-1][1]:
+                merged[-1][1] = max(merged[-1][1], hi)
+            else:
+                merged.append([lo, hi])
+        runs = merged
+    return sum((hi - lo for lo, hi in runs), Fraction(0))
+
+
+def test_exact_projection_measure_matches_fraction_oracle():
+    rng = np.random.default_rng(17)
+    for case in range(300):
+        n = int(rng.integers(1, 9))
+        span = int(rng.integers(1, min(64, 1 << n) + 1))
+        cells = rng.choice(span, size=int(rng.integers(1, min(span, 12) + 1)), replace=False)
+        offset = int(rng.integers(-(1 << 40), (1 << 40) + 1))
+        A = GridSet1.from_indices(Scale(n), cells + offset)
+        dim = 2 + case % 2
+        v = [float(x) for x in rng.uniform(0.5, 1.0, size=dim)]
+        v[0] = (0.5, 1.0, 0.75, v[0])[case % 4]  # exact ends and a short dyadic
+        got = _exact_projection_measure(A, v)
+        assert isinstance(got, Fraction)
+        assert got == _fraction_projection_measure(A, v), (case, A, v)
+
+
+def test_exact_projection_measure_refuses_before_pairing():
+    # 2,001 runs pair to 4,004,001 intervals, over the 4,000,000 cap
+    A = GridSet1.from_indices(Scale(13), np.arange(0, 4002, 2))
+    with pytest.raises(PreconditionError, match="interval count"):
+        _exact_projection_measure(A, (0.75, 0.75))
+
+
+def test_rasters_are_canonical():
+    scale = Scale(4)
+    clouds = [CellCloud.box(scale, (-1,), (1,)),
+              CellCloud.box(scale, (0, -1), (1, 1)),
+              CellCloud.box(scale, (0, 0, 0), (1, 1, 1)),
+              CellCloud.disc(scale, 0.7, (0.3, -0.2)),
+              _raster_slab(scale, np.array([0.6, 0.8]), 2.0),
+              _raster_slab(Scale(2), np.array([2.0, 1.0, 2.0]) / 3.0, 3.0)]
+    for V in clouds:
+        assert V == CellCloud.from_indices(V.scale, V.indices)

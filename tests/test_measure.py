@@ -548,6 +548,15 @@ def test_pushforward_matches_add_at():
         assert got.weights.tobytes() == want.tobytes()
 
 
+def test_pushforward_refuses_far_targets_before_casting():
+    mu = _unif(4, [3, 9])
+    for a, b in ((2 ** 70, 0), (-(2 ** 70), 0), (1, 2 ** 80)):
+        with pytest.raises(PreconditionError, match="guarded range"):
+            pushforward_affine(mu, a, b)
+    with pytest.raises(PreconditionError, match="dense-representation cap"):
+        pushforward_affine(mu, 2 ** 24, 0)
+
+
 def test_maximal_interval_examples():
     mu = uniform_on(make_interval(Scale(8), 0, 1))
     for kappa in (0.4, 1.0, 1.9):
@@ -610,6 +619,13 @@ def test_maximal_interval_support_touch_on_concrete_families():
     w[128:] = 0.1 / 128
     mi = maximal_interval(DyadicMeasure1.from_weights(Scale(8), 0, w), 1.0)
     assert mi.x0 == 0
+
+
+def test_maximal_interval_refuses_a_nonfinite_kappa():
+    mu = _unif(4, [3, 9])
+    for kappa in (math.nan, math.inf, -math.inf):
+        with pytest.raises(PreconditionError, match="kappa must be finite"):
+            maximal_interval(mu, kappa)
 
 
 def test_rescale_to_unit():
