@@ -339,7 +339,7 @@ def _graph_case(draw, rng):
     dense = rng.random((A.count, B.count)) < 0.5
     if not dense.any():
         dense[0, 0] = True
-    i, j = np.nonzero(dense)
+    j, i = np.nonzero(dense.T)  # pairs ascending in (j, i) seed G's indices
     G = GridSet2.from_indices(A.scale, np.stack((A.indices[i], B.indices[j]), axis=1))
     return check_graph_projection(A, B, G, int(rng.integers(1, 4)))
 

@@ -485,23 +485,93 @@ class GridSet2(_CellSet):
     def empty(cls, scale: Scale) -> "GridSet2":
         return cls(scale, (0, 0), np.zeros((0, 0), dtype=bool))
 
+    @classmethod
+    def from_runs(cls, scale: Scale, runs: np.ndarray) -> "GridSet2":
+        """Union of the row runs (y, x0, x1), the cells (x0..x1, y): an
+        (m, 3) int64 array of at least one run, each with x0 <= x1, in any
+        order, overlaps allowed.  The maximal runs seed `runs` and the
+        count; the cells are painted from them, and `indices` is left to
+        be expanded from them on demand."""
+        y, x0, x1 = runs.T
+        ox, oy = int(x0.min()), int(y.min())
+        w = int(x1.max()) - ox + 1
+        h = int(y.max()) - oy + 1
+        _require_span(w * h)
+        # positions in the box with one spare column, so no two rows' runs abut
+        row = (y - oy) * (w + 1) - ox
+        first, last = row + x0, row + x1
+        merged = _merged(first, last)
+        if merged is None:
+            order = np.argsort(first, kind="stable")
+            merged = _merged(first[order], last[order])
+        first, last = merged
+        yr, xr = np.divmod(first, w + 1)
+        lens = last - first + 1
+        bits = np.zeros(h * w, dtype=bool)
+        # only the pages of occupied rows are touched
+        bits[_run_cells(yr * w + xr, lens)] = True
+        E = cls(scale, (ox, oy), bits.reshape(h, w))
+        out = np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1)
+        out.setflags(write=False)
+        object.__setattr__(E, "_runs", out)
+        object.__setattr__(E, "_count", int(lens.sum()))
+        return E
+
     @property
     def indices(self) -> np.ndarray:
         """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i);
-        computed once, read-only."""
+        computed once, read-only: expanded from `runs` when those are
+        cached, else read off the occupancy box."""
         out = self.__dict__.get("_indices")
         if out is None:
-            jr, ir = np.nonzero(self.bits)
-            out = np.empty((jr.size, 2), dtype=np.int64)
-            out[:, 0] = ir + self.offset[0]
-            out[:, 1] = jr + self.offset[1]
+            runs = self.__dict__.get("_runs")
+            if runs is not None:
+                y, x0, x1 = runs.T
+                lens = x1 - x0 + 1
+                out = np.empty((int(lens.sum()), 2), dtype=np.int64)
+                out[:, 0] = _run_cells(x0, lens)
+                out[:, 1] = np.repeat(y, lens)
+            else:
+                jr, ir = np.nonzero(self.bits)
+                out = np.empty((jr.size, 2), dtype=np.int64)
+                out[:, 0] = ir + self.offset[0]
+                out[:, 1] = jr + self.offset[1]
             out.setflags(write=False)
             object.__setattr__(self, "_indices", out)
+        return out
+
+    @property
+    def runs(self) -> np.ndarray:
+        """(m, 3) array of the maximal row runs (y, x0, x1), absolute and
+        ascending in (y, x0); read-only, seeded by `from_runs` or computed
+        once from `indices`."""
+        out = self.__dict__.get("_runs")
+        if out is None:
+            i, j = self.indices.T
+            # cell t opens a run unless it follows its left neighbour; one
+            # more entry closes the last run
+            opens = np.ones(i.size + 1, dtype=bool)
+            np.not_equal(i[1:], i[:-1] + 1, out=opens[1:-1])
+            opens[1:-1] |= j[1:] != j[:-1]
+            edges = np.flatnonzero(opens)
+            first, last = edges[:-1], edges[1:] - 1
+            out = np.stack((j[first], i[first], i[last]), axis=1)
+            out.setflags(write=False)
+            object.__setattr__(self, "_runs", out)
         return out
 
     def __repr__(self) -> str:
         return (f"GridSet2(n={self.scale.n}, count={self.count}, offset={self.offset}, "
                 f"shape={self.bits.shape})")
+
+
+def _run_cells(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
+    """The int64 values first[t] .. first[t] + lens[t] - 1 of every run t
+    (lens >= 1), concatenated in run order."""
+    ends = np.cumsum(lens)
+    out = np.repeat(first - (ends - lens), lens)
+    out += np.arange(out.size, dtype=np.int64)
+    return out
 
 
 def _merged(k_first: np.ndarray, k_last: np.ndarray):

@@ -17,6 +17,13 @@ the absolute second coordinate, the run spans first coordinates, and
 `rows=` is the bounding-box height.  DM1 weights are renormalized on load;
 drift beyond 1e-9 draws a warning.  Round-trips are lossless on canonical
 (trimmed) forms.
+
+Set files are read as bytes: one numpy pass finds the body's digit runs,
+checks the grammar on their edges (the separators between numbers, the
+signs, one final '\n') and parses the numbers.  A GS2 body's rows are
+the set's row runs (`GridSet2.from_runs`); no per-cell pairs are built.
+A file this parse does not take goes to a line-by-line text scan that
+names the first faulty line.
 """
 from __future__ import annotations
 
@@ -38,10 +45,10 @@ TOOL_VERSION = "deltagrid 0.1.0"
 _RUN_RE = re.compile(r"(-?\d+)-(-?\d+)")
 _ROW_RE = re.compile(r"row=(-?\d+):(-?\d+)-(-?\d+)")
 _OFFSET2_RE = re.compile(r"offset=(-?\d+),(-?\d+)")
-# Whole bodies as bytes, each line ended by b'\n' (a bytes \d is an ASCII
-# digit only); no capture groups, which halves the matching time.
-_GS1_BODY_RE = re.compile(rb"(?:-?\d+--?\d+\n)*")
-_GS2_BODY_RE = re.compile(rb"(?:row=-?\d+:-?\d+--?\d+\n)*")
+# The bytes before each number of a body line, the first one's with the
+# line break before it; each may be followed by one '-', the number's sign.
+_GS1_SEPS = (b"\n", b"-")
+_GS2_SEPS = (b"\nrow=", b":", b"-")
 # The ASCII line breaks other than '\n' that str.splitlines honours.
 _OTHER_BREAKS_RE = re.compile(rb"[\r\x0b\x0c\x1c-\x1e]")
 _DRIFT_WARN = 1e-9
@@ -116,34 +123,48 @@ def _scan_body(path, lines, first: int, line_re: re.Pattern, expected: str) -> n
     return np.array(out, dtype=np.int64).reshape(-1, line_re.groups)
 
 
-def _parse_fast(raw: bytes, first: int, body_re: re.Pattern, k: int):
+def _parse_fast(raw: bytes, first: int, seps: tuple):
     """(header lines, body numbers) of a grid-set file's bytes: the lines
-    before 1-based line `first`, and one int64 row of k numbers per body
-    line, exactly as _scan_body reads them from the text.  None sends the
-    file to the text path: a header line not ASCII or holding a line break
-    other than '\\n', a body that body_re rejects, a number of more than 18
-    digits, or a body that fails _scan_body's checks."""
+    before 1-based line `first`, and one int64 row of len(seps) numbers per
+    body line, exactly as _scan_body reads them from the text.  None sends
+    the file to the text path: a header line not ASCII or holding a line
+    break other than '\\n', a body that is not lines of ASCII numbers with
+    `seps` before them, a number of more than 18 digits, or a body that
+    fails _scan_body's checks.
+
+    The grammar is checked on the edges of the digit runs: between one
+    number's end and the next one's start lie exactly the next separator
+    and at most one '-', and one '\\n' follows the last number."""
     *head, body = raw.split(b"\n", first - 1)
     text = raw[:len(raw) - len(body)]
-    if (len(head) < first - 1 or not text.isascii() or _OTHER_BREAKS_RE.search(text)
-            or not body_re.fullmatch(body)):
+    if len(head) < first - 1 or not text.isascii() or _OTHER_BREAKS_RE.search(text):
         return None
-    # The leading '\n' puts a non-digit before every number.
+    # The leading '\n' is the line break before the first number.
     buf = np.frombuffer(b"\n" + body, dtype=np.uint8)
     digit = (buf >= ord("0")) & (buf <= ord("9"))
     edges = np.flatnonzero(digit[1:] != digit[:-1]) + 1
-    starts, ends = edges[0::2], edges[1::2]  # each number's digits: [start, end)
+    k = len(seps)
+    if (edges.size % (2 * k) or buf.size != (edges[-1] if edges.size else 0) + 1
+            or buf[-1] != ord("\n")):
+        return None  # a number count not a multiple of k, or not one '\n' at the end
+    starts, ends = edges.reshape(-1, 2).T.copy()  # each number's digits: [start, end)
+    at = np.concatenate(([0], ends))[:-1].reshape(-1, k)  # each separator's first byte
+    sign = (starts.reshape(-1, k) - at - [len(sep) for sep in seps]).ravel()  # 1: a '-' too
+    if not (((sign == 0) | (sign == 1)).all() and (buf[starts[sign == 1] - 1] == ord("-")).all()
+            and all((buf[at[:, t] + q] == byte).all()
+                    for t, sep in enumerate(seps) for q, byte in enumerate(sep))):
+        return None
     width = int((ends - starts).max(initial=0))
     if width > 18:  # 18 digits always fit int64
         return None
     dig = (buf - ord("0")) * digit  # uint8, 0 at non-digits
     vals = np.zeros(starts.size, dtype=np.int64)
     for p in range(width, 0, -1):  # Horner's rule on the p-th digit from each end
-        vals = vals * 10 + dig[np.maximum(ends - p, starts - 1)]  # 0 left of a number
-    # A '-' before a number is its sign unless a digit precedes it (the run
-    # separator).  At starts == 1 the wrapped index is masked: buf[0] is '\n'.
-    neg = (buf[starts - 1] == ord("-")) & ~digit[starts - 2]
-    vals = np.where(neg, -vals, vals).reshape(-1, k)
+        pos = ends - p
+        np.maximum(pos, starts - 1, out=pos)  # 0 left of a number
+        vals *= 10
+        vals += dig[pos]
+    vals = np.where(sign == 1, -vals, vals).reshape(-1, k)
     a, b = vals[:, -2], vals[:, -1]
     # Once |a|, |b| < 2**62, b - a + 1 cannot wrap; clipping each run keeps
     # the sum small however many lines there are.
@@ -183,8 +204,8 @@ def _read_gs2(path, lines, runs) -> GridSet2:
         return GridSet2.empty(scale)
     j, a, b = runs[:, 0], runs[:, 1], runs[:, 2]
     x0, y0 = int(a.min()), int(j.min())
-    # Bounding-box guard before expanding runs into cells: two far-apart
-    # cells must not provoke a huge allocation.
+    # Bounding-box guard before painting the runs: two far-apart cells
+    # must not provoke a huge allocation.
     w = int(b.max()) - x0 + 1
     h = int(j.max()) - y0 + 1
     if w * h > MAX_SPAN:
@@ -193,10 +214,7 @@ def _read_gs2(path, lines, runs) -> GridSet2:
         raise _parse_error(path, 3, f"offset={ox},{oy} but occupied corner is {x0},{y0}")
     if rows != h:
         raise _parse_error(path, 4, f"rows={rows} but occupied rows span {h}")
-    lens = b - a + 1
-    x = np.repeat(a - (np.cumsum(lens) - lens), lens)  # each run's cells, in order
-    x += np.arange(x.size, dtype=np.int64)
-    return GridSet2.from_indices(scale, np.stack([x, np.repeat(j, lens)], axis=1))
+    return GridSet2.from_runs(scale, runs)
 
 
 def read_gridset(path) -> Union[GridSet1, GridSet2]:
@@ -205,8 +223,8 @@ def read_gridset(path) -> Union[GridSet1, GridSet2]:
     the first faulty line."""
     with open(path, "rb") as fh:
         raw = fh.read()
-    fast = (_parse_fast(raw, 4, _GS1_BODY_RE, 2) if raw.startswith(b"GS1 v1\n") else
-            _parse_fast(raw, 5, _GS2_BODY_RE, 3) if raw.startswith(b"GS2 v1\n") else None)
+    fast = (_parse_fast(raw, 4, _GS1_SEPS) if raw.startswith(b"GS1 v1\n") else
+            _parse_fast(raw, 5, _GS2_SEPS) if raw.startswith(b"GS2 v1\n") else None)
     lines, runs = fast or (raw.decode("utf-8").splitlines(), None)
     if not lines:
         raise _parse_error(path, 1, "empty file")

@@ -289,18 +289,25 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     spacing = spacing_cells * delta
 
     V = _raster_slab(scale, v / float(np.linalg.norm(v)), R)
+    kmod = spacing_cells
+    bound = V.count / float(kmod) ** n
+    need = 2.0 * (n * diam + 2.0 * math.sqrt(n))
+
+    def room_for(M: int) -> None:
+        _require(bound >= M,
+                 f"slab too small: averaging bound {bound:.2f} < required translates {M}; "
+                 f"increase R (need |V| >= M*(2 diam A)^n)")
+
+    # The measure is at most |v|_1 * diam A, and rounding is monotone, so M
+    # is at least this; a slab too small for it is refused before measuring.
+    most = float(sum(Fraction(x) for x in v.tolist()) * Fraction(diam))
+    room_for(int(math.ceil(need / most)) + 1)
     lam = float(_exact_projection_measure(A, v))
     _require(lam > 0, "projection of the product set has zero measure")
-    need = 2.0 * (n * diam + 2.0 * math.sqrt(n))
     M = int(math.ceil(need / lam)) + 1
     _require(M <= _MAX_TRANSLATES,
              f"need {M} translates (projection measure {lam}); too small a set for this demo")
-
-    kmod = spacing_cells
-    bound = V.count / float(kmod) ** n
-    _require(bound >= M,
-             f"slab too small: averaging bound {bound:.2f} < required translates {M}; "
-             f"increase R (need |V| >= M*(2 diam A)^n)")
+    room_for(M)
 
     search = blichfeldt_translate(V, spacing)
     r = np.array([int(t * (1 << scale.n)) for t in search.translation], dtype=np.int64)

@@ -7,7 +7,8 @@ One kernel projects cells in the set's local frame, with an error bound
 that does not grow with the offset and exact arithmetic near integers.
 project_set gives a conservative cover, each square's range rounded
 outward one ulp (at most a cell more at either end), the side lower-bound
-experiments need.  Projections leaving +-MAX_INDEX raise PreconditionError.
+experiments need; it projects only the two end squares of each row run.
+Projections leaving +-MAX_INDEX raise PreconditionError.
 
 project_measure and the adversarial minimizer use the center
 convention instead: each square's mass, or the square itself, belongs
@@ -205,12 +206,6 @@ def _project_local(x, y, offset, extent: int, d: Direction):
     return K, v, (extent + 4) * 2.0 ** -50, exact
 
 
-def _local(E: GridSet2, half: float):
-    """Cell coordinates of E less its offset, plus half, as float64."""
-    i, j = E.indices.T
-    return (i - E.offset[0]) + half, (j - E.offset[1]) + half
-
-
 def _center_keys(x, y, offset, extent: int, d: Direction):
     """(K, keys): K + keys[t] is the exact floor of pi_theta of point t."""
     K, v, err, exact = _project_local(x, y, offset, extent, d)
@@ -233,6 +228,12 @@ def project_set(E: GridSet2, d) -> GridSet1:
     binary64 projection interval [lo, hi] rounded outward one ulp, the
     cells ceil(lo) - 1 .. floor(hi), widened to the exact floor of lo or
     ceiling of hi less one where that end is within err of an integer.
+
+    The work is per row run of E, not per cell.  Both the binary64 ends
+    and their exact fallbacks are monotone in x, and neighbouring squares'
+    projections overlap (s > 0), so a run's squares cover one range: from
+    the low end of its first square to the high end of its last when
+    c > 0, and the other way round when c < 0.
     """
     _require(not E.is_empty, "projection needs a nonempty set")
     d = _as_direction(d)
@@ -245,21 +246,35 @@ def project_set(E: GridSet2, d) -> GridSet1:
         # x -> -x sends column i to (-(i+1), -i], two cells
         cols = np.flatnonzero(shadow) + E.offset[0]
         return GridSet1.from_ranges(E.scale, -cols - 1, -cols)
-    x, y = _local(E, 0.0)
+    runs, (ox, oy) = E.runs, E.offset
+    m = runs.shape[0]
+    # local coordinates of each run's square with the lowest projection,
+    # then of the one with the highest (a column at a time: numpy is slow on
+    # rows of three)
+    first, last = (1, 2) if c > 0 else (2, 1)
+    x, y = np.empty(2 * m), np.empty(2 * m)
+    x[:m] = runs[:, first] - ox
+    x[m:] = runs[:, last] - ox
+    y[:m] = runs[:, 0] - oy
+    y[m:] = y[:m]
     K, v, err, exact = _project_local(x, y, E.offset, sum(E.bits.shape), d)
-    hi = v + max(0.0, c) + s  # s > 0 here
-    v += min(0.0, c)  # v is lo now
-    k0, k1 = np.ceil(v), np.floor(hi)
-    np.subtract(k0, v, out=v)  # in [0, 1)
+    lo, hi = v[:m], v[m:]
+    lo += min(0.0, c)
+    hi += max(0.0, c)
+    hi += s  # s > 0 here
+    k0, k1 = np.ceil(lo), np.floor(hi)
+    np.subtract(k0, lo, out=lo)  # in [0, 1)
     hi -= k1  # in [0, 1)
     # an end falls short only if lo is within err above k0 - 1 or hi below k1 + 1
-    near = np.flatnonzero(np.maximum(v, hi, out=v) >= 1 - err)
+    near = v >= 1 - err
     k0 = np.add(k0, K - 1, dtype=np.int64, casting="unsafe")
     k1 = np.add(k1, K, dtype=np.int64, casting="unsafe")
-    if near.size:
-        xn, yn = x[near], y[near]
-        k0[near] = np.minimum(k0[near], K + exact(xn + (c < 0), yn))
-        k1[near] = np.maximum(k1[near], K + exact(xn + (c > 0), yn + 1, up=True))
+    at = np.flatnonzero(near[:m])
+    if at.size:
+        k0[at] = np.minimum(k0[at], K + exact(x[at] + (c < 0), y[at]))
+    at = np.flatnonzero(near[m:])
+    if at.size:
+        k1[at] = np.maximum(k1[at], K + exact(x[m + at] + (c > 0), y[at] + 1, up=True))
     return GridSet1.from_ranges(E.scale, k0, k1)
 
 
@@ -277,7 +292,8 @@ def _fibers(E: GridSet2, d, fraction: float):
     key over the key span, and how many heaviest fibers hold the fraction."""
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     _require(not E.is_empty, "projection needs a nonempty set")
-    x, y = _local(E, 0.5)
+    i, j = E.indices.T
+    x, y = (i - E.offset[0]) + 0.5, (j - E.offset[1]) + 0.5  # local cell centers
     _, keys = _center_keys(x, y, E.offset, sum(E.bits.shape), _as_direction(d))
     keys -= keys.min()
     counts = np.bincount(keys)

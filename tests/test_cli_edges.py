@@ -32,6 +32,7 @@ FILES = {
     "latin1.gs1": "GS1 v1\nn=4\noffset=0\n0-\xff\n",
     "latin1.dm1": "DM1 v1\nn=4\noffset=0\n0 \xff\n",
     "latin1.csv": "# {}\n\xff,\xfe\n",
+    "iso.gs1": "GS1 v1\nn=9\noffset=0\n" + "".join(f"{i}-{i}\n" for i in range(0, 2828, 2)),
 }
 
 CASES = [
@@ -122,6 +123,9 @@ SUCCEED = [
 REFUSE = [
     "lattice collision --set f14.gs1",
     "lattice collision --set a.gs1 --radius inf",
+    # 1,414 isolated cells: a slab too small for |v|_1 * diam A, refused
+    # before the 2,000,000 run pairs of the exact projection measure
+    "lattice collision --set iso.gs1 --vector 0.75,0.8 --radius 1.5",
     "verify addcomb --max-cells 0",
     "verify addcomb --span -1",
     "verify addcomb --span 0",

@@ -17,6 +17,7 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, DyadicMeasure1, DyadicMeasure2, Grid
                        PreconditionError, Scale, cartesian_product, covering_number, gen_cantor,
                        gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
+from deltagrid.grid import _box, _runs
 
 
 def test_scale_bounds():
@@ -568,7 +569,7 @@ def _fresh_indices(X):
 
 def test_seeded_caches_match_nonzero_path():
     """GridSet2.from_indices hands over pairs already in `indices` order
-    (as the GS2 reader emits them); the caches equal the nonzero path,
+    (as the graph suite of `verify` emits them); the caches equal the nonzero path,
     whether the input was canonical (seeded), unsorted or duplicated
     (computed), and stay read-only and apart from the caller's buffer."""
     rng = np.random.default_rng(12)
@@ -607,3 +608,55 @@ def test_seeded_caches_match_nonzero_path():
         assert "_indices" not in E.__dict__  # no 16-byte-per-cell array until asked
         assert E.count == A.count * B.count == int(np.count_nonzero(E.bits))
         assert np.array_equal(E.indices, _fresh_indices(E))
+
+
+def _row_runs(E):
+    """The oracle of GridSet2.runs: `grid._runs` on each row's trimmed slice."""
+    out = []
+    for jr, row in enumerate(E.bits):
+        box = _box(row)
+        if box:
+            first, last = _runs(row[box]) + (E.offset[0] + box[0].start)
+            out += [[E.offset[1] + jr, a, b] for a, b in zip(first.tolist(), last.tolist())]
+    return out
+
+
+def test_runs_match_row_oracle(tmp_path):
+    """GridSet2.runs, computed from `indices` or seeded by `from_runs` (and
+    so by the GS2 reader), equals the per-row runs, is read-only, and
+    expands back to `indices`."""
+    from deltagrid import read_gridset, write_gridset
+
+    rng = np.random.default_rng(31)
+    for case in range(30):
+        h, w = int(rng.integers(1, 12)), int(rng.integers(1, 40))
+        bits = rng.random((h, w)) < rng.uniform(0.1, 0.9)
+        bits[int(rng.integers(0, h))] = True  # one full row
+        bits[int(rng.integers(0, h)), ::2] = True  # a row of one-cell runs
+        offset = (int(rng.integers(-2**61, 2**61)), int(rng.integers(-2**61, 2**61)))
+        X = GridSet2.from_bits(Scale(30), offset, bits)
+        pairs = X.indices.copy()
+        A = GridSet1.from_bits(Scale(30), offset[0], rng.random(w) < 0.5)
+        B = GridSet1.from_bits(Scale(30), offset[1], rng.random(h) < 0.5)
+        # runs in any order, overlapping and abutting, as a noncanonical file holds them
+        lo = rng.integers(0, w, size=3 * h)
+        rows = np.stack((rng.integers(0, h, size=lo.size) + offset[1], lo + offset[0],
+                         lo + rng.integers(0, 5, size=lo.size) + offset[0]), axis=1)
+        sets = [X, GridSet2.from_bits(Scale(30), offset, bits),
+                GridSet2.from_indices(Scale(30), pairs),
+                GridSet2.from_indices(Scale(30), rng.permutation(pairs)),
+                GridSet2.from_runs(Scale(30), rows)]
+        if not (A.is_empty or B.is_empty):
+            sets.append(cartesian_product(A, B))
+        write_gridset(X, tmp_path / "x.gs2")
+        sets.append(read_gridset(tmp_path / "x.gs2"))
+        assert "_runs" in sets[4].__dict__ and "_runs" in sets[-1].__dict__  # seeded
+        for E in sets:
+            runs = E.runs
+            assert runs.dtype == np.int64 and runs.flags.writeable is False
+            assert runs.tolist() == _row_runs(E)
+            assert np.array_equal(E.indices, _fresh_indices(E))
+            assert E.count == int(np.count_nonzero(E.bits))
+        cells = {(int(i), int(j)) for j, a, b in rows.tolist() for i in range(a, b + 1)}
+        assert sets[4] == GridSet2.from_indices(Scale(30), sorted(cells))
+    assert GridSet2.empty(Scale(3)).runs.shape == (0, 3)

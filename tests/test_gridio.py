@@ -281,7 +281,7 @@ def test_noncanonical_bodies_match_set_oracle(tmp_path):
         assert sorted(map(tuple, E.indices.tolist())) == sorted(cells2)
         # the line-by-line scan that names faulty lines parses alike
         lines = q.read_text().splitlines()
-        head, fast = gridio._parse_fast(q.read_bytes(), 5, gridio._GS2_BODY_RE, 3)
+        head, fast = gridio._parse_fast(q.read_bytes(), 5, gridio._GS2_SEPS)
         assert head == lines[:4]
         assert fast.tolist() == gridio._scan_body(q, lines, 5, gridio._ROW_RE, "").tolist()
         assert E.count == len(cells2)
@@ -315,8 +315,8 @@ def _outcome(read, p):
     return type(S).__name__, S.scale, S.offset, S.bits.shape, S.bits.tobytes()
 
 
-_FORMATS = ((b"GS1 v1\n", 4, gridio._GS1_BODY_RE, 2, gridio._RUN_RE),
-            (b"GS2 v1\n", 5, gridio._GS2_BODY_RE, 3, gridio._ROW_RE))
+_FORMATS = ((b"GS1 v1\n", 4, gridio._GS1_SEPS, gridio._RUN_RE),
+            (b"GS2 v1\n", 5, gridio._GS2_SEPS, gridio._ROW_RE))
 
 
 def _check_against_text_path(p, monkeypatch):
@@ -329,8 +329,8 @@ def _check_against_text_path(p, monkeypatch):
         want = _outcome(read_gridset, p)
     assert got == want
     raw = p.read_bytes()
-    for fmt, first, body_re, k, line_re in _FORMATS:
-        fast = gridio._parse_fast(raw, first, body_re, k) if raw.startswith(fmt) else None
+    for fmt, first, seps, line_re in _FORMATS:
+        fast = gridio._parse_fast(raw, first, seps) if raw.startswith(fmt) else None
         if fast is not None:
             lines = raw.decode("utf-8").splitlines()
             assert fast[0] == lines[:first - 1]
@@ -421,11 +421,86 @@ def test_bytes_parse_matches_text_path(tmp_path, monkeypatch):
     (b"GS2 v1\nn=4\noffset=0,0\nrows=x\nrow=0:0-1\n", True),  # header fault, body fine
     (b"GS1 v1\nn=4\noffset=0\n0-1\n\n", False),
     (b"", False),
+    # separators and signs
+    (b"GS1 v1\nn=4\noffset=-3\n-3--1\n", True),
+    (b"GS1 v1\nn=4\noffset=0\n0---1\n", False),  # two signs
+    (b"GS1 v1\nn=4\noffset=0\n--1-0\n", False),
+    (b"GS1 v1\nn=4\noffset=0\n0-1-2\n", False),  # three numbers on a line
+    (b"GS1 v1\nn=4\noffset=0\n0:1\n", False),
+    (b"GS1 v1\nn=4\noffset=0\n0-1\n2\n", False),
+    (b"GS1 v1\nn=4\noffset=0\n0-1\n\n2-3\n", False),  # an empty line inside
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow:0:0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrw=0:0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0-0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0::0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0--1\n", False),  # descending: scanned
+    (b"GS2 v1\nn=4\noffset=-1,0\nrows=1\nrow=0:-1--0\n", True),
+    (b"GS2 v1\nn=4\noffset=-1,-1\nrows=1\nrow=--1:0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=-1,-1\nrows=1\nrow=-1:-1--1\n", True),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\n-row=0:0-1\n", False),  # '-' before row
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:+0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow= 0:0-1\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0\n", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0-1", False),  # no final newline
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0-1\n\n", False),  # two
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0-1\nrow=", False),
+    (b"GS2 v1\nn=4\noffset=0,0\nrows=1\nrow=0:0-1row=0:2-3\n", False),
 ])
 def test_bytes_parse_edge_files(tmp_path, monkeypatch, raw, fast):
     p = tmp_path / "edge.gs"
     p.write_bytes(raw)
     assert _check_against_text_path(p, monkeypatch) == fast
+
+
+def test_separator_edits_match_text_path(tmp_path, monkeypatch):
+    """Seeded edits that replace, drop or double one separator or sign of
+    a canonical file read alike through the bytes parse and the text path."""
+    rng = np.random.default_rng(20261019)
+    tokens = (b"", b"-", b"--", b"\n", b"\n\n", b":", b"row=", b"-row=", b"\nrow=", b"=")
+    taken = refused = 0
+    for case in range(80):
+        xs = int(rng.integers(-50, 50)) + rng.integers(0, 30, size=int(rng.integers(1, 12)))
+        ys = int(rng.integers(-5, 5)) + rng.integers(0, 4, size=xs.size)
+        S = (GridSet1.from_indices(Scale(8), xs) if case % 2 else
+             GridSet2.from_indices(Scale(8), np.stack([xs, ys], axis=1)))
+        write_gridset(S, tmp_path / "canon.gs")
+        raw = (tmp_path / "canon.gs").read_bytes()
+        body = raw.index(b"\n", raw.index(b"\noffset=") + 1) + 1
+        if isinstance(S, GridSet2):
+            body = raw.index(b"\n", body) + 1  # past rows=
+        spots = [m for m in range(body, len(raw)) if raw[m:m + 1] in b"-:\n"
+                 or raw.startswith(b"row=", m)]
+        at = spots[int(rng.integers(0, len(spots)))]
+        cut = 4 if raw.startswith(b"row=", at) else 1
+        edited = raw[:at] + tokens[int(rng.integers(0, len(tokens)))] + raw[at + cut:]
+        p = tmp_path / f"e{case}.gs"
+        p.write_bytes(edited)
+        fast = _check_against_text_path(p, monkeypatch)
+        taken += fast
+        refused += not fast
+    assert taken > 5 and refused > 40
+
+
+def test_gs2_read_seeds_runs_without_nonzero(tmp_path, monkeypatch):
+    """A GS2 read hands its runs to the set; the cells, the runs and a
+    projection then never read a 2D occupancy box through np.nonzero."""
+    from deltagrid import adversarial_count, cartesian_product, project_set
+    C = gen_cantor(Scale(9), 3, (0, 2), 5)
+    E = cartesian_product(C, C)
+    write_gridset(E, tmp_path / "sq.gs2")
+    want_runs, want_cells = E.runs.tolist(), E.indices.tolist()
+    nonzero = np.nonzero
+
+    def flat_only(a):
+        assert np.ndim(a) < 2, "np.nonzero over a 2D box"
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", flat_only)
+    F = read_gridset(tmp_path / "sq.gs2")
+    assert "_runs" in F.__dict__ and F.runs.tolist() == want_runs
+    assert F.indices.tolist() == want_cells and F == E
+    assert project_set(F, 0.7).count == project_set(E, 0.7).count
+    assert adversarial_count(F, 0.7, 0.66) == adversarial_count(E, 0.7, 0.66)
 
 
 def test_unicode_digits_read_as_today(tmp_path):

@@ -10,6 +10,7 @@ import pytest
 from deltagrid import (CellCloud, GridSet1, PreconditionError, Scale,
                        blichfeldt_translate, count_lattice_points,
                        make_interval, slab_collision)
+from deltagrid import lattice
 from deltagrid.grid import _digest
 from deltagrid.lattice import _exact_projection_measure, _raster_slab
 
@@ -166,6 +167,8 @@ def test_exact_projection_measure_matches_fraction_oracle():
         got = _exact_projection_measure(A, v)
         assert isinstance(got, Fraction)
         assert got == _fraction_projection_measure(A, v), (case, A, v)
+        # the bound slab_collision refuses by before measuring
+        assert got <= sum(map(Fraction, v)) * Fraction(A.bits.size, 1 << n)
 
 
 def test_exact_projection_measure_refuses_before_pairing():
@@ -173,6 +176,19 @@ def test_exact_projection_measure_refuses_before_pairing():
     A = GridSet1.from_indices(Scale(13), np.arange(0, 4002, 2))
     with pytest.raises(PreconditionError, match="interval count"):
         _exact_projection_measure(A, (0.75, 0.75))
+
+
+def test_slab_too_small_is_refused_before_measuring(monkeypatch):
+    # 1,414 isolated cells: the measure would pair 2,000,000 runs, but
+    # |v|_1 * diam A already asks for 5 translates and the slab holds 0.05
+    def no_measure(*args):
+        raise AssertionError("projection measured before the slab check")
+
+    monkeypatch.setattr(lattice, "_exact_projection_measure", no_measure)
+    A = GridSet1.from_indices(Scale(9), np.arange(0, 2828, 2))
+    with pytest.raises(PreconditionError,
+                       match="slab too small: averaging bound 0.05 < required translates 5;"):
+        slab_collision(A, (0.75, 0.8), 2, 1.5)
 
 
 def test_rasters_are_canonical():

@@ -3,7 +3,8 @@
 Covers, fiber keys, adversary counts and witnesses, and pushforward
 supports are checked against a Fraction oracle on seeded sparse sets
 translated as far as 2**61, together with the structural near-integer
-cases and the index-range guard."""
+cases and the index-range guard.  The cover project_set computes by row
+runs is checked against the same kernel applied cell by cell."""
 import math
 from fractions import Fraction
 
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import deltagrid.project as P
-from deltagrid import (MAX_INDEX, Direction, GridSet2, PreconditionError, Scale,
+from deltagrid import (MAX_INDEX, Direction, GridSet1, GridSet2, PreconditionError, Scale,
                        adversarial_count, adversarial_projection, cartesian_product,
                        gen_cantor, project_measure, project_set, uniform_on)
 
@@ -161,3 +162,63 @@ def test_projection_leaving_index_range_raises():
     E = GridSet2.from_indices(Scale(30), [(o, 0), (o - 3, 2)])
     assert project_set(E, 0.3).count > 0
     assert project_measure(uniform_on(E), 0.3).mass == pytest.approx(1.0)
+
+
+def _cell_cover(E, theta):
+    """Oracle: project_set's cover computed square by square, each range
+    from the kernel's binary64 ends with the exact fallback where an end
+    is within err of an integer, and the union of all ranges."""
+    d = Direction(theta)
+    c, s = d.vector
+    i, j = E.indices.T
+    x, y = (i - E.offset[0]) + 0.0, (j - E.offset[1]) + 0.0
+    K, v, err, exact = P._project_local(x, y, E.offset, sum(E.bits.shape), d)
+    hi = v + max(0.0, c) + s
+    lo = v + min(0.0, c)
+    k0, k1 = np.ceil(lo), np.floor(hi)
+    near = np.flatnonzero(np.maximum(k0 - lo, hi - k1) >= 1 - err)
+    k0 = np.add(k0, K - 1, dtype=np.int64, casting="unsafe")
+    k1 = np.add(k1, K, dtype=np.int64, casting="unsafe")
+    if near.size:
+        xn, yn = x[near], y[near]
+        k0[near] = np.minimum(k0[near], K + exact(xn + (c < 0), yn))
+        k1[near] = np.maximum(k1[near], K + exact(xn + (c > 0), yn + 1, up=True))
+    return GridSet1.from_ranges(E.scale, k0, k1)
+
+
+@pytest.mark.parametrize("shift", (0.0, 0.3, -0.3))
+def test_run_cover_matches_cell_cover(monkeypatch, shift):
+    """Random and near-axis angles on both sides of pi/2, offsets up to
+    2**61 either way, and sets with one-cell and full-row runs.  A shift
+    moves the kernel's binary64 values by that much and widens err to 1/2,
+    still within the kernel's contract, so that the exact fallback changes
+    many low ends (shift up) or high ends (shift down)."""
+    if shift:
+        kernel = P._project_local
+
+        def shifted(*args):
+            K, v, _, exact = kernel(*args)
+            return K, v + shift, 0.5, exact
+
+        monkeypatch.setattr(P, "_project_local", shifted)
+    rng = np.random.default_rng(2718)
+    # near the axes, and where c or s is within an ulp of +-1/2 or +-sqrt(2)/2,
+    # so that low ends (pi/3, 2pi/3) or high ends (pi/6, 5pi/6) fall back to exact
+    near_axis = (1e-9, math.pi / 2 - 1e-9, math.pi / 2 + 1e-9, math.pi - 1e-9,
+                 math.pi / 6, math.pi / 3, 2 * math.pi / 3, 5 * math.pi / 6,
+                 math.pi / 4, 3 * math.pi / 4)
+    for case in range(60):
+        h, w = int(rng.integers(1, 30)), int(rng.integers(1, 60))
+        bits = rng.random((h, w)) < rng.uniform(0.05, 0.95)
+        bits[int(rng.integers(0, h))] = True  # a full row
+        bits[int(rng.integers(0, h)), int(rng.integers(0, 2))::2] = True  # one-cell runs
+        far = 2**61 - 64
+        offset = [(0, 0), (far, far), (-far, -far), (far, -far), (-far, far),
+                  (2**40 + 3, -2**55 + 7)][case % 6]
+        offset = tuple(o + int(rng.integers(-9, 10)) for o in offset)
+        E = GridSet2.from_bits(Scale(30), offset, bits)
+        for theta in near_axis + tuple(rng.uniform(0, math.pi, size=6)):
+            assert project_set(E, theta) == _cell_cover(E, theta), (case, theta)
+    for E in (_cantor_square(7, 4), _cantor_square(9, 5), _sparse(2**61, seed=3)):
+        for theta in near_axis + tuple(rng.uniform(0, math.pi, size=8)):
+            assert project_set(E, theta) == _cell_cover(E, theta), theta

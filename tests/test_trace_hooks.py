@@ -13,6 +13,12 @@ def test_indices_properties_in_each_set_class():
         assert isinstance(prop, property) and callable(prop.fget)
 
 
+def test_runs_properties_in_each_set_class():
+    for cls in (grid.GridSet1, grid.GridSet2):
+        prop = cls.__dict__["runs"]
+        assert isinstance(prop, property) and callable(prop.fget)
+
+
 def test_thread_pools_rebound_by_module():
     for mod in (project, expand):
         assert mod.__dict__["ThreadPoolExecutor"] is ThreadPoolExecutor
