@@ -7,6 +7,9 @@ integer index of its leftmost cell.  Half-open cells make translation
 and index arithmetic exact: no point belongs to two cells, so counts
 never double.
 
+A 2D set's row runs are scanned off its box once, a block of rows at a
+time (`_box_runs`), and its cells are expanded from its runs.
+
 Covering numbers are occupied-cell counts.  The cell count agrees with
 the least number of delta-balls needed to cover the set up to a factor
 of 2 per dimension, and every inequality exercised downstream tolerates
@@ -30,6 +33,8 @@ MAX_DEPTH = 30
 MAX_SPAN = 1 << 26
 # Cell indices passing through int64 arithmetic stay clear of overflow.
 MAX_INDEX = 1 << 62
+# Box cells one block of a 2D row-run scan reads (`_box_runs`).
+_SCAN_CELLS = 1 << 16
 
 
 def _require(cond: bool, msg: str) -> None:
@@ -490,8 +495,7 @@ class GridSet2(_CellSet):
         """Union of the row runs (y, x0, x1), the cells (x0..x1, y): an
         (m, 3) int64 array of at least one run, each with x0 <= x1, in any
         order, overlaps allowed.  The maximal runs seed `runs` and the
-        count; the cells are painted from them, and `indices` is left to
-        be expanded from them on demand."""
+        count, and the cells are painted from them."""
         y, x0, x1 = runs.T
         ox, oy = int(x0.min()), int(y.min())
         w = int(x1.max()) - ox + 1
@@ -520,22 +524,14 @@ class GridSet2(_CellSet):
     @property
     def indices(self) -> np.ndarray:
         """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i);
-        computed once, read-only: expanded from `runs` when those are
-        cached, else read off the occupancy box."""
+        computed once, read-only: expanded from `runs`."""
         out = self.__dict__.get("_indices")
         if out is None:
-            runs = self.__dict__.get("_runs")
-            if runs is not None:
-                y, x0, x1 = runs.T
-                lens = x1 - x0 + 1
-                out = np.empty((int(lens.sum()), 2), dtype=np.int64)
-                out[:, 0] = _run_cells(x0, lens)
-                out[:, 1] = np.repeat(y, lens)
-            else:
-                jr, ir = np.nonzero(self.bits)
-                out = np.empty((jr.size, 2), dtype=np.int64)
-                out[:, 0] = ir + self.offset[0]
-                out[:, 1] = jr + self.offset[1]
+            y, x0, x1 = self.runs.T
+            lens = x1 - x0 + 1
+            out = np.empty((int(lens.sum()), 2), dtype=np.int64)
+            out[:, 0] = _run_cells(x0, lens)
+            out[:, 1] = np.repeat(y, lens)
             out.setflags(write=False)
             object.__setattr__(self, "_indices", out)
         return out
@@ -543,19 +539,11 @@ class GridSet2(_CellSet):
     @property
     def runs(self) -> np.ndarray:
         """(m, 3) array of the maximal row runs (y, x0, x1), absolute and
-        ascending in (y, x0); read-only, seeded by `from_runs` or computed
-        once from `indices`."""
+        ascending in (y, x0); read-only, seeded by `from_runs` or scanned
+        once off the occupancy box (`_box_runs`)."""
         out = self.__dict__.get("_runs")
         if out is None:
-            i, j = self.indices.T
-            # cell t opens a run unless it follows its left neighbour; one
-            # more entry closes the last run
-            opens = np.ones(i.size + 1, dtype=bool)
-            np.not_equal(i[1:], i[:-1] + 1, out=opens[1:-1])
-            opens[1:-1] |= j[1:] != j[:-1]
-            edges = np.flatnonzero(opens)
-            first, last = edges[:-1], edges[1:] - 1
-            out = np.stack((j[first], i[first], i[last]), axis=1)
+            out = np.concatenate((np.empty((0, 3), dtype=np.int64), *_box_runs(self)))
             out.setflags(write=False)
             object.__setattr__(self, "_runs", out)
         return out
@@ -563,6 +551,24 @@ class GridSet2(_CellSet):
     def __repr__(self) -> str:
         return (f"GridSet2(n={self.scale.n}, count={self.count}, offset={self.offset}, "
                 f"shape={self.bits.shape})")
+
+
+def _box_runs(E: GridSet2):
+    """The maximal row runs of E, as `GridSet2.runs` holds them, in (k, 3)
+    blocks of consecutive rows.  A block is laid into one flat buffer of
+    at most _SCAN_CELLS box cells (or one row), each row after a spare
+    empty column and one empty entry after the last, so runs open and
+    close on alternate flips of one flip scan."""
+    (h, w), (ox, oy) = E.bits.shape, E.offset
+    rows = max(1, _SCAN_CELLS // (w + 1))
+    buf = np.zeros(rows * (w + 1) + 1, dtype=bool)
+    for r0 in range(0, h, rows):
+        block = E.bits[r0:r0 + rows]
+        buf[:-1].reshape(rows, w + 1)[:len(block), 1:] = block
+        flat = buf[:len(block) * (w + 1) + 1]  # ends on the next row's spare entry
+        flips = np.flatnonzero(flat[1:] != flat[:-1])  # a run's cells: (opening, closing]
+        y, x0 = np.divmod(flips[0::2], w + 1)
+        yield np.stack((y + (oy + r0), x0 + ox, flips[1::2] - y * (w + 1) + (ox - 1)), axis=1)
 
 
 def _run_cells(first: np.ndarray, lens: np.ndarray) -> np.ndarray:

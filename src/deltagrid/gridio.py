@@ -23,7 +23,8 @@ checks the grammar on their edges (the separators between numbers, the
 signs, one final '\n') and parses the numbers.  A GS2 body's rows are
 the set's row runs (`GridSet2.from_runs`); no per-cell pairs are built.
 A file this parse does not take goes to a line-by-line text scan that
-names the first faulty line.
+names the first faulty line.  A GS2 file is written a block of rows at a
+time, as `grid._box_runs` scans the set's box.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _box, _require, _runs
+from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _box_runs, _require
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
@@ -59,27 +60,21 @@ def _parse_error(path, lineno: int, msg: str) -> PreconditionError:
 
 
 def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
-    lines = []
+    """S as a GS1 or GS2 file, its run lines written a block at a time:
+    GS1 from `S.runs` in one block, GS2 as `_box_runs` scans the box."""
     if isinstance(S, GridSet1):
-        lines.append("GS1 v1")
-        lines.append(f"n={S.scale.n}")
-        lines.append(f"offset={S.offset}")
-        lines += [f"{a}-{b}" for a, b in zip(*S.runs.tolist())]
+        head = f"GS1 v1\nn={S.scale.n}\noffset={S.offset}\n"
+        blocks = ([f"{a}-{b}\n" for a, b in zip(*S.runs.tolist())],)
     elif isinstance(S, GridSet2):
-        lines.append("GS2 v1")
-        lines.append(f"n={S.scale.n}")
-        ox, oy = S.offset
-        lines.append(f"offset={ox},{oy}")
-        lines.append(f"rows={S.bits.shape[0]}")
-        for jr, row in enumerate(S.bits):
-            box = _box(row)
-            if box:  # skipping empty rows keeps sparse sets fast
-                starts, ends = (_runs(row[box]) + (ox + box[0].start)).tolist()
-                lines += [f"row={oy + jr}:{a}-{b}" for a, b in zip(starts, ends)]
+        head = "GS2 v1\nn={}\noffset={},{}\nrows={}\n".format(S.scale.n, *S.offset, S.bits.shape[0])
+        blocks = ([f"row={y}:{a}-{b}\n" for y, a, b in block.tolist()]
+                  for block in _box_runs(S))
     else:
         raise PreconditionError(f"cannot serialize {type(S).__name__}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(head)
+        for lines in blocks:
+            fh.write("".join(lines))
 
 
 def _header_int(lines, lineno: int, key: str, path) -> int:
@@ -202,12 +197,11 @@ def _read_gs2(path, lines, runs) -> GridSet2:
         if rows != 0:
             raise _parse_error(path, 4, f"rows={rows} but no row lines follow")
         return GridSet2.empty(scale)
-    j, a, b = runs[:, 0], runs[:, 1], runs[:, 2]
+    j, a, b = runs.T
     x0, y0 = int(a.min()), int(j.min())
     # Bounding-box guard before painting the runs: two far-apart cells
     # must not provoke a huge allocation.
-    w = int(b.max()) - x0 + 1
-    h = int(j.max()) - y0 + 1
+    w, h = int(b.max()) - x0 + 1, int(j.max()) - y0 + 1
     if w * h > MAX_SPAN:
         raise _parse_error(path, 5, f"bounding box {w}x{h} exceeds {MAX_SPAN} cells")
     if (ox, oy) != (x0, y0):

@@ -54,7 +54,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (GridSet1, GridSet2, Scale, as_fraction, make_interval,
+from .grid import (GridSet1, GridSet2, Scale, as_fraction,
                    _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
                    _require_span)
 
@@ -593,8 +593,7 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     n = mu.scale.n
     pa, qa = fa.numerator, fa.denominator
     pb, qb = fb.numerator, fb.denominator
-    nz = np.flatnonzero(mu.weights > 0)
-    src = nz.astype(object) + mu.offset
+    src, weights = _support(mu)
     # target = floor( (pa*(2i+1)*qb + pb*qa*2^(n+1)) / (2*qa*qb) ), exact.
     num = [pa * (2 * int(i) + 1) * qb + pb * qa * (2 << n) for i in src]
     den = 2 * qa * qb
@@ -602,7 +601,7 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     lo, hi = min(tgt), max(tgt)
     _require(max(abs(lo), abs(hi)) < (1 << 48), "pushforward target cells out of guarded range")
     _require_span(hi - lo + 1)
-    w = np.bincount(np.asarray(tgt, dtype=np.int64) - lo, weights=mu.weights[nz])
+    w = np.bincount(np.asarray(tgt, dtype=np.int64) - lo, weights=weights)
     return DyadicMeasure1.from_weights(mu.scale, lo, w)
 
 
@@ -617,13 +616,14 @@ def rescale_to_unit(mu: DyadicMeasure1, level: int, index: int) -> DyadicMeasure
     """
     n = mu.scale.n
     _require(0 <= level <= n, f"level must lie in [0, {n}]")
-    I = make_interval(mu.scale, Fraction(index, 1 << level),
-                      Fraction(index + 1, 1 << level))
-    restricted = condition(mu, I)
-    idx, mass = _support(restricted)
-    w = np.zeros(1 << (n - level)) if n > level else np.zeros(1)
-    w[idx - (index << (n - level))] = mass
-    return DyadicMeasure1.from_weights(Scale(n - level), 0, w)
+    first = int(index) << (n - level)  # I's first cell, the zoomed measure's cell 0
+    # mu on I's cells, renormalized with the same sum and division as `condition`
+    w = np.zeros_like(mu.weights)
+    a, b = (min(max(t - mu.offset, 0), w.size) for t in (first, first + (1 << (n - level))))
+    w[a:b] = mu.weights[a:b]
+    kept = float(np.sum(w))
+    _require(kept > 0, "conditioning set carries no mass")
+    return DyadicMeasure1.from_weights(Scale(n - level), mu.offset - first, w / kept)
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalCheckError
-from .grid import GridSet1, GridSet2, Scale, _digest, _require
+from .grid import GridSet1, GridSet2, Scale, _digest, _require, _require_span
 from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
 
 
@@ -85,6 +85,7 @@ class AngleMeasure:
 
     @classmethod
     def uniform(cls, scale: Scale) -> "AngleMeasure":
+        _require_span(1 << scale.n)
         w = np.full(1 << scale.n, 1.0 / (1 << scale.n))
         return cls(DyadicMeasure1(scale, 0, w))
 
@@ -229,24 +230,22 @@ def project_set(E: GridSet2, d) -> GridSet1:
     cells ceil(lo) - 1 .. floor(hi), widened to the exact floor of lo or
     ceiling of hi less one where that end is within err of an integer.
 
-    The work is per row run of E, not per cell.  Both the binary64 ends
-    and their exact fallbacks are monotone in x, and neighbouring squares'
-    projections overlap (s > 0), so a run's squares cover one range: from
-    the low end of its first square to the high end of its last when
-    c > 0, and the other way round when c < 0.
+    The work is per row run of E, not per cell, and E's box is read only
+    for its shape.  Both the binary64 ends and their exact fallbacks are
+    monotone in x, and neighbouring squares' projections overlap (s > 0),
+    so a run's squares cover one range: from the low end of its first
+    square to the high end of its last when c > 0, and the other way
+    round when c < 0.
     """
     _require(not E.is_empty, "projection needs a nonempty set")
     d = _as_direction(d)
     c, s = d.vector
-    if s == 0.0 or c == 0.0:
-        axis = 0 if s == 0.0 else 1  # c == 0 means (c, s) = (0, 1)
-        shadow = E.bits.any(axis=axis)
-        if c >= 0:
-            return GridSet1.from_bits(E.scale, E.offset[axis], shadow)
-        # x -> -x sends column i to (-(i+1), -i], two cells
-        cols = np.flatnonzero(shadow) + E.offset[0]
-        return GridSet1.from_ranges(E.scale, -cols - 1, -cols)
     runs, (ox, oy) = E.runs, E.offset
+    if s == 0.0 or c == 0.0:  # an axis: each run's row, or its columns
+        y, x0, x1 = runs.T
+        # x -> -x sends column i to (-(i+1), -i], two cells
+        ranges = (y, y) if c == 0.0 else (x0, x1) if c > 0 else (-x1 - 1, -x0)
+        return GridSet1.from_ranges(E.scale, *ranges)
     m = runs.shape[0]
     # local coordinates of each run's square with the lowest projection,
     # then of the one with the highest (a column at a time: numpy is slow on

@@ -33,6 +33,9 @@ FILES = {
     "latin1.dm1": "DM1 v1\nn=4\noffset=0\n0 \xff\n",
     "latin1.csv": "# {}\n\xff,\xfe\n",
     "iso.gs1": "GS1 v1\nn=9\noffset=0\n" + "".join(f"{i}-{i}\n" for i in range(0, 2828, 2)),
+    "c20.gs1": "GS1 v1\nn=20\noffset=0\n0-0\n",
+    # two cells on either side of 1/2 at n = 30
+    "two30.gs1": f"GS1 v1\nn=30\noffset={2**29 - 1}\n{2**29 - 1}-{2**29}\n",
 }
 
 CASES = [
@@ -103,6 +106,8 @@ CASES = [
     "project shadow --set sq.gs2",
     # a set of 3,540 cells in 807 runs: both slab caps refuse it at once
     "gen frostman --n 14 --kappa 0.8 --seed 3 --out f14.gs1",
+    # the zoom of two30.gs1 is 2 cells at n = 30; the sweep's dilations are refused
+    "experiment renorm --set two30.gs1 --kappa 0.01",
 ]
 
 # Images of long runs, built one range per run (per pair of runs for
@@ -117,6 +122,10 @@ SUCCEED = [
     "gen interval --n 24 --a 0 --b 1 --out i24.gs1",
     "op dilate --set i24.gs1 --factor 3 --out x.gs1",
     "op dilate --set span.gs1 --factor 1/2 --out x.gs1",
+    # a column of 2**20 rows, written a block of rows at a time
+    "gen square --n 20 --set c20.gs1 --set2 i20.gs1 --out tall.gs2",
+    # the level-0 window of a measure at n = 30, zoomed by index, not as a set
+    "measure rescale --set two30.gs1 --kappa 0.01 --out x.dm1",
 ]
 
 # Flag values outside a command's domain, each refused before any work
@@ -134,6 +143,11 @@ REFUSE = [
     "project sweep --set sq.gs2 --angles -3",
     "measure maximal --set a.gs1 --kappa nan",
     "measure rescale --set a.gs1 --kappa nan --out x.dm1",
+    # angle grids past MAX_SPAN cells, refused before they are filled
+    "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --nu-cells 134217728",
+    "project kaufman --set sq.gs2 --kappa 0.5 --angles 134217728",
+    "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --nu-cells 1073741824",
+    "project kaufman --set sq.gs2 --kappa 0.5 --angles 1073741824",
 ]
 
 CHILD = textwrap.dedent("""

@@ -660,3 +660,57 @@ def test_runs_match_row_oracle(tmp_path):
         cells = {(int(i), int(j)) for j, a, b in rows.tolist() for i in range(a, b + 1)}
         assert sets[4] == GridSet2.from_indices(Scale(30), sorted(cells))
     assert GridSet2.empty(Scale(3)).runs.shape == (0, 3)
+
+
+def test_box_runs_across_block_edges(monkeypatch):
+    """`runs` and `indices` of sets holding only their box, scanned a block
+    of rows at a time, equal the per-row and nonzero oracles: for boxes one
+    row or one column wide, blocks whose row length w + 1 does not divide
+    the block size, rows of at least _SCAN_CELLS cells (one row a block),
+    empty interior rows, offsets up to +-2**61, and, with a tiny block,
+    every way a block edge can fall between or beside runs."""
+    from deltagrid import grid
+
+    rng = np.random.default_rng(47)
+    shapes = [(1, 1), (1, 300), (300, 1), (5000, 1), (40, 100), (3, 65535), (2, 65536),
+              (3, 70000), (70, 937)]
+    for scan in (grid._SCAN_CELLS, 7, 64):
+        monkeypatch.setattr(grid, "_SCAN_CELLS", scan)
+        for h, w in shapes + [tuple(rng.integers(1, 30, size=2)) for _ in range(20)]:
+            for density in (0.02, 0.5, 0.97):
+                bits = rng.random((h, w)) < density
+                if h > 2:
+                    bits[rng.integers(1, h - 1, size=max(1, h // 4))] = False
+                bits[[0, -1], :1] = True
+                bits[:1, [0, -1]] = True
+                offset = tuple(int(v) for v in rng.integers(-2**61, 2**61, size=2))
+                E = GridSet2.from_bits(Scale(30), offset, bits)
+                assert E == GridSet2(Scale(30), offset, bits)  # nothing trimmed
+                for X in (E, GridSet2.from_bits(Scale(30), offset, bits)):
+                    # either property may run the scan first
+                    first = X.indices if X is not E else X.runs
+                    assert X.runs.tolist() == _row_runs(X)
+                    assert np.array_equal(X.indices, _fresh_indices(X))
+                    assert first.flags.writeable is False
+
+
+def test_box_reads_never_call_2d_nonzero(tmp_path, monkeypatch):
+    """A set built from its box (a product) gives its runs, its cells, its
+    file and its projections without np.nonzero over a 2D array."""
+    from deltagrid import project_set, write_gridset
+
+    A = gen_random_frostman(Scale(10), 0.7, seed=3)
+    E, F = cartesian_product(A, A), cartesian_product(A, A)
+    nonzero = np.nonzero
+
+    def flat_only(a):
+        assert np.ndim(a) < 2, "np.nonzero over a 2D box"
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", flat_only)
+    assert "_runs" not in E.__dict__ and "_indices" not in E.__dict__
+    write_gridset(E, tmp_path / "e.gs2")
+    assert F.indices.shape == (E.count, 2)
+    assert E.runs.shape[1] == 3
+    for theta in (0.0, math.pi / 2, math.pi - 1e-13, 0.7):
+        assert project_set(cartesian_product(A, A), theta).count >= A.count

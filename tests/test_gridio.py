@@ -527,3 +527,72 @@ def test_canonical_files_take_the_bytes_parse(tmp_path, monkeypatch):
     monkeypatch.setattr(gridio, "_scan_body", no_scan)
     for i, S in enumerate(sets):
         assert read_gridset(tmp_path / f"s{i}.gs") == S
+
+
+def _write_oracle(S, path):
+    """The writer as it was: every line in one list, GS2 rows each split
+    into runs by `grid._runs` on the row's trimmed slice."""
+    from deltagrid.grid import _box, _runs
+    if isinstance(S, GridSet1):
+        lines = ["GS1 v1", f"n={S.scale.n}", f"offset={S.offset}"]
+        lines += [f"{a}-{b}" for a, b in zip(*S.runs.tolist())]
+    else:
+        ox, oy = S.offset
+        lines = ["GS2 v1", f"n={S.scale.n}", f"offset={ox},{oy}", f"rows={S.bits.shape[0]}"]
+        for jr, row in enumerate(S.bits):
+            box = _box(row)
+            if box:
+                starts, ends = (_runs(row[box]) + (ox + box[0].start)).tolist()
+                lines += [f"row={oy + jr}:{a}-{b}" for a, b in zip(starts, ends)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
+
+
+def test_writer_matches_line_list_oracle(tmp_path):
+    """GS1 and GS2 files are byte for byte the old writer's: sparse and
+    dense sets, empty interior rows, boxes one row or one column wide, row
+    lengths w + 1 that do not divide the scan block, rows of at least
+    2**16 cells, offsets up to +-2**61, and the empty sets."""
+    rng = np.random.default_rng(83)
+    shapes = [(1, 1), (1, 500), (500, 1), (3, 65535), (2, 65536), (2, 70000), (9, 1000),
+              (200, 300)] + [tuple(rng.integers(1, 50, size=2)) for _ in range(12)]
+    sets = [GridSet1.empty(Scale(4)), GridSet2.empty(Scale(4))]
+    for h, w in shapes:
+        for density in (0.01, 0.5, 0.99):
+            bits = rng.random((h, w)) < density
+            if h > 2:
+                bits[rng.integers(1, h - 1, size=max(1, h // 3))] = False
+            offset = tuple(int(v) for v in rng.integers(-2**61, 2**61, size=2))
+            E = GridSet2.from_bits(Scale(30), offset, bits)
+            sets += [E, GridSet1.from_bits(Scale(30), offset[0], bits[0])]
+            if not E.is_empty:
+                sets.append(GridSet2.from_runs(Scale(30), E.runs.copy()))
+    for S in sets:
+        write_gridset(S, tmp_path / "new")
+        _write_oracle(S, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def test_box_scans_trace_little_memory(tmp_path):
+    """Writing a fresh 131,044-cell square streams its lines a block at a
+    time, and its `runs` are scanned a block at a time: neither holds a
+    whole-file list or a padded copy of the 16 MiB box."""
+    import tracemalloc
+    from deltagrid import cartesian_product
+
+    C = gen_cantor(Scale(12), 3, (0, 2), 7)
+    E = cartesian_product(C, C)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        write_gridset(E, tmp_path / "sq.gs2")
+        written = tracemalloc.get_traced_memory()[1] - base
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        runs = E.runs
+        scanned = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert E.count == 131044 and "_runs" in E.__dict__
+    assert written < 1 << 20
+    assert scanned < 3 * runs.nbytes

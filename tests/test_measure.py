@@ -649,6 +649,63 @@ def test_rescale_rejects_empty_window():
         rescale_to_unit(mu, 2, 3)  # window [3/4, 1) carries no mass
 
 
+def _rescale_oracle(mu, level, index):
+    """rescale_to_unit as it was: mu conditioned on the level-`level`
+    interval built as a set, its mass spread over a dense array of
+    2**(n - level) weights."""
+    n = mu.scale.n
+    if not 0 <= level <= n:
+        raise PreconditionError(f"level must lie in [0, {n}]")
+    I = make_interval(mu.scale, Fraction(index, 1 << level), Fraction(index + 1, 1 << level))
+    restricted = condition(mu, I)
+    nz = np.flatnonzero(restricted.weights > 0)
+    w = np.zeros(1 << (n - level)) if n > level else np.zeros(1)
+    w[nz + restricted.offset - (index << (n - level))] = restricted.weights[nz]
+    return DyadicMeasure1.from_weights(Scale(n - level), 0, w)
+
+
+def _outcome(f, *args):
+    try:
+        nu = f(*args)
+    except PreconditionError as exc:
+        return str(exc)
+    return nu.scale, nu.offset, nu.weights.tobytes()
+
+
+def test_rescale_matches_interval_oracle():
+    """The zoom restricts mu's weights to the window by index and gives the
+    old result bit for bit, refusals included: windows inside, across and
+    beside the support, at every level, on seeded measures with gaps."""
+    rng = np.random.default_rng(907)
+    checked = 0
+    for _ in range(40):
+        n = int(rng.integers(0, 14))
+        span = int(rng.integers(1, min(1 << n, 300) + 1))
+        w = rng.random(span) * (rng.random(span) < 0.6)
+        w[[0, -1]] = rng.random(2) + 0.1
+        mu = DyadicMeasure1.from_weights(Scale(n), int(rng.integers(0, (1 << n) - span + 1)),
+                                         w / w.sum())
+        for level in range(-1, n + 2):
+            top = 1 << max(level, 0)
+            for index in {-1, 0, top - 1, top, *rng.integers(-2, top + 2, size=4).tolist()}:
+                assert (_outcome(rescale_to_unit, mu, level, index)
+                        == _outcome(_rescale_oracle, mu, level, index)), (n, level, index)
+                checked += 1
+    assert checked > 2000
+
+
+def test_rescale_at_depth_30_builds_only_the_window():
+    """Two cells on either side of 1/2 at n = 30: the level-0 window is all
+    of [0, 1), which the old dense array of 2**30 weights refused."""
+    mu = _unif(30, [2**29 - 1, 2**29])
+    with pytest.raises(PreconditionError, match="dense-representation cap"):
+        _rescale_oracle(mu, 0, 0)
+    nu = rescale_to_unit(mu, 0, 0)
+    assert (nu.scale.n, nu.offset, nu.weights.tolist()) == (30, 2**29 - 1, [0.5, 0.5])
+    nu = rescale_to_unit(mu, 1, 1)
+    assert (nu.scale.n, nu.offset, nu.weights.tolist()) == (29, 0, [1.0])
+
+
 def test_renormalization_chain_frostman():
     # zoomed measure at the maximal interval is (kappa/2, <=2)-Frostman
     rng = np.random.default_rng(55)

@@ -222,3 +222,40 @@ def test_run_cover_matches_cell_cover(monkeypatch, shift):
     for E in (_cantor_square(7, 4), _cantor_square(9, 5), _sparse(2**61, seed=3)):
         for theta in near_axis + tuple(rng.uniform(0, math.pi, size=8)):
             assert project_set(E, theta) == _cell_cover(E, theta), theta
+
+
+def _shadow_oracle(E, theta):
+    """The axis shadow read off the box, as project_set once computed it:
+    `bits.any` along the other axis, mirrored column by column when the
+    direction is (-1, 0)."""
+    c, s = Direction(theta).vector
+    axis = 0 if s == 0.0 else 1
+    shadow = E.bits.any(axis=axis)
+    if c >= 0:
+        return GridSet1.from_bits(E.scale, E.offset[axis], shadow)
+    cols = np.flatnonzero(shadow) + E.offset[0]
+    return GridSet1.from_ranges(E.scale, -cols - 1, -cols)
+
+
+def test_axis_shadows_match_box_oracle():
+    """Axis shadows come from the row runs and equal the box's: at theta =
+    0, pi/2 and pi - 1e-13 (the mirrored horizontal), and at near-axis
+    angles the direction snaps onto an axis, on seeded sets with empty
+    rows and columns at offsets up to +-2**61."""
+    rng = np.random.default_rng(1618)
+    thetas = (0.0, math.pi / 2, math.pi - 1e-13, 1e-13, 2.0 ** -41,
+              math.pi / 2 - 1e-13, math.pi / 2 + 1e-13, math.pi - 2.0 ** -41)
+    for theta in thetas:
+        c, s = Direction(theta).vector
+        assert c == 0.0 or s == 0.0, theta
+    sets = [_cantor_square(7, 4), _sparse(2**61, seed=5), _sparse(-2**61, seed=6)]
+    for case in range(40):
+        h, w = int(rng.integers(1, 40)), int(rng.integers(1, 70))
+        bits = rng.random((h, w)) < rng.uniform(0.02, 0.9)
+        bits[:, rng.integers(0, w, size=w // 3)] = False
+        offset = tuple(int(v) for v in rng.integers(-2**61, 2**61, size=2))
+        if bits.any():
+            sets.append(GridSet2.from_bits(Scale(30), offset, bits))
+    for E in sets:
+        for theta in thetas:
+            assert project_set(E, theta) == _shadow_oracle(E, theta), theta
