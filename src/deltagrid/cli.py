@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import math
 import sys
 from dataclasses import dataclass, fields
 from fractions import Fraction
@@ -36,7 +35,7 @@ from .lattice import blichfeldt_translate, slab_collision
 from .measure import (DyadicMeasure1, frostman_constant, maximal_interval,
                       nonconcentration_constant, prune_heavy_cubes, rescale_to_unit,
                       riesz_energy, uniform_on)
-from .project import (AngleMeasure, kaufman_average, marstrand_average,
+from .project import (AngleMeasure, _angle_grid, kaufman_average, marstrand_average,
                       project_set, sweep)
 from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
                       nfold_sum, reflect, sumset)
@@ -269,7 +268,7 @@ def _cmd_project(args) -> int:
         return 0
     if args.what == "sweep":
         _require(args.angles >= 1, f"--angles must be at least 1, got {args.angles}")
-        thetas = np.arange(args.angles) * math.pi / args.angles
+        thetas = _angle_grid(args.angles)
         mu = uniform_on(E) if args.kappa is not None else None
         rep = sweep(E, thetas, args.fraction, mu=mu, kappa=args.kappa, threads=args.threads)
         for name in ("projection", "adversarial"):
@@ -339,7 +338,8 @@ def _graph_case(draw, rng):
     dense = rng.random((A.count, B.count)) < 0.5
     if not dense.any():
         dense[0, 0] = True
-    j, i = np.nonzero(dense.T)  # pairs ascending in (j, i) seed G's indices
+    # pairs ascending in (j, i) seed G's indices
+    j, i = np.divmod(np.flatnonzero(dense.T), A.count)
     G = GridSet2.from_indices(A.scale, np.stack((A.indices[i], B.indices[j]), axis=1))
     return check_graph_projection(A, B, G, int(rng.integers(1, 4)))
 

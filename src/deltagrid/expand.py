@@ -180,7 +180,8 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
     _require(not A.is_empty, "A must be nonempty")
     mi = maximal_interval(mu, kappa)
     nu = rescale_to_unit(mu, mi.level, mi.index)
-    degenerate = nu.scale.n == 0 or int(np.count_nonzero(nu.weights)) == 1
+    (cells,), _ = nu._support
+    degenerate = nu.scale.n == 0 or cells.size == 1
     rep = frostman_constant(nu, kappa / 2)
     if not degenerate and rep.constant > 2 + 1e-9:
         raise InternalCheckError(
@@ -188,8 +189,7 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
             f"exponent {kappa / 2}; maximality of the chosen interval forbids this "
             f"(inputs {_digest(A, mu, kappa)}); bug")
     nun = nu.scale.n
-    ts = [Fraction(2 * int(i) + 1, 2 << nun)
-          for i in np.flatnonzero(nu.weights > 0) + nu.offset]
+    ts = [Fraction(2 * int(i) + 1, 2 << nun) for i in cells + nu.offset]
     # both sweeps in one pass, so A's segments serve the zoomed and mapped x
     both = _sweep_candidates(A, ts + [mi.x0 + mi.r0 * t for t in ts])
     renorm_records, records = both[:len(ts)], both[len(ts):]

@@ -384,7 +384,8 @@ class GridSet1(_CellSet):
         """Ascending absolute cell indices; computed once, read-only."""
         idx = self.__dict__.get("_indices")
         if idx is None:
-            idx = np.flatnonzero(self.bits).astype(np.int64) + self.offset
+            idx = np.flatnonzero(self.bits)
+            idx += self.offset
             idx.setflags(write=False)
             object.__setattr__(self, "_indices", idx)
         return idx

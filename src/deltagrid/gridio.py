@@ -231,10 +231,10 @@ def read_gridset(path) -> Union[GridSet1, GridSet2]:
 
 def write_measure(mu: DyadicMeasure1, path) -> None:
     _require(isinstance(mu, DyadicMeasure1), "DM1 stores 1D measures")
-    nz = np.flatnonzero(mu.weights)
+    (cells,), w = mu._support
     lines = ["DM1 v1", f"n={mu.scale.n}", f"offset={mu.offset}"]
-    for t in nz:
-        lines.append(f"{mu.offset + int(t)} {float(mu.weights[t])!r}")
+    for t, v in zip(cells, w):
+        lines.append(f"{mu.offset + int(t)} {float(v)!r}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -6,7 +6,9 @@ relative tolerance, interpreted as uniform density on each cell.  That
 interpretation makes ball masses exact: a closed ball of dyadic radius
 centered at a cell center cuts boundary cells exactly in half, so every
 scan below works in integer half-cell (1D) or quarter-cell (2D) units
-with no rounding ambiguity.
+with no rounding ambiguity.  Each measure finds its positive cells in one
+flat scan of its weights, on first use, and every tool below reads them
+from that cached view (`_support`).
 
 Non-concentration scans probe closed balls centered at occupied cell
 centers, at dyadic radii delta, 2*delta, 4*delta, ... up to the first
@@ -48,7 +50,7 @@ checked on every call.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -113,7 +115,23 @@ class _CellMeasure:
 
     def __repr__(self) -> str:
         return (f"{type(self).__name__}(n={self.scale.n}, "
-                f"support={int(np.count_nonzero(self.weights))}, offset={self.offset})")
+                f"support={self._support[1].size}, offset={self.offset})")
+
+    @property
+    def _support(self):
+        """(cells, w) over the positive cells in row-major order: one int64
+        position array per axis, from the first cell of the weights box, as
+        np.nonzero(weights > 0) gives them, and the weights there.  The one
+        scan of the weights for their support; computed once, read-only."""
+        out = self.__dict__.get("_support_cache")
+        if out is None:
+            flat = np.flatnonzero(self.weights > 0)
+            cells = (flat,) if self._ndim == 1 else np.divmod(flat, self.weights.shape[1])
+            out = (cells, self.weights[cells])
+            for a in (*cells, out[1]):
+                a.setflags(write=False)
+            object.__setattr__(self, "_support_cache", out)
+        return out
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -134,20 +152,6 @@ class DyadicMeasure2(_CellMeasure):
     offset: tuple
     weights: np.ndarray
     _ndim = 2
-
-    @property
-    def _centers(self):
-        """(x, y, w) over the positive cells in row-major order: cell-center
-        coordinates in cell units from `offset` (the local frame of the
-        projection kernel) and the weights; computed once, read-only."""
-        out = self.__dict__.get("_centers_cache")
-        if out is None:
-            jr, ir = np.nonzero(self.weights > 0)
-            out = (ir + 0.5, jr + 0.5, self.weights[jr, ir])
-            for a in out:
-                a.setflags(write=False)
-            object.__setattr__(self, "_centers_cache", out)
-        return out
 
 
 # the cell-set type of each measure type
@@ -209,11 +213,11 @@ def _dyadic_radii(span_cells: int):
     return radii
 
 
-def _scan_frostman_1d(w: np.ndarray, offset: int, scale: Scale, kappa: float):
+def _scan_frostman_1d(mu: DyadicMeasure1, kappa: float):
+    w, offset, delta = mu.weights, mu.offset, mu.scale.delta
     L = w.size
     P = np.concatenate(([0.0], np.cumsum(w)))
-    sup = np.flatnonzero(w > 0)
-    delta = scale.delta
+    (sup,), _ = mu._support
     best = (-1.0, 0, 0.0)  # (constant, center_abs, radius)
     for k in _dyadic_radii(L):
         inner = P[np.clip(sup + k, 0, L)] - P[np.clip(sup - k + 1, 0, L)]
@@ -243,12 +247,12 @@ def _rect_sum(P: np.ndarray, y0, y1, x0, x1):
     return np.where(valid, out, 0.0)
 
 
-def _scan_frostman_2d(w: np.ndarray, offset, scale: Scale, kappa: float):
+def _scan_frostman_2d(mu: DyadicMeasure2, kappa: float):
+    w, offset, delta = mu.weights, mu.offset, mu.scale.delta
     H, W = w.shape
     P = np.zeros((H + 1, W + 1))
     np.cumsum(np.cumsum(w, axis=0), axis=1, out=P[1:, 1:])
-    jr, ir = np.nonzero(w > 0)
-    delta = scale.delta
+    (jr, ir), _ = mu._support
     best = (-1.0, (0, 0), 0.0)
     for k in _dyadic_radii(max(H, W)):
         y0, y1, x0, x1 = jr - k, jr + k, ir - k, ir + k
@@ -282,9 +286,9 @@ def frostman_constant(mu, kappa: float) -> FrostmanReport:
     """
     _require(np.isfinite(kappa), "kappa must be finite")
     if isinstance(mu, DyadicMeasure1):
-        c, center, r = _scan_frostman_1d(mu.weights, mu.offset, mu.scale, kappa)
+        c, center, r = _scan_frostman_1d(mu, kappa)
     elif isinstance(mu, DyadicMeasure2):
-        c, center, r = _scan_frostman_2d(mu.weights, mu.offset, mu.scale, kappa)
+        c, center, r = _scan_frostman_2d(mu, kappa)
     else:
         raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
     return FrostmanReport(kappa=float(kappa), constant=c, witness_center=center,
@@ -300,11 +304,7 @@ def nonconcentration_constant(S, kappa: float) -> FrostmanReport:
     (convention "set").
     """
     _require(not S.is_empty, "non-concentration scan needs a nonempty set")
-    mu = uniform_on(S)
-    rep = frostman_constant(mu, kappa)
-    return FrostmanReport(kappa=rep.kappa, constant=rep.constant,
-                          witness_center=rep.witness_center,
-                          witness_radius=rep.witness_radius, convention="set")
+    return replace(frostman_constant(uniform_on(S), kappa), convention="set")
 
 
 # ---------------------------------------------------------------------------
@@ -318,8 +318,8 @@ def _block_rows(width: int) -> int:
 
 
 def _energy_direct(cells: tuple, w: np.ndarray, delta: float, s: float) -> float:
-    """Direct pair sum over the cells `cells` (np.nonzero's coordinate
-    tuple, in array-axis order) with weights `w`, in blocks of rows."""
+    """Direct pair sum over the cells `cells` (a measure's support view:
+    one position array per array axis) with weights `w`, in blocks of rows."""
     centers = [(c.astype(np.float64) + 0.5) * delta for c in cells[::-1]]  # x first in 2D
     distance = np.abs if len(centers) == 1 else np.hypot
     parts = []
@@ -478,7 +478,7 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
     w, delta = mu.weights, mu.scale.delta
     _require(w.ndim == 1 or method != "binned", "binned path is 1D only; 2D energies are exact")
     if method == "auto":
-        support = np.count_nonzero(w)
+        support = mu._support[1].size
         padded = _fft_shape(w.shape)
         fft_cells = math.prod(padded)
         fft_cost = _FFT_CELL_COST * fft_cells if fft_cells <= _FFT_CELL_CAP else math.inf
@@ -493,8 +493,7 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
             method = "binned"
     if method == "binned":
         return _energy_binned_1d(w, delta, s)
-    cells = np.nonzero(w > 0)
-    return _energy_direct(cells, w[cells], delta, s)
+    return _energy_direct(*mu._support, delta, s)
 
 
 def energy_bound_constant(t: float, kappa: float) -> float:
@@ -510,12 +509,6 @@ def energy_bound_constant(t: float, kappa: float) -> float:
 
 # ---------------------------------------------------------------------------
 # Heavy-cube pruning (energy -> Frostman)
-
-
-def _support(mu: DyadicMeasure1):
-    """Absolute indices and weights of mu's positive cells."""
-    nz = np.flatnonzero(mu.weights > 0)
-    return nz.astype(np.int64) + mu.offset, mu.weights[nz]
 
 
 def _cube_masses(idx: np.ndarray, w: np.ndarray, n: int, levels):
@@ -540,15 +533,15 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     _require(s > 0, "energy exponent must be positive")
     _require(K >= 1 and L >= 1, "K and L must be at least 1")
     n = mu.scale.n
-    idx, w = _support(mu)
+    (idx,), w = mu._support
     removed = np.zeros(idx.size, dtype=bool)
-    for j, _, inv, masses in _cube_masses(idx, w, n, range(n)):
+    for j, _, inv, masses in _cube_masses(idx + mu.offset, w, n, range(n)):
         thr = K * L * 2.0 ** (-j * s / 2.0)
         heavy = masses > thr if strict else masses >= thr
         if heavy.any():
             removed |= heavy[inv]
     removed_mass = float(np.sum(w[removed]))
-    kept = GridSet1.from_indices(mu.scale, idx[~removed])
+    kept = GridSet1.from_indices(mu.scale, idx[~removed] + mu.offset)
     energy = riesz_energy(mu, s)
     geom = sum(2.0 ** (-j * s / 2.0) for j in range(n)) if n else 0.0
     bound = energy / (K * L) * geom
@@ -593,9 +586,9 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     n = mu.scale.n
     pa, qa = fa.numerator, fa.denominator
     pb, qb = fb.numerator, fb.denominator
-    src, weights = _support(mu)
+    (src,), weights = mu._support
     # target = floor( (pa*(2i+1)*qb + pb*qa*2^(n+1)) / (2*qa*qb) ), exact.
-    num = [pa * (2 * int(i) + 1) * qb + pb * qa * (2 << n) for i in src]
+    num = [pa * (2 * int(i) + 1) * qb + pb * qa * (2 << n) for i in src + mu.offset]
     den = 2 * qa * qb
     tgt = [v // den for v in num]
     lo, hi = min(tgt), max(tgt)
@@ -643,7 +636,8 @@ def maximal_interval(mu: DyadicMeasure1, kappa: float) -> MaximalIntervalResult:
              "measure must be supported in [0, 1)")
     _require(np.isfinite(kappa), "kappa must be finite")
     best = None
-    for j, uniq, _, masses in _cube_masses(*_support(mu), n, range(n + 1)):
+    (idx,), w = mu._support
+    for j, uniq, _, masses in _cube_masses(idx + mu.offset, w, n, range(n + 1)):
         mvals = masses * 2.0 ** (j * kappa / 2.0)
         p = int(np.argmax(mvals))
         if best is None or mvals[p] > best[0]:

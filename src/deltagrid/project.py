@@ -34,8 +34,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InternalCheckError
-from .grid import GridSet1, GridSet2, Scale, _digest, _require, _require_span
+from .grid import GridSet1, GridSet2, Scale, _digest, _require
 from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
+
+MAX_ANGLES = 1 << 20  # angles per grid, sample or angle measure; see _require_angles
 
 
 @dataclass(frozen=True)
@@ -70,6 +72,22 @@ def _as_direction(d) -> Direction:
     return d if isinstance(d, Direction) else Direction(float(d))
 
 
+def _require_angles(M: int) -> None:
+    """Refuse M > MAX_ANGLES angles (or angle cells) before any array of
+    them is made.  At the cap each float64 or int64 array with one entry
+    per angle takes 8 MiB; the largest user, a sweep, holds a few such
+    arrays plus a Python float and a ProjectionRecord per angle (about
+    270 bytes in all, 270 MiB at the cap), so every command stays far
+    inside a 1 GiB address space."""
+    _require(M <= MAX_ANGLES, f"{M} angles exceed the angle cap {MAX_ANGLES}")
+
+
+def _angle_grid(M: int) -> np.ndarray:
+    """M equispaced angles k*pi/M, k = 0..M-1: 0 included, pi excluded."""
+    _require_angles(M)
+    return np.arange(M) * math.pi / M
+
+
 @dataclass(frozen=True)
 class AngleMeasure:
     """Measure on directions: weights on [0,1) cells, t identified with
@@ -85,7 +103,7 @@ class AngleMeasure:
 
     @classmethod
     def uniform(cls, scale: Scale) -> "AngleMeasure":
-        _require_span(1 << scale.n)
+        _require_angles(1 << scale.n)
         w = np.full(1 << scale.n, 1.0 / (1 << scale.n))
         return cls(DyadicMeasure1(scale, 0, w))
 
@@ -95,15 +113,18 @@ class AngleMeasure:
         cell = min(int(t * (1 << scale.n)), (1 << scale.n) - 1)
         return cls(DyadicMeasure1(scale, cell, np.ones(1)))
 
-    def thetas(self) -> np.ndarray:
-        """Angles at support cell centers, in radians."""
-        nz = np.flatnonzero(self.measure.weights > 0)
-        centers = (nz + self.measure.offset + 0.5) * self.measure.scale.delta
+    def _angles(self, cells: np.ndarray) -> np.ndarray:
+        """Angles in radians at the centers of cells counted from the offset."""
+        centers = (cells + self.measure.offset + 0.5) * self.measure.scale.delta
         return 2 * math.pi * centers
 
+    def thetas(self) -> np.ndarray:
+        """Angles at support cell centers, in radians."""
+        return self._angles(self.measure._support[0][0])
+
     def weights(self) -> np.ndarray:
-        w = self.measure.weights
-        return w[w > 0]
+        """The weights at those angles (read-only)."""
+        return self.measure._support[1]
 
     def quantile_angles(self, M: int) -> np.ndarray:
         """M angles at mass quantiles (t + 1/2)/M, each carrying 1/M.
@@ -112,13 +133,12 @@ class AngleMeasure:
         in, in quantile order (repeats possible for concentrated mass).
         """
         _require(M >= 1, "need at least one sample")
+        _require_angles(M)
         w = self.measure.weights
         cum = np.cumsum(w)
         q = (np.arange(M) + 0.5) / M * cum[-1]
         cells = np.searchsorted(cum, q, side="left")
-        cells = np.minimum(cells, w.size - 1)
-        centers = (cells + self.measure.offset + 0.5) * self.measure.scale.delta
-        return 2 * math.pi * centers
+        return self._angles(np.minimum(cells, w.size - 1))
 
 
 @dataclass(frozen=True)
@@ -279,8 +299,9 @@ def project_set(E: GridSet2, d) -> GridSet1:
 
 def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     """Pushforward under pi_theta, each square's mass to its center's cell."""
-    x, y, weights = mu._centers
-    K, keys = _center_keys(x, y, mu.offset, sum(mu.weights.shape), _as_direction(d))
+    (jr, ir), weights = mu._support
+    K, keys = _center_keys(ir + 0.5, jr + 0.5, mu.offset, sum(mu.weights.shape),
+                           _as_direction(d))
     lo = int(keys.min())
     # fresh and trimmed: keys lo and max carry the mass of positive cells
     return DyadicMeasure1(mu.scale, K + lo, np.bincount(keys - lo, weights=weights))
@@ -327,7 +348,7 @@ def marstrand_average(E: GridSet2, angles: int) -> MarstrandStats:
     (0 included, pi excluded), with the 1-energy of uniform measure on
     E for the average-projection lower bound."""
     _require(angles >= 2, "need at least two angles")
-    thetas = np.arange(angles) * math.pi / angles
+    thetas = _angle_grid(angles)
     measures = np.array([project_set(E, float(t)).measure for t in thetas])
     return MarstrandStats(angles=angles, mean=float(measures.mean()),
                           median=float(np.median(measures)), min=float(measures.min()),

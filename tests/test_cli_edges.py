@@ -148,6 +148,12 @@ REFUSE = [
     "project kaufman --set sq.gs2 --kappa 0.5 --angles 134217728",
     "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --nu-cells 1073741824",
     "project kaufman --set sq.gs2 --kappa 0.5 --angles 1073741824",
+    # angle counts past the angle cap, refused before any angle array is made
+    "project sweep --set sq.gs2 --angles 1000000000",
+    "project marstrand --set sq.gs2 --angles 1000000000",
+    "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --angles 1000000000",
+    "project kaufman --set sq.gs2 --kappa 0.5 --angles 67108864",
+    "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --nu-cells 67108864",
 ]
 
 CHILD = textwrap.dedent("""

@@ -694,6 +694,20 @@ def test_box_runs_across_block_edges(monkeypatch):
                     assert first.flags.writeable is False
 
 
+def test_interval_indices_trace_one_array():
+    """The cells of a 2**20-cell interval are found in one int64 array, the
+    offset added in place: no second copy of that size is traced."""
+    S = make_interval(Scale(20), 0, 1)
+    tracemalloc.start()
+    try:
+        idx = S.indices
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert idx.dtype == np.int64 and idx.size == 1 << 20 and idx[-1] == (1 << 20) - 1
+    assert peak < 1.25 * idx.nbytes
+
+
 def test_box_reads_never_call_2d_nonzero(tmp_path, monkeypatch):
     """A set built from its box (a product) gives its runs, its cells, its
     file and its projections without np.nonzero over a 2D array."""

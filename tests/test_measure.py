@@ -722,3 +722,47 @@ def test_renormalization_chain_frostman():
         assert rep.constant <= 2.0 + 1e-9, (seed, kappa, rep)
         checked += 1
     assert checked >= 15
+
+
+def _support_cases():
+    """Seeded measures: single cells, full boxes and boxes with interior
+    zeros, in 1D and 2D, at offsets from 0 to near +-2**61."""
+    rng = np.random.default_rng(21)
+    offsets = (0, -5, (1 << 61) - 3, -(1 << 61) + 2)
+    for k, shape in enumerate([(1,), (9,), (64,), (1, 1), (1, 7), (7, 1), (6, 6), (13, 9)]):
+        for fill in ("full", "sparse"):
+            w = rng.random(shape) + 0.5
+            if fill == "sparse":
+                w *= rng.random(shape) < 0.4
+                w[(0,) * len(shape)] = w[(-1,) * len(shape)] = 1.0
+                if len(shape) == 2:  # trimmed: every border row and column nonzero
+                    w[0, -1] = w[-1, 0] = 1.0
+            off = offsets[k % len(offsets)]
+            if len(shape) == 1:
+                yield DyadicMeasure1.from_weights(Scale(30), off, w / w.sum())
+            else:
+                yield DyadicMeasure2.from_weights(Scale(30), (off, -off), w / w.sum())
+
+
+def test_support_view_matches_nonzero_oracle(monkeypatch):
+    """The support view holds np.nonzero(weights > 0) and the weights there,
+    bit for bit, read-only, from one scan however often it is read."""
+    scans = []
+    flat = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(1) or flat(a))
+    for mu in _support_cases():
+        want = np.nonzero(mu.weights > 0)
+        scans.clear()
+        cells, w = mu._support
+        assert mu._support is mu._support and len(scans) == 1
+        assert len(cells) == len(want) == mu.weights.ndim
+        for c, d in zip(cells, want):
+            assert c.dtype == np.int64 and np.array_equal(c, d)
+        assert w.tobytes() == mu.weights[want].tobytes()
+        for a in (*cells, w):
+            assert not a.flags.writeable
+            with pytest.raises(ValueError):
+                a[0] = 0
+        if mu.weights.ndim == 1:  # absolute cells, as the 1D tools read them
+            assert (cells[0] + mu.offset).tolist() == [mu.offset + int(i) for i in want[0]]
+    assert repr(mu).startswith(f"DyadicMeasure2(n=30, support={w.size},")

@@ -329,5 +329,66 @@ def test_project_measure_repeats_on_cached_centers():
         a = project_measure(mu, t)
         b = project_measure(DyadicMeasure2.from_weights(Scale(8), (-7, 40), w / w.sum()), t)
         assert a.offset == b.offset and a.weights.tobytes() == b.weights.tobytes()
-    x, y, wt = mu._centers
-    assert mu._centers[0] is x and not x.flags.writeable
+    cells, wt = mu._support
+    assert mu._support[0] is cells and not cells[0].flags.writeable and not wt.flags.writeable
+
+
+def test_project_measure_scans_support_once(monkeypatch):
+    """64 projections of one measure find its support in one scan."""
+    A = gen_cantor(Scale(8), 4, (0, 1, 3), 4)
+    mu = uniform_on(cartesian_product(A, A))
+    scans = []
+    flat = np.flatnonzero
+    monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(np.shape(a)) or flat(a))
+    for t in np.arange(64) * math.pi / 64:
+        project_measure(mu, float(t))
+    assert scans == [mu.weights.shape]
+
+
+def test_2d_measure_tools_never_call_2d_nonzero(monkeypatch):
+    """Frostman scans, direct energies, projections and the Kaufman average
+    of 2D measures read their support without np.nonzero over a 2D array."""
+    from deltagrid import frostman_constant
+
+    rng = np.random.default_rng(8)
+    w = rng.random((11, 17)) * (rng.random((11, 17)) < 0.5)
+    w[0, 0] = w[-1, -1] = 1.0
+    A = gen_cantor(Scale(6), 4, (0, 3), 3)
+    nonzero = np.nonzero
+
+    def flat_only(a):
+        assert np.ndim(a) < 2, "np.nonzero over a 2D box"
+        return nonzero(a)
+
+    monkeypatch.setattr(np, "nonzero", flat_only)
+    for mu in (DyadicMeasure2.from_weights(Scale(9), (-4, 30), w / w.sum()),
+               uniform_on(cartesian_product(A, A))):
+        assert frostman_constant(mu, 0.7).constant > 0
+        assert riesz_energy(mu, 0.5, method="direct") > 0
+        assert project_measure(mu, 0.4).mass == pytest.approx(1.0)
+        assert kaufman_average(mu, AngleMeasure.uniform(Scale(3)), 0.5) > 0
+
+
+def test_angle_counts_refused_past_the_cap_before_allocating():
+    """Grids, samples and uniform angle measures of MAX_ANGLES angles are
+    made; one more is refused before any angle array exists."""
+    import tracemalloc
+    from deltagrid.project import MAX_ANGLES, _angle_grid
+
+    k = MAX_ANGLES.bit_length() - 1
+    nu = AngleMeasure.uniform(Scale(4))
+    assert _angle_grid(MAX_ANGLES).size == MAX_ANGLES
+    assert nu.quantile_angles(MAX_ANGLES).size == MAX_ANGLES
+    assert AngleMeasure.uniform(Scale(k)).thetas().size == MAX_ANGLES
+    for make in (lambda: _angle_grid(MAX_ANGLES + 1),
+                 lambda: nu.quantile_angles(MAX_ANGLES + 1),
+                 lambda: AngleMeasure.uniform(Scale(k + 1)),
+                 lambda: marstrand_average(GridSet2.from_indices(Scale(2), [(0, 0)]), 10 ** 9)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(PreconditionError, match="exceed the angle cap"):
+                make()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
