@@ -269,8 +269,7 @@ def _cmd_project(args) -> int:
     if args.what == "sweep":
         _require(args.angles >= 1, f"--angles must be at least 1, got {args.angles}")
         thetas = _angle_grid(args.angles)
-        mu = uniform_on(E) if args.kappa is not None else None
-        rep = sweep(E, thetas, args.fraction, mu=mu, kappa=args.kappa, threads=args.threads)
+        rep = sweep(E, thetas, args.fraction, kappa=args.kappa, threads=args.threads)
         for name in ("projection", "adversarial"):
             q = rep.summary[name]
             print(f"{name}: min={q['min']!r} median={q['median']!r} max={q['max']!r}")
@@ -485,8 +484,8 @@ def _build_parser() -> _Parser:
     p = _Parser(prog="deltagrid", description=__doc__.splitlines()[0])
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, n_default=12):
-        sp.add_argument("--n", type=int, default=n_default)
+    def common(sp):
+        sp.add_argument("--n", type=int, default=12)
         sp.add_argument("--seed", type=int, default=0)
         sp.add_argument("--threads", type=int, default=1)
         sp.add_argument("--out", type=str, default=None)

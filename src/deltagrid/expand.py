@@ -23,8 +23,7 @@ import numpy as np
 from .errors import InternalCheckError, PreconditionError
 from .grid import GridSet1, GridSet2, _digest, _require
 from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
-                      maximal_interval, nonconcentration_constant, rescale_to_unit,
-                      uniform_on)
+                      maximal_interval, nonconcentration_constant, rescale_to_unit)
 from .project import AngleMeasure, SweepReport, sweep
 from .setcalc import SumSemantics, diffset, dilated_sum_counts, nfold_product, nfold_sum
 
@@ -212,8 +211,7 @@ def projection_theorem_experiment(E: GridSet2, nu: AngleMeasure, epsilon: float,
     delta = E.scale.delta
     lam = min(1.0, delta ** epsilon)
     thetas = nu.quantile_angles(M)
-    mu = uniform_on(E) if energy_kappa is not None else None
-    report = sweep(E, thetas, lam, mu=mu, kappa=energy_kappa, threads=threads)
+    report = sweep(E, thetas, lam, kappa=energy_kappa, threads=threads)
     threshold = delta ** (-eta) * math.sqrt(E.count)
     counts = np.array([r.adversarial_count for r in report.records], dtype=np.float64)
     good = counts > threshold

@@ -7,8 +7,11 @@ integer index of its leftmost cell.  Half-open cells make translation
 and index arithmetic exact: no point belongs to two cells, so counts
 never double.
 
-A 2D set's row runs are scanned off its box once, a block of rows at a
-time (`_box_runs`), and its cells are expanded from its runs.
+A set's `count`, cells (`indices`) and maximal `runs` are `_view`s of its
+array: built on first use, frozen and kept, unless a constructor that
+holds one hands it over (`_seed`).  A 2D set's row runs are scanned off
+its box once, a block of rows at a time (`_box_runs`), and its cells are
+expanded from its runs.
 
 Covering numbers are occupied-cell counts.  The cell count agrees with
 the least number of delta-balls needed to cover the set up to a factor
@@ -18,6 +21,7 @@ absolute constants, so the exact count is the more useful convention.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 from dataclasses import dataclass
@@ -203,6 +207,34 @@ def _digest(*objs) -> str:
     return h.hexdigest()[:16]
 
 
+def _view(build):
+    """A property computed by `build` on first use and kept by `_seed` under
+    "_" + build's name, unless a constructor has handed it over there."""
+    key = "_" + build.__name__
+
+    @functools.wraps(build)
+    def view(self):
+        if key not in self.__dict__:
+            _seed(self, **{build.__name__: build(self)})
+        return self.__dict__[key]
+
+    return property(view)
+
+
+def _seed(obj, **views):
+    """obj, holding each view under its `_view`'s key, every array in it
+    (through nested tuples) made read-only."""
+    for name, view in views.items():
+        parts = [view]
+        for part in parts:  # grows by the items of nested tuples
+            if isinstance(part, tuple):
+                parts.extend(part)
+            elif isinstance(part, np.ndarray):
+                part.setflags(write=False)
+        object.__setattr__(obj, "_" + name, view)
+    return obj
+
+
 class _CellSet:
     """Validation and set algebra shared by GridSet1 and GridSet2.
 
@@ -230,14 +262,10 @@ class _CellSet:
             return cls.empty(scale)
         return cls(scale, _offset(cropped[0]), cropped[1])
 
-    @property
+    @_view
     def count(self) -> int:
-        """Occupied cells; computed once."""
-        c = self.__dict__.get("_count")
-        if c is None:
-            c = int(np.count_nonzero(self.bits))
-            object.__setattr__(self, "_count", c)
-        return c
+        """Occupied cells."""
+        return int(np.count_nonzero(self.bits))
 
     @property
     def is_empty(self) -> bool:
@@ -372,34 +400,26 @@ class GridSet1(_CellSet):
         checked the span."""
         # run t is [edges[2t], edges[2t+1]); the gap after it ends at edges[2t+2]
         edges = np.stack((first, last + 1), axis=1).reshape(-1)
-        return cls(scale, int(first[0]),
-                   np.repeat(np.arange(edges.size - 1) % 2 == 0, np.diff(edges)))
+        return _seed(cls(scale, int(first[0]),
+                         np.repeat(np.arange(edges.size - 1) % 2 == 0, np.diff(edges))),
+                     runs=np.stack((first, last)))
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet1":
         return cls(scale, 0, np.zeros(0, dtype=bool))
 
-    @property
+    @_view
     def indices(self) -> np.ndarray:
-        """Ascending absolute cell indices; computed once, read-only."""
-        idx = self.__dict__.get("_indices")
-        if idx is None:
-            idx = np.flatnonzero(self.bits)
-            idx += self.offset
-            idx.setflags(write=False)
-            object.__setattr__(self, "_indices", idx)
+        """Ascending absolute cell indices."""
+        idx = np.flatnonzero(self.bits)
+        idx += self.offset
         return idx
 
-    @property
+    @_view
     def runs(self) -> np.ndarray:
         """The maximal runs of cells, ascending: row 0 their first and row 1
-        their last absolute cell index; computed once, read-only."""
-        out = self.__dict__.get("_runs")
-        if out is None:
-            out = _runs(self.bits) + self.offset
-            out.setflags(write=False)
-            object.__setattr__(self, "_runs", out)
-        return out
+        their last absolute cell index."""
+        return _runs(self.bits) + self.offset
 
     @property
     def min_index(self) -> int:
@@ -460,7 +480,7 @@ class GridSet2(_CellSet):
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
         """indices: (m, 2) array or iterable of (i, j) cell pairs, in any
         order, duplicates allowed.  Pairs strictly ascending in (j, i) are
-        already the `indices` list and seed that cache."""
+        already the `indices` list and are handed over as it."""
         if not isinstance(indices, np.ndarray):
             indices = list(indices)
         try:
@@ -481,11 +501,7 @@ class GridSet2(_CellSet):
         bits = np.zeros(h * w, dtype=bool)
         bits[flat] = True
         E = cls(scale, (ox, oy), bits.reshape(h, w))
-        if bool(np.all(flat[1:] > flat[:-1])):
-            pts.setflags(write=False)  # a fresh array, already the `indices` list
-            object.__setattr__(E, "_indices", pts)
-            object.__setattr__(E, "_count", len(pts))
-        return E
+        return _seed(E, indices=pts, count=len(pts)) if bool(np.all(flat[1:] > flat[:-1])) else E
 
     @classmethod
     def empty(cls, scale: Scale) -> "GridSet2":
@@ -515,39 +531,26 @@ class GridSet2(_CellSet):
         bits = np.zeros(h * w, dtype=bool)
         # only the pages of occupied rows are touched
         bits[_run_cells(yr * w + xr, lens)] = True
-        E = cls(scale, (ox, oy), bits.reshape(h, w))
-        out = np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1)
-        out.setflags(write=False)
-        object.__setattr__(E, "_runs", out)
-        object.__setattr__(E, "_count", int(lens.sum()))
-        return E
+        return _seed(cls(scale, (ox, oy), bits.reshape(h, w)), count=int(lens.sum()),
+                     runs=np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1))
 
-    @property
+    @_view
     def indices(self) -> np.ndarray:
-        """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i);
-        computed once, read-only: expanded from `runs`."""
-        out = self.__dict__.get("_indices")
-        if out is None:
-            y, x0, x1 = self.runs.T
-            lens = x1 - x0 + 1
-            out = np.empty((int(lens.sum()), 2), dtype=np.int64)
-            out[:, 0] = _run_cells(x0, lens)
-            out[:, 1] = np.repeat(y, lens)
-            out.setflags(write=False)
-            object.__setattr__(self, "_indices", out)
+        """(m, 2) array of absolute (i, j) cell pairs, lexicographic in (j, i):
+        expanded from `runs`."""
+        y, x0, x1 = self.runs.T
+        lens = x1 - x0 + 1
+        out = np.empty((int(lens.sum()), 2), dtype=np.int64)
+        out[:, 0] = _run_cells(x0, lens)
+        out[:, 1] = np.repeat(y, lens)
         return out
 
-    @property
+    @_view
     def runs(self) -> np.ndarray:
         """(m, 3) array of the maximal row runs (y, x0, x1), absolute and
-        ascending in (y, x0); read-only, seeded by `from_runs` or scanned
-        once off the occupancy box (`_box_runs`)."""
-        out = self.__dict__.get("_runs")
-        if out is None:
-            out = np.concatenate((np.empty((0, 3), dtype=np.int64), *_box_runs(self)))
-            out.setflags(write=False)
-            object.__setattr__(self, "_runs", out)
-        return out
+        ascending in (y, x0): seeded by `from_runs` or scanned off the
+        occupancy box (`_box_runs`)."""
+        return np.concatenate((np.empty((0, 3), dtype=np.int64), *_box_runs(self)))
 
     def __repr__(self) -> str:
         return (f"GridSet2(n={self.scale.n}, count={self.count}, offset={self.offset}, "
@@ -728,7 +731,6 @@ def cartesian_product(A: GridSet1, B: GridSet1) -> GridSet2:
     _require(A.scale == B.scale, "operands must share one scale")
     if A.is_empty or B.is_empty:
         return GridSet2.empty(A.scale)
-    cells = A.bits.size * B.bits.size
-    _require_span(cells)
-    bits = np.outer(B.bits, A.bits)
-    return GridSet2(A.scale, (A.offset, B.offset), bits)
+    _require_span(A.bits.size * B.bits.size)
+    return _seed(GridSet2(A.scale, (A.offset, B.offset), np.outer(B.bits, A.bits)),
+                 count=A.count * B.count)

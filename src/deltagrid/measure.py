@@ -8,7 +8,8 @@ centered at a cell center cuts boundary cells exactly in half, so every
 scan below works in integer half-cell (1D) or quarter-cell (2D) units
 with no rounding ambiguity.  Each measure finds its positive cells in one
 flat scan of its weights, on first use, and every tool below reads them
-from that cached view (`_support`).
+from that view (`_support`, a `grid._view` like a set's `indices`);
+`uniform_on` hands a 2D set's cells over as it, with no scan at all.
 
 Non-concentration scans probe closed balls centered at occupied cell
 centers, at dyadic radii delta, 2*delta, 4*delta, ... up to the first
@@ -58,7 +59,7 @@ import numpy as np
 from .errors import InternalCheckError, PreconditionError
 from .grid import (GridSet1, GridSet2, Scale, as_fraction,
                    _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
-                   _require_span)
+                   _require_span, _seed, _view)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -117,21 +118,15 @@ class _CellMeasure:
         return (f"{type(self).__name__}(n={self.scale.n}, "
                 f"support={self._support[1].size}, offset={self.offset})")
 
-    @property
+    @_view
     def _support(self):
         """(cells, w) over the positive cells in row-major order: one int64
         position array per axis, from the first cell of the weights box, as
         np.nonzero(weights > 0) gives them, and the weights there.  The one
-        scan of the weights for their support; computed once, read-only."""
-        out = self.__dict__.get("_support_cache")
-        if out is None:
-            flat = np.flatnonzero(self.weights > 0)
-            cells = (flat,) if self._ndim == 1 else np.divmod(flat, self.weights.shape[1])
-            out = (cells, self.weights[cells])
-            for a in (*cells, out[1]):
-                a.setflags(write=False)
-            object.__setattr__(self, "_support_cache", out)
-        return out
+        scan of the weights for their support."""
+        flat = np.flatnonzero(self.weights > 0)
+        cells = (flat,) if self._ndim == 1 else np.divmod(flat, self.weights.shape[1])
+        return cells, self.weights[cells]
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -152,10 +147,6 @@ class DyadicMeasure2(_CellMeasure):
     offset: tuple
     weights: np.ndarray
     _ndim = 2
-
-
-# the cell-set type of each measure type
-_SUPPORT_TYPE = {DyadicMeasure1: GridSet1, DyadicMeasure2: GridSet2}
 
 
 @dataclass(frozen=True)
@@ -193,12 +184,15 @@ class MaximalIntervalResult:
 
 
 def uniform_on(S):
-    """Uniform probability measure on a nonempty cell set."""
+    """Uniform probability measure on a nonempty cell set.  A 2D set's
+    cells, less its offset, are the measure's support, handed over unscanned."""
     _require(not S.is_empty, "uniform measure needs a nonempty set")
-    for measure_type, set_type in _SUPPORT_TYPE.items():
-        if isinstance(S, set_type):
-            return measure_type(S.scale, S.offset, S.bits.astype(np.float64) / S.count)
-    raise PreconditionError(f"unsupported operand type {type(S).__name__}")
+    if isinstance(S, GridSet1):
+        return DyadicMeasure1(S.scale, S.offset, S.bits.astype(np.float64) / S.count)
+    _require(isinstance(S, GridSet2), f"unsupported operand type {type(S).__name__}")
+    (i, j), (ox, oy) = S.indices.T, S.offset
+    return _seed(DyadicMeasure2(S.scale, S.offset, S.bits.astype(np.float64) / S.count),
+                 _support=((j - oy, i - ox), np.full(S.count, 1 / S.count)))
 
 
 # ---------------------------------------------------------------------------
@@ -558,9 +552,8 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
 
 def condition(mu, S):
     """mu restricted to S and renormalized; requires mu(S) > 0."""
-    set_type = _SUPPORT_TYPE.get(type(mu))
-    if set_type is None:
-        raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    set_type = {DyadicMeasure1: GridSet1, DyadicMeasure2: GridSet2}.get(type(mu))
+    _require(set_type is not None, f"unsupported operand type {type(mu).__name__}")
     _require(isinstance(S, set_type), f"conditioning set must be a {set_type.__name__}")
     _require(mu.scale == S.scale, "operands must share one scale")
     w = np.zeros_like(mu.weights)

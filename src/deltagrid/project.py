@@ -49,7 +49,7 @@ class Direction:
     def __post_init__(self):
         t = float(self.theta)
         _require(np.isfinite(t), "theta must be finite")
-        t = math.fmod(t, math.pi)
+        t = math.fmod(t, math.pi) + 0.0  # -0.0 (theta = -pi, -2pi, ...) to +0.0
         if t < 0:
             t += math.pi
         if t >= math.pi:  # fmod rounding at the seam
@@ -369,19 +369,19 @@ def kaufman_average(mu: DyadicMeasure2, nu: AngleMeasure, kappa: float) -> float
     return acc
 
 
-def sweep(E: GridSet2, thetas, fraction: float, mu: DyadicMeasure2 | None = None,
-          kappa: float | None = None, threads: int = 1) -> SweepReport:
-    """Per-angle projection and adversarial counts; energies when mu and
-    kappa are given.  Parallel over angles, merged in angle order."""
+def sweep(E: GridSet2, thetas, fraction: float, kappa: float | None = None,
+          threads: int = 1) -> SweepReport:
+    """Per-angle projection and adversarial counts; when kappa is given, the
+    kappa-energies of the projections of uniform_on(E) too.  Parallel over
+    angles, merged in angle order."""
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     thetas = [float(t) for t in thetas]
+    mu = None if kappa is None else uniform_on(E)
 
     def one(t: float) -> ProjectionRecord:
         pc = project_set(E, t).count
         ac = adversarial_count(E, t, fraction)
-        en = None
-        if mu is not None and kappa is not None:
-            en = riesz_energy(project_measure(mu, t), kappa)
+        en = None if mu is None else riesz_energy(project_measure(mu, t), kappa)
         return ProjectionRecord(theta=t, projection_count=pc,
                                 adversarial_count=ac, energy=en)
 

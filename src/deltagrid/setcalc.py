@@ -23,13 +23,14 @@ distinct (run length, start mod 8) segment is turned into bytes once and
 ORed in place into a single preallocated byte buffer at byte start // 8,
 so no run copies the growing result.  The COVER cell is one shifted OR of
 the packed sum, and a sum of trimmed operands is trimmed, so its bits are
-unpacked once, straight into the result.  The mask and its doubled and
-shifted segments depend on the mask operand alone, so `dilated_sum_counts`
-keeps them, up to a fixed budget, for the expander's dilation sweep, and
-takes each sum's count as a popcount, without building the dilation or
-the sum.  Difference sets are sums with the reflected operand (COVER then
-moves one cell left).  A naive double-loop implementation is kept behind
-method="naive" as a test oracle.
+unpacked once, straight into the result, and its popcount is the result's
+count.  The mask and its doubled and shifted segments depend on the mask
+operand alone, so `dilated_sum_counts` keeps them, up to a fixed budget,
+for the expander's dilation sweep, and takes each sum's count as a
+popcount, without building the dilation or the sum.  Difference sets are
+sums with the reflected operand (COVER then moves one cell left).  A
+naive double-loop implementation is kept behind method="naive" as a
+test oracle.
 
 Products, rational dilations and graph sums leave the lattice, so
 covers are computed from interval endpoints in scaled integer units
@@ -48,7 +49,7 @@ import enum
 import numpy as np
 
 from .grid import (GridSet1, GridSet2, MAX_INDEX, MAX_SPAN, _cover, _merged, _require,
-                   _require_span, as_fraction)
+                   _require_span, _seed, as_fraction)
 
 
 class SumSemantics(enum.Enum):
@@ -165,7 +166,7 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     # A sum of trimmed operands is trimmed: both end cells are set.
     bits = np.unpackbits(np.frombuffer(acc.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8),
                          count=nbits, bitorder="little").view(bool)
-    return GridSet1(A.scale, A.offset + B.offset, bits)
+    return _seed(GridSet1(A.scale, A.offset + B.offset, bits), count=acc.bit_count())
 
 
 def dilated_sum_counts(A: GridSet1, xs) -> list:

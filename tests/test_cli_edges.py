@@ -93,7 +93,6 @@ CASES = [
     "measure energy --set empty.gs1 --sigma 0.5",
     "measure energy --measure empty.dm1 --sigma 0.5",
     "measure maximal --measure trunc.dm1 --kappa 0.5",
-    "report empty.csv",
     "report trunc.csv",
     "op reflect --set missing.gs1 --out x.gs1",
     "report .",
@@ -154,6 +153,13 @@ REFUSE = [
     "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --angles 1000000000",
     "project kaufman --set sq.gs2 --kappa 0.5 --angles 67108864",
     "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 --nu-cells 67108864",
+    # flag values their parsers refuse, and a report with no header row
+    "op dilate --set a.gs1 --factor abc --out x.gs1",
+    "op dilate --set a.gs1 --factor 1/0 --out x.gs1",
+    "experiment expander --set a.gs1 --candidates 1-2",
+    "gen cantor --digits a,b --out x.gs1",
+    "lattice collision --set a.gs1 --vector x,y",
+    "report empty.csv",
 ]
 
 CHILD = textwrap.dedent("""

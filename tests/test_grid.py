@@ -14,8 +14,8 @@ import pytest
 from fractions import Fraction
 
 from deltagrid import (MAX_INDEX, MAX_SPAN, DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
-                       PreconditionError, Scale, cartesian_product, covering_number, gen_cantor,
-                       gen_random_frostman, make_interval, neighborhood,
+                       PreconditionError, Scale, as_fraction, cartesian_product, covering_number,
+                       gen_cantor, gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
 from deltagrid.grid import _box, _runs
 
@@ -255,6 +255,15 @@ def test_witness_consistency():
         S = GridSet1.from_indices(Scale(6), rng.integers(0, 64, size=rng.integers(1, 30)))
         rep = nonconcentration_constant(S, 0.6)
         assert rep.constant * rep.witness_radius ** 0.6 >= 1.0 / S.count - 1e-12
+
+
+def test_empty_product_and_float_fraction():
+    s = Scale(4)
+    A = GridSet1.from_indices(s, [0, 3])
+    for X, Y in ((GridSet1.empty(s), A), (A, GridSet1.empty(s))):
+        assert cartesian_product(X, Y) == GridSet2.empty(s)
+    # a float is read as the binary64 value it holds, not as its decimal text
+    assert as_fraction(0.1) == Fraction(3602879701896397, 1 << 55) != Fraction(1, 10)
 
 
 def test_cartesian_product():

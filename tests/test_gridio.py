@@ -146,6 +146,23 @@ def test_measure_parse_errors(tmp_path):
         read_measure(p)  # zero total mass
 
 
+@pytest.mark.parametrize("text, where, msg", [
+    ("DM2 v1\nn=2\noffset=0\n0 1.0\n", 1, "expected 'DM1 v1'"),
+    ("DM1 v1\nn=2\noffset=0\n0\n", 4, "expected '<index> <weight>', got '0'"),
+    ("DM1 v1\nn=2\noffset=0\n0 abc\n", 4, "bad number in '0 abc'"),
+    ("DM1 v1\nn=2\noffset=1\n0 1.0\n", 3, "offset=1 but first index is 0"),
+    (f"DM1 v1\nn=2\noffset=0\n0 0.5\n{1 << 26} 0.5\n", 4,
+     f"cell span {(1 << 26) + 1} exceeds {1 << 26}"),
+    ("DM1 v1\nn=2\noffset=0\n0 0.0\n1 0.0\n", 4, "weights sum to zero"),
+])
+def test_measure_errors_name_their_line(tmp_path, text, where, msg):
+    p = tmp_path / "bad.dm1"
+    p.write_text(text)
+    with pytest.raises(PreconditionError) as ei:
+        read_measure(p)
+    assert str(ei.value) == f"{p}:{where}: {msg}"
+
+
 def test_csv_header_and_determinism(tmp_path):
     rows = [[0, 1.5], [1, 0.1]]
     cfg = {"seed": 7, "n": 12}

@@ -279,6 +279,15 @@ def test_direction_normalized():
     d = Direction(math.pi + 0.3)
     assert 0 <= d.theta < math.pi
     assert d.theta == pytest.approx(0.3)
+    assert Direction(-0.5).theta == math.pi - 0.5  # a negative remainder moves up by pi
+    assert Direction(-1e-300).theta == 0.0  # ... and rounds to pi at the seam
+
+
+@pytest.mark.parametrize("theta", [-math.pi, -2 * math.pi, -0.0, 0.0, math.pi])
+def test_direction_zero_is_positive(theta):
+    """[0, pi) holds +0.0 only: multiples of pi, negative ones too, give +0.0."""
+    t = Direction(theta).theta
+    assert t == 0.0 and math.copysign(1.0, t) == 1.0
 
 
 def test_marstrand_median_regressions():
@@ -334,14 +343,16 @@ def test_project_measure_repeats_on_cached_centers():
 
 
 def test_project_measure_scans_support_once(monkeypatch):
-    """64 projections of one measure find its support in one scan."""
+    """64 projections of one measure find its support in one scan.  A
+    uniform measure on a 2D set needs none: the set's cells are its support."""
     A = gen_cantor(Scale(8), 4, (0, 1, 3), 4)
-    mu = uniform_on(cartesian_product(A, A))
+    uniform = uniform_on(cartesian_product(A, A))
+    mu = DyadicMeasure2.from_weights(uniform.scale, uniform.offset, uniform.weights)
     scans = []
     flat = np.flatnonzero
     monkeypatch.setattr(np, "flatnonzero", lambda a: scans.append(np.shape(a)) or flat(a))
     for t in np.arange(64) * math.pi / 64:
-        project_measure(mu, float(t))
+        assert project_measure(mu, float(t)) == project_measure(uniform, float(t))
     assert scans == [mu.weights.shape]
 
 

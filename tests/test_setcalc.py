@@ -481,6 +481,19 @@ def test_dilated_sum_counts_match_sumset_and_naive(monkeypatch):
     assert dilated_sum_counts(sets[0], []) == []
 
 
+def test_empty_operands_give_empty_sets():
+    """Every sum and difference with an empty operand is empty, and
+    reflecting or translating an empty set returns it unchanged."""
+    s = Scale(6)
+    empty, A = GridSet1.empty(s), _set(6, [1, 2, 9])
+    for X, Y in ((empty, A), (A, empty), (empty, empty)):
+        for op in (sumset, diffset):
+            for sem in (IDX, COV):
+                assert op(X, Y, sem) == empty
+    assert reflect(empty) is empty
+    assert empty.translate(5) is empty
+
+
 def test_dilated_sum_counts_raise_as_sumset_of_dilate():
     """The same PreconditionError as sumset(A, dilate(A, x), COVER) at the
     first x that has one, with the dilation's checks before the sum's."""
