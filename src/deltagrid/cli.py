@@ -9,15 +9,14 @@ error).
 All configuration arrives via flags; there are no environment variables.
 --threads defaults to 1 and spreads the angles of `project sweep` and
 `experiment projection` over a pool; their rows do not depend on it.
-Every CSV report embeds the full RunConfig, threads included, in its
-header line.
+Every CSV report echoes its run's flags, threads included, in its header
+line: null for a flag its command lacks.
 """
 from __future__ import annotations
 
 import argparse
 import csv
 import sys
-from dataclasses import dataclass, fields
 from fractions import Fraction
 from functools import cache, partial
 
@@ -41,30 +40,15 @@ from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
                       nfold_sum, reflect, sumset)
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Deterministic run parameters, serialized into every report header.
-
-    Unset parameters stay None and appear as JSON null, so two reports
-    are byte-identical exactly when their effective configurations are.
-    """
-
-    seed: int = 0
-    n: int = 12
-    kappa: float | None = None
-    sigma: float | None = None
-    epsilon: float | None = None
-    eta: float | None = None
-    threads: int = 1
-    out: str | None = None
+# The flags each report's echo line holds, in order.
+_ECHO = ("seed", "n", "kappa", "sigma", "epsilon", "eta", "threads", "out")
 
 
 def _report(args, command: str, header, rows, **extra) -> None:
     """Write the CSV report when --out asks for one.  Its echo line holds
-    every RunConfig field (the flag's value, or the field's default for a
-    command without that flag), the command and `extra`."""
+    the _ECHO flags' values, the command and `extra`."""
     if args.out:
-        echo = {f.name: getattr(args, f.name, f.default) for f in fields(RunConfig)}
+        echo = {name: getattr(args, name, None) for name in _ECHO}
         gridio.write_csv(args.out, header, rows, dict(echo, command=command, **extra))
 
 
@@ -223,6 +207,8 @@ def _cmd_measure(args) -> int:
                 ["kappa", "constant", "witness_center", "witness_radius", "convention"],
                 [[rep.kappa, rep.constant, rep.witness_center, rep.witness_radius, rep.convention]])
         return 0
+    # only energy takes a 2D set; others refuse it before its measure is built
+    _require(what == "energy" or not isinstance(src, GridSet2), "this operation needs a 1D measure")
     mu = src if isinstance(src, DyadicMeasure1) else uniform_on(src)
     if what == "energy":
         val = riesz_energy(mu, args.sigma, method=args.method)
@@ -230,7 +216,6 @@ def _cmd_measure(args) -> int:
         _report(args, "measure energy", ["s", "energy", "method"],
                 [[args.sigma, val, args.method]])
         return 0
-    _require(isinstance(mu, DyadicMeasure1), "this operation needs a 1D measure")
     if what == "uniform":
         _need(args, "out")
         gridio.write_measure(mu, args.out)

@@ -255,6 +255,16 @@ class _CellSet:
         b.setflags(write=False)
 
     @classmethod
+    def from_bits(cls, scale: Scale, offset, bits):
+        """The set entries of `bits` (flattened in 1D) placed at `offset`,
+        trimmed to their box, of which the set keeps a copy."""
+        b = np.asarray(bits, dtype=bool)
+        if cls._ndim == 1:
+            b = b.reshape(-1)
+        _require(b.ndim == cls._ndim, f"bits must be a {cls._ndim}D boolean array")
+        return cls._at(scale, _origin(offset, b.ndim), b)
+
+    @classmethod
     def _at(cls, scale: Scale, origin: tuple, bits: np.ndarray):
         """The set entries of `bits`, placed at `origin`, as a trimmed set."""
         cropped = _crop(origin, bits, bits)
@@ -351,10 +361,6 @@ class GridSet1(_CellSet):
     offset: int
     bits: np.ndarray
     _ndim = 1
-
-    @classmethod
-    def from_bits(cls, scale: Scale, offset: int, bits) -> "GridSet1":
-        return cls._at(scale, (int(offset),), np.asarray(bits, dtype=bool).reshape(-1))
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
@@ -471,12 +477,6 @@ class GridSet2(_CellSet):
     _ndim = 2
 
     @classmethod
-    def from_bits(cls, scale: Scale, offset, bits) -> "GridSet2":
-        arr = np.asarray(bits, dtype=bool)
-        _require(arr.ndim == 2, "bits must be a 2D boolean array")
-        return cls._at(scale, _origin(offset, 2), arr)
-
-    @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
         """indices: (m, 2) array or iterable of (i, j) cell pairs, in any
         order, duplicates allowed.  Pairs strictly ascending in (j, i) are
@@ -529,9 +529,18 @@ class GridSet2(_CellSet):
         yr, xr = np.divmod(first, w + 1)
         lens = last - first + 1
         bits = np.zeros(h * w, dtype=bool)
-        # only the pages of occupied rows are touched
-        bits[_run_cells(yr * w + xr, lens)] = True
-        return _seed(cls(scale, (ox, oy), bits.reshape(h, w)), count=int(lens.sum()),
+        # only the pages of occupied rows are touched, a block of at most
+        # 16 * _SCAN_CELLS cells at a time; a longer run in one slice
+        starts, ends, block, t = yr * w + xr, np.cumsum(lens), 16 * _SCAN_CELLS, 0
+        while t < lens.size:
+            if lens[t] > block:
+                bits[starts[t]:starts[t] + lens[t]] = True
+                t += 1
+            else:  # the runs from t whose cells fit in one block
+                u = int(np.searchsorted(ends, ends[t] - lens[t] + block, side="right"))
+                bits[_run_cells(starts[t:u], lens[t:u])] = True
+                t = u
+        return _seed(cls(scale, (ox, oy), bits.reshape(h, w)), count=int(ends[-1]),
                      runs=np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1))
 
     @_view

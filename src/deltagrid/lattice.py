@@ -36,7 +36,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, _digest, _require, as_fraction
+from .grid import GridSet1, GridSet2, Scale, _digest, _merged, _require, as_fraction
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -216,24 +216,21 @@ def count_lattice_points(V, s, translation) -> int:
 def _exact_projection_measure(A: GridSet1, v) -> Fraction:
     """Lebesgue measure of sum_i v_i * A, exact over binary64 rationals.
 
-    With v_i = p_i/q > 0, the runs of A scale to sorted disjoint integer
-    intervals [p_i*a, p_i*(b+1)] in units of delta/q."""
+    With v_i = p_i/q > 0, the runs of A scale to disjoint integer intervals
+    [p_i*a, p_i*(b+1)) in units of delta/q, held as inclusive cell ranges.
+    Each partial sum merges into runs by `grid._merged`, on Python ints,
+    since p_i*a can pass 2**63."""
     ratios = [float(x).as_integer_ratio() for x in v]
     q = max(d for _, d in ratios)
-    starts, ends = A.runs
-    a_runs = list(zip(starts.tolist(), (ends + 1).tolist()))
-    runs = [(0, 0)]
+    starts, ends = A.runs.astype(object)
+    first, last = np.zeros(1, dtype=object), np.full(1, -1, dtype=object)  # the point 0
     for p, d in ratios:
         p *= q // d
-        _require(len(runs) * len(a_runs) <= _MAX_RUN_PAIRS, "projection interval count exploded")
-        sums = sorted((lo + p * a, hi + p * b) for lo, hi in runs for a, b in a_runs)
-        runs = [sums[0]]
-        for lo, hi in sums[1:]:
-            if lo > runs[-1][1]:
-                runs.append((lo, hi))
-            elif hi > runs[-1][1]:
-                runs[-1] = (runs[-1][0], hi)
-    return Fraction(sum(hi - lo for lo, hi in runs), q << A.scale.n)
+        _require(first.size * starts.size <= _MAX_RUN_PAIRS, "projection interval count exploded")
+        lo = (first[:, None] + p * starts).ravel()
+        order = np.argsort(lo, kind="stable")
+        first, last = _merged(lo[order], (last[:, None] + p * (ends + 1)).ravel()[order])
+    return Fraction(int(np.sum(last + 1 - first)), q << A.scale.n)
 
 
 def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:

@@ -9,7 +9,7 @@ scan below works in integer half-cell (1D) or quarter-cell (2D) units
 with no rounding ambiguity.  Each measure finds its positive cells in one
 flat scan of its weights, on first use, and every tool below reads them
 from that view (`_support`, a `grid._view` like a set's `indices`);
-`uniform_on` hands a 2D set's cells over as it, with no scan at all.
+`uniform_on` hands a set's cells over as it, with no scan at all.
 
 Non-concentration scans probe closed balls centered at occupied cell
 centers, at dyadic radii delta, 2*delta, 4*delta, ... up to the first
@@ -57,9 +57,9 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (GridSet1, GridSet2, Scale, as_fraction,
+from .grid import (GridSet1, GridSet2, MAX_INDEX, Scale, as_fraction,
                    _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
-                   _require_span, _seed, _view)
+                   _require_span, _run_cells, _seed, _view)
 
 MASS_RTOL = 2.0 ** -40
 DIRECT_ENERGY_CAP = 4096
@@ -184,15 +184,18 @@ class MaximalIntervalResult:
 
 
 def uniform_on(S):
-    """Uniform probability measure on a nonempty cell set.  A 2D set's
-    cells, less its offset, are the measure's support, handed over unscanned."""
+    """Uniform probability measure on a nonempty cell set.  The set's
+    cells, less its offset, are the measure's support, handed over unscanned:
+    expanded from its runs, so the set keeps no `indices` for them."""
+    cls = {GridSet1: DyadicMeasure1, GridSet2: DyadicMeasure2}.get(type(S))
+    _require(cls is not None, f"unsupported operand type {type(S).__name__}")
     _require(not S.is_empty, "uniform measure needs a nonempty set")
-    if isinstance(S, GridSet1):
-        return DyadicMeasure1(S.scale, S.offset, S.bits.astype(np.float64) / S.count)
-    _require(isinstance(S, GridSet2), f"unsupported operand type {type(S).__name__}")
-    (i, j), (ox, oy) = S.indices.T, S.offset
-    return _seed(DyadicMeasure2(S.scale, S.offset, S.bits.astype(np.float64) / S.count),
-                 _support=((j - oy, i - ox), np.full(S.count, 1 / S.count)))
+    *ys, x0, x1 = S.runs if S._ndim == 1 else S.runs.T  # a 2D run's row y
+    *oy, ox = _origin(S.offset, S._ndim)
+    lens = x1 - x0 + 1
+    cells = (*(np.repeat(y - o, lens) for y, o in zip(ys, oy)), _run_cells(x0 - ox, lens))
+    return _seed(cls(S.scale, S.offset, S.bits.astype(np.float64) / S.count),
+                 _support=(cells, np.full(S.count, 1 / S.count)))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +588,7 @@ def pushforward_affine(mu: DyadicMeasure1, a, b) -> DyadicMeasure1:
     den = 2 * qa * qb
     tgt = [v // den for v in num]
     lo, hi = min(tgt), max(tgt)
-    _require(max(abs(lo), abs(hi)) < (1 << 48), "pushforward target cells out of guarded range")
+    _require(max(abs(lo), abs(hi)) < MAX_INDEX, "pushforward target cells out of guarded range")
     _require_span(hi - lo + 1)
     w = np.bincount(np.asarray(tgt, dtype=np.int64) - lo, weights=weights)
     return DyadicMeasure1.from_weights(mu.scale, lo, w)

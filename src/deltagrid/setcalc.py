@@ -28,9 +28,7 @@ count.  The mask and its doubled and shifted segments depend on the mask
 operand alone, so `dilated_sum_counts` keeps them, up to a fixed budget,
 for the expander's dilation sweep, and takes each sum's count as a
 popcount, without building the dilation or the sum.  Difference sets are
-sums with the reflected operand (COVER then moves one cell left).  A
-naive double-loop implementation is kept behind method="naive" as a
-test oracle.
+sums with the reflected operand (COVER then moves one cell left).
 
 Products, rational dilations and graph sums leave the lattice, so
 covers are computed from interval endpoints in scaled integer units
@@ -140,23 +138,16 @@ def _rel_runs(first: np.ndarray, last: np.ndarray):
     return (first - first[0]).tolist(), (last + 1 - first).tolist()
 
 
-def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX,
-           method: str = "bitmask") -> GridSet1:
+def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
     """A + B under the chosen semantics.
 
     INDEX: {i + j}.  COVER: exact cell cover of the Minkowski sum of
     the cell unions, i.e. {i + j, i + j + 1}.
     """
-    _require(method in ("bitmask", "naive"), f"unknown method {method!r}")
     _require(A.scale == B.scale, "operands must share one scale")
     if A.is_empty or B.is_empty:
         return GridSet1.empty(A.scale)
     nbits = _sum_bits(A, B.min_index, B.max_index, semantics)
-    if method == "naive":
-        out = {int(i) + int(j) for i in A.indices for j in B.indices}
-        if semantics is SumSemantics.COVER:
-            out |= {v + 1 for v in out}
-        return GridSet1.from_indices(A.scale, sorted(out))
     small, big = (A, B) if A.count <= B.count else (B, A)
     acc, _ = _sum_kernel(big.to_mask(), {}, *_rel_runs(*small.runs), nbits)
     if semantics is SumSemantics.COVER:
@@ -202,22 +193,13 @@ def reflect(A: GridSet1) -> GridSet1:
     return GridSet1(A.scale, -(A.offset + A.bits.size - 1), A.bits[::-1].copy())
 
 
-def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX,
-            method: str = "bitmask") -> GridSet1:
+def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
     """A - B under the chosen semantics.
 
     INDEX: {i - j}.  COVER: the cell [i,i+1) - [j,j+1) spans
     (i-j-1, i-j+1), i.e. cells {i-j-1, i-j}.
     """
-    _require(A.scale == B.scale, "operands must share one scale")
-    if A.is_empty or B.is_empty:
-        return GridSet1.empty(A.scale)
-    if method == "naive":
-        out = {int(i) - int(j) for i in A.indices for j in B.indices}
-        if semantics is SumSemantics.COVER:
-            out |= {v - 1 for v in out}
-        return GridSet1.from_indices(A.scale, sorted(out))
-    base = sumset(A, reflect(B), semantics, method=method)
+    base = sumset(A, reflect(B), semantics)
     # COVER: A + (-B) covers {i-j, i-j+1}; one cell left is {i-j-1, i-j}
     return base if semantics is SumSemantics.INDEX else base.translate(-1)
 

@@ -125,6 +125,9 @@ SUCCEED = [
     "gen square --n 20 --set c20.gs1 --set2 i20.gs1 --out tall.gs2",
     # the level-0 window of a measure at n = 30, zoomed by index, not as a set
     "measure rescale --set two30.gs1 --kappa 0.01 --out x.dm1",
+    # a square of MAX_SPAN cells, read back by painting its runs a block at a time
+    "gen square --n 13 --out sq13.gs2",
+    "project shadow --set sq13.gs2 --theta 0.3 --out y.gs1",
 ]
 
 # Flag values outside a command's domain, each refused before any work
@@ -160,6 +163,12 @@ REFUSE = [
     "gen cantor --digits a,b --out x.gs1",
     "lattice collision --set a.gs1 --vector x,y",
     "report empty.csv",
+    # 1D measure tools on a 2D set of MAX_SPAN cells, refused before its
+    # uniform measure is built
+    "measure uniform --set sq13.gs2 --out x.dm1",
+    "measure maximal --set sq13.gs2 --kappa 0.5",
+    "measure rescale --set sq13.gs2 --kappa 0.5 --out x.dm1",
+    "measure prune --set sq13.gs2 --sigma 0.5",
 ]
 
 CHILD = textwrap.dedent("""

@@ -315,6 +315,18 @@ def test_trim_canonicality():
     assert S.indices.tolist() == [1, 2]
 
 
+def test_from_bits_is_one_constructor_for_both_dimensions():
+    sc = Scale(5)
+    plane = np.array([[False, True, False], [True, False, False]])
+    # a 1D set flattens its array; a 2D set keeps rows along y
+    assert GridSet1.from_bits(sc, 4, plane) == GridSet1.from_indices(sc, [5, 7])
+    assert GridSet2.from_bits(sc, (4, 1), plane) == GridSet2.from_indices(sc, [(5, 1), (4, 2)])
+    for bits in ([True, False], np.ones((2, 2, 2), dtype=bool), True):
+        with pytest.raises(PreconditionError, match="^bits must be a 2D boolean array$"):
+            GridSet2.from_bits(sc, (0, 0), bits)
+    assert GridSet1.from_bits(sc, 3, True) == GridSet1.from_indices(sc, [3])
+
+
 def test_gridset_empty_forms():
     e = GridSet1.empty(Scale(4))
     assert e.is_empty and e.count == 0 and e.offset == 0
@@ -630,14 +642,17 @@ def _row_runs(E):
     return out
 
 
-def test_runs_match_row_oracle(tmp_path):
+def test_runs_match_row_oracle(tmp_path, monkeypatch):
     """GridSet2.runs, computed from `indices` or seeded by `from_runs` (and
     so by the GS2 reader), equals the per-row runs, is read-only, and
-    expands back to `indices`."""
-    from deltagrid import read_gridset, write_gridset
+    expands back to `indices`.  In every other case `from_runs` paints
+    blocks of 16 cells, so full rows are runs longer than a block."""
+    from deltagrid import grid, read_gridset, write_gridset
 
     rng = np.random.default_rng(31)
+    scans = (grid._SCAN_CELLS, 1)
     for case in range(30):
+        monkeypatch.setattr(grid, "_SCAN_CELLS", scans[case % 2])
         h, w = int(rng.integers(1, 12)), int(rng.integers(1, 40))
         bits = rng.random((h, w)) < rng.uniform(0.1, 0.9)
         bits[int(rng.integers(0, h))] = True  # one full row

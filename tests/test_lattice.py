@@ -14,6 +14,8 @@ from deltagrid import lattice
 from deltagrid.grid import _digest
 from deltagrid.lattice import _exact_projection_measure, _raster_slab
 
+from _oracles import merged_projection_measure
+
 
 def test_unit_square():
     V = CellCloud.box(Scale(3), (0, 0), (1, 1))
@@ -169,6 +171,27 @@ def test_exact_projection_measure_matches_fraction_oracle():
         assert got == _fraction_projection_measure(A, v), (case, A, v)
         # the bound slab_collision refuses by before measuring
         assert got <= sum(map(Fraction, v)) * Fraction(A.bits.size, 1 << n)
+
+
+def test_exact_projection_measure_matches_python_merge():
+    """Against the Python interval merge the measure was once computed by,
+    with binary64 directions whose denominators reach 2**53, so that the
+    interval ends pass int64."""
+    rng = np.random.default_rng(29)
+    past_int64 = 0
+    for case in range(60):
+        n = int(rng.integers(8, 21))
+        cells = rng.choice(1 << n, size=int(rng.integers(1, 40)), replace=False)
+        runs = np.concatenate([np.arange(c, min(c + int(rng.integers(1, 5)), 1 << n))
+                               for c in cells])
+        offset = int(rng.integers(-(1 << 40), (1 << 40) + 1)) * (case % 2)
+        A = GridSet1.from_indices(Scale(n), runs + offset)
+        v = rng.uniform(0.5, 1.0, size=2 + case % 2).tolist()
+        v[0] = (0.5, 1.0, 0.75, v[0])[case % 4]
+        q = max(float(x).as_integer_ratio()[1] for x in v)
+        past_int64 += q * max(-A.min_index, A.max_index + 1) >= 1 << 63
+        assert _exact_projection_measure(A, v) == merged_projection_measure(A, v), (case, A, v)
+    assert past_int64 >= 50
 
 
 def test_exact_projection_measure_refuses_before_pairing():

@@ -9,8 +9,8 @@ import pytest
 from fractions import Fraction
 
 from deltagrid import measure
-from deltagrid import (DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2, InternalCheckError,
-                       PreconditionError, Scale, cartesian_product, condition,
+from deltagrid import (MAX_INDEX, DyadicMeasure1, DyadicMeasure2, GridSet1, GridSet2,
+                       InternalCheckError, PreconditionError, Scale, cartesian_product, condition,
                        energy_bound_constant,
                        frostman_constant, gen_cantor, gen_random_frostman,
                        make_interval, maximal_interval, prune_heavy_cubes,
@@ -30,6 +30,16 @@ def test_uniform_on():
     mu = _unif(4, [0, 3, 12, 15])
     assert np.count_nonzero(mu.weights) == 4
     assert mu.weights.max() == 0.25
+
+
+def test_uniform_on_refuses_other_operands_by_type():
+    mu = _unif(4, [7])
+    for X in (mu, uniform_on(GridSet2.from_indices(Scale(4), [(1, 2)])), None, [3]):
+        with pytest.raises(PreconditionError, match="unsupported operand type"):
+            uniform_on(X)
+    for S in (GridSet1.empty(Scale(3)), GridSet2.empty(Scale(3))):
+        with pytest.raises(PreconditionError, match="nonempty set"):
+            uniform_on(S)
 
 
 def test_measure_validation():
@@ -555,6 +565,30 @@ def test_pushforward_refuses_far_targets_before_casting():
             pushforward_affine(mu, a, b)
     with pytest.raises(PreconditionError, match="dense-representation cap"):
         pushforward_affine(mu, 2 ** 24, 0)
+
+
+def test_pushforward_keeps_the_package_domain():
+    M = MAX_INDEX
+    w = np.array([0.25, 0.0, 0.5, 0.25])
+    for n in (0, 3):
+        for off in (1 << 61, (1 << 61) + (1 << 60) - 9, -(1 << 61) - 5):
+            mu = DyadicMeasure1.from_weights(Scale(n), off, w)
+            assert pushforward_affine(mu, 1, 0) == mu
+            shifted = pushforward_affine(mu, 1, 1 << 45)
+            assert shifted.offset == off + (1 << (45 + n))
+            assert shifted.weights.tobytes() == mu.weights.tobytes()
+    # cells up to M - 1 and down to 1 - M are kept; one cell further is
+    # refused.  t -> -t maps cell i to cell -i - 1.
+    top = DyadicMeasure1.from_weights(Scale(0), M - 4, w)
+    bottom = DyadicMeasure1.from_weights(Scale(0), 1 - M, w)
+    assert pushforward_affine(top, 1, 0) == top
+    assert pushforward_affine(bottom, 1, 0) == bottom
+    assert pushforward_affine(bottom, -1, 0).offset == M - 5
+    assert pushforward_affine(top, -1, 1).offset == 1 - M
+    for mu, a, b in ((top, 1, 1), (top, 1, 1 << 62), (bottom, 1, -1), (bottom, 1, -(1 << 62)),
+                     (top, -1, 0), (top, 2, 0), (bottom, 2, 0), (bottom, -2, 0)):
+        with pytest.raises(PreconditionError, match="guarded range"):
+            pushforward_affine(mu, a, b)
 
 
 def test_maximal_interval_examples():

@@ -1,5 +1,6 @@
 """Sumset calculus tests: the two semantics, exact covers for dilation
-and products, graph sums, and bitmask-vs-naive equivalence."""
+and products, graph sums, and the bitmask kernel against the double-loop
+oracles of `_oracles.py`."""
 import math
 import tracemalloc
 
@@ -14,6 +15,8 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionErro
                        uniform_on)
 from deltagrid import expand, setcalc
 from deltagrid.setcalc import dilated_sum_counts
+
+from _oracles import naive_diffset, naive_sumset
 
 IDX = SumSemantics.INDEX
 COV = SumSemantics.COVER
@@ -372,8 +375,8 @@ def test_bitmask_matches_naive(monkeypatch):
         a = _set(n, rng.integers(-40, 40, size=rng.integers(1, 24)))
         b = _set(n, rng.integers(-40, 40, size=rng.integers(1, 24)))
         for sem in (IDX, COV):
-            assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
-            assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+            assert sumset(a, b, sem) == naive_sumset(a, b, sem)
+            assert diffset(a, b, sem) == naive_diffset(a, b, sem)
     # wide spans (up to about 3000 cells) at negative and positive offsets,
     # where the sparser operand has runs up to 300 cells long starting at
     # every residue mod 8; the kernel shifts whole bytes plus start % 8
@@ -388,16 +391,16 @@ def test_bitmask_matches_naive(monkeypatch):
         assert runs.count <= wide.count
         for a, b in ((runs, wide), (wide, runs), (runs, runs)):
             for sem in (IDX, COV):
-                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
-                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+                assert sumset(a, b, sem) == naive_sumset(a, b, sem)
+                assert diffset(a, b, sem) == naive_diffset(a, b, sem)
     # single-cell operands, alone and against wide sets
     for a in (_set(12, [-5]), _set(12, [8]), _set(12, [2999])):
         for b in (a, _set(12, [-1003]), _runs_set(12, -70, rng, range(8)), wide):
             for sem in (IDX, COV):
-                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
-                assert sumset(b, a, sem) == sumset(b, a, sem, method="naive")
-                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
-                assert diffset(b, a, sem) == diffset(b, a, sem, method="naive")
+                assert sumset(a, b, sem) == naive_sumset(a, b, sem)
+                assert sumset(b, a, sem) == naive_sumset(b, a, sem)
+                assert diffset(a, b, sem) == naive_diffset(a, b, sem)
+                assert diffset(b, a, sem) == naive_diffset(b, a, sem)
     # kernel bits (the operands' spans added) just below, at and just above
     # the accumulator threshold, so INDEX and COVER results span up to it
     # exactly; then small sums forced through either accumulator
@@ -408,16 +411,16 @@ def test_bitmask_matches_naive(monkeypatch):
         b = _set(16, np.array([0, nbits - sa - 1, *rng.integers(0, nbits - sa, size=6)]) - 5000)
         assert a.bits.size + b.bits.size == nbits
         for sem in (IDX, COV):
-            assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
-            assert diffset(b, a, sem) == diffset(b, a, sem, method="naive")
+            assert sumset(a, b, sem) == naive_sumset(a, b, sem)
+            assert diffset(b, a, sem) == naive_diffset(b, a, sem)
     for threshold in (0, 1 << 30):
         monkeypatch.setattr(setcalc, "_INT_SUM_BITS", threshold)
         for _ in range(20):
             a = _set(8, rng.integers(-40, 40, size=rng.integers(1, 24)))
             b = _set(8, rng.integers(-40, 40, size=rng.integers(1, 24)))
             for sem in (IDX, COV):
-                assert sumset(a, b, sem) == sumset(a, b, sem, method="naive")
-                assert diffset(a, b, sem) == diffset(a, b, sem, method="naive")
+                assert sumset(a, b, sem) == naive_sumset(a, b, sem)
+                assert diffset(a, b, sem) == naive_diffset(a, b, sem)
 
 
 def _runs_set(n, base, rng, residues):
@@ -440,8 +443,8 @@ def test_scale_mismatch_rejected():
         sumset(_set(3, [0]), _set(4, [0]), IDX)
 
 
-def _counts_by_sumset(A, xs, method="bitmask"):
-    return [sumset(A, dilate(A, x), COV, method=method).count for x in xs]
+def _counts_by_sumset(A, xs, add=sumset):
+    return [add(A, dilate(A, x), COV).count for x in xs]
 
 
 def test_dilated_sum_counts_match_sumset_and_naive(monkeypatch):
@@ -452,7 +455,7 @@ def test_dilated_sum_counts_match_sumset_and_naive(monkeypatch):
         A = _set(n, rng.integers(-40, 40, size=int(rng.integers(1, 16))))
         xs = [Fraction(int(rng.integers(-40, 41)) or 1, int(rng.integers(1, 12)))
               for _ in range(6)]
-        assert dilated_sum_counts(A, xs) == _counts_by_sumset(A, xs, "naive")
+        assert dilated_sum_counts(A, xs) == _counts_by_sumset(A, xs, naive_sumset)
     # Cantor and random-Frostman sets, at sizes on both sides of the
     # accumulator threshold, with factors of both signs
     sets = [gen_cantor(Scale(10), 4, (0, 3), 5), gen_cantor(Scale(16), 4, (0, 3), 8),
@@ -561,4 +564,4 @@ def test_sum_range_guard_is_exact():
     assert reflect(A).indices.tolist() == [5 - M, 10 - M]
     for sem, want in ((IDX, [-5, 0, 5]), (COV, [-6, -5, -1, 0, 4, 5])):
         assert diffset(A, A, sem).indices.tolist() == want
-        assert diffset(A, A, sem) == diffset(A, A, sem, method="naive")
+        assert diffset(A, A, sem) == naive_diffset(A, A, sem)

@@ -104,7 +104,7 @@ def test_views_match_fresh_scans(tmp_path):
             write_gridset(X, path)
             _check(read_gridset(path), {"runs"} | ({"count"} if X._ndim == 2 else set()))
             mu = uniform_on(X)
-            _check(mu, {"_support"} if X._ndim == 2 else set())
+            _check(mu, {"_support"})
             assert set(np.unique(mu._support[1])) == {1 / X.count}
     C = gen_cantor(Scale(9), 3, (0, 2), 5)
     for X in (cartesian_product(C, C), GridSet2.from_indices(Scale(5), [(3, 1)])):
