@@ -28,7 +28,7 @@ from .addcomb import (check_cor_simple, check_graph_projection, check_plunnecke,
 from .errors import InternalCheckError, PreconditionError
 from .expand import (find_expander, nfold_expansion_curve,
                      projection_theorem_experiment, renormalized_find_expander)
-from .grid import (GridSet1, GridSet2, Scale, _require, cartesian_product,
+from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _require, cartesian_product,
                    gen_cantor, gen_random_frostman, make_interval)
 from .lattice import blichfeldt_translate, slab_collision
 from .measure import (DyadicMeasure1, frostman_constant, maximal_interval,
@@ -78,18 +78,14 @@ def _frac_range(text: str):
     return _frac(parts[0]), _frac(parts[1])
 
 
-def _int_list(text: str):
-    try:
-        return tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated ints, got {text!r}") from None
-
-
-def _float_list(text: str):
-    try:
-        return tuple(float(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"expected comma-separated floats, got {text!r}") from None
+def _list_of(cast, what: str):
+    def parse(text: str):
+        try:
+            return tuple(cast(p) for p in text.split(","))
+        except ValueError:
+            raise argparse.ArgumentTypeError(
+                f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
 class _Parser(argparse.ArgumentParser):
@@ -137,6 +133,7 @@ def _cmd_gen(args) -> int:
         S = make_interval(scale, args.a, args.b)
     elif args.what == "frostman":
         _need(args, "kappa")
+        _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
         S = gen_random_frostman(scale, args.kappa, args.seed)
     else:  # square: product of two 1D sets, default the interval [a, b)
         A = _read_set(args.set) if args.set else make_interval(scale, args.a, args.b)
@@ -343,8 +340,11 @@ _SUITES = {
 
 def _cmd_verify(args) -> int:
     _require(args.cases >= 0, f"--cases must be nonnegative, got {args.cases}")
-    _require(args.max_cells >= 1, f"--max-cells must be at least 1, got {args.max_cells}")
-    _require(args.span >= 1, f"--span must be at least 1, got {args.span}")
+    _require(args.seed >= 0, f"--seed must be nonnegative, got {args.seed}")
+    # drawn cells and cell counts stay in the package's index range
+    _require(1 <= args.max_cells <= MAX_INDEX,
+             f"--max-cells must lie in [1, 2**62], got {args.max_cells}")
+    _require(1 <= args.span <= MAX_INDEX, f"--span must lie in [1, 2**62], got {args.span}")
     scale = Scale(args.n)
     rows = []
     for k, (suite, check) in enumerate(_SUITES.items()):
@@ -404,7 +404,7 @@ def _cmd_experiment(args) -> int:
     _need(args, "epsilon", "eta")
     nu = AngleMeasure.uniform(_angle_scale(args.nu_cells))
     exp = projection_theorem_experiment(E, nu, args.epsilon, args.eta, args.angles,
-                                        threads=args.threads, energy_kappa=args.kappa)
+                                        threads=args.threads)
     lam = min(1.0, E.scale.delta ** args.epsilon)
     print(f"good_mass={exp.good_mass!r} threshold={exp.threshold!r} lambda={lam!r}")
     print(f"nonconcentration C={exp.nonconcentration.constant!r} at kappa=1")
@@ -479,7 +479,7 @@ def _build_parser() -> _Parser:
     g.add_argument("what", choices=["cantor", "interval", "frostman", "square"])
     common(g)
     g.add_argument("--base", type=int, default=4)
-    g.add_argument("--digits", type=_int_list, default=(0, 3))
+    g.add_argument("--digits", type=_list_of(int, "ints"), default=(0, 3))
     g.add_argument("--levels", type=int, default=None)
     g.add_argument("--a", type=_frac, default=Fraction(0))
     g.add_argument("--b", type=_frac, default=Fraction(1))
@@ -529,7 +529,7 @@ def _build_parser() -> _Parser:
     common(la)
     la.add_argument("--set", type=str, required=True)
     la.add_argument("--modulus", type=_frac, default=Fraction(1, 4))
-    la.add_argument("--vector", type=_float_list, default=(0.75, 0.75))
+    la.add_argument("--vector", type=_list_of(float, "floats"), default=(0.75, 0.75))
     la.add_argument("--radius", type=float, default=8.0)
     la.set_defaults(fn=_cmd_lattice)
 

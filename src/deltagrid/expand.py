@@ -159,9 +159,9 @@ def find_expander(A: GridSet1, candidates: GridSet1, threads: int = 1,
     _require(not A.is_empty, "A must be nonempty")
     _require(not candidates.is_empty, "candidate set must be nonempty")
     cn = candidates.scale.n
+    fr = nonconcentration_constant(A, kappa) if kappa is not None else None
     xs = [Fraction(2 * int(i) + 1, 2 << cn) for i in candidates.indices]
     records = _sweep_candidates(A, xs)
-    fr = nonconcentration_constant(A, kappa) if kappa is not None else None
     return ExpansionReport(records=tuple(records), best=max(records, key=lambda r: r.ratio),
                            kappa=kappa, frostman=fr)
 
@@ -198,20 +198,20 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
 
 
 def projection_theorem_experiment(E: GridSet2, nu: AngleMeasure, epsilon: float,
-                                  eta: float, M: int, threads: int = 1,
-                                  energy_kappa: float | None = None) -> ProjectionExperiment:
+                                  eta: float, M: int, threads: int = 1) -> ProjectionExperiment:
     """Sample M angles from nu by mass quantiles, run the dense-subset
     adversary at fraction delta**epsilon per angle, and estimate the
     nu-mass of angles whose adversarial count stays above
-    delta**(-eta) * sqrt(popcount E)."""
+    delta**(-eta) * sqrt(popcount E).  eta lies in [0, 32], so at n <= 30
+    delta**(-eta) <= 2**960 and the threshold is finite."""
     _require(not E.is_empty, "E must be nonempty")
     _require(M >= 16, "need at least 16 sampled angles")
     _require(epsilon >= 0, "epsilon must be nonnegative")
-    _require(eta >= 0, "eta must be nonnegative")
+    _require(0 <= eta <= 32, "eta must lie in [0, 32]")
     delta = E.scale.delta
     lam = min(1.0, delta ** epsilon)
     thetas = nu.quantile_angles(M)
-    report = sweep(E, thetas, lam, kappa=energy_kappa, threads=threads)
+    report = sweep(E, thetas, lam, threads=threads)
     threshold = delta ** (-eta) * math.sqrt(E.count)
     counts = np.array([r.adversarial_count for r in report.records], dtype=np.float64)
     good = counts > threshold

@@ -648,11 +648,14 @@ def gen_cantor(scale: Scale, base: int, digits: Iterable[int], levels: int) -> G
     _require(levels >= 0, "levels must be nonnegative")
     _require(len(dig) > 0, "digit set must be nonempty")
     _require(all(0 <= d < base for d in dig), f"digits must lie in [0, {base})")
-    _require(len(dig) ** levels <= (1 << 22), "digit-string count exceeds desk-scale cap 2**22")
-    bl = base ** levels
-    _require(bl <= (1 << scale.n),
+    # a cap fails past 22 levels (of two digits or more) or past n levels,
+    # before any power of so many levels is taken
+    _require(len(dig) == 1 or (levels <= 22 and len(dig) ** levels <= (1 << 22)),
+             "digit-string count exceeds desk-scale cap 2**22")
+    _require(levels <= scale.n and base ** levels <= (1 << scale.n),
              f"misaligned scale: construction intervals (width {base}**-{levels}) are finer than "
              f"delta=2**-{scale.n}; deepen the scale or lower `levels`")
+    bl = base ** levels
     ms = np.zeros(1, dtype=np.int64)
     darr = np.asarray(dig, dtype=np.int64)
     for _ in range(levels):

@@ -36,7 +36,8 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, Scale, _digest, _merged, _require, as_fraction
+from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _digest, _merged, _require,
+                   as_fraction)
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -178,7 +179,9 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     """Shift of s*Z^n holding at least |V|/s^n lattice points inside V.
 
     Exhaustive over the delta-grid of [0, s)^n via the residue
-    histogram; ties break to the lexicographically smallest shift.
+    histogram; ties break to the lexicographically smallest shift.  s is
+    a positive multiple of delta of at most MAX_INDEX cells, so residues
+    are int64 work.
     """
     V = _cloud(V)
     fs = as_fraction(s)
@@ -186,6 +189,7 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     kf = fs * (1 << V.scale.n)
     _require(kf.denominator == 1, f"spacing {fs} is not a multiple of delta=2**-{V.scale.n}")
     k = int(kf)
+    _require(k <= MAX_INDEX, f"spacing exceeds 2**62 cells of delta=2**-{V.scale.n}")
     res = np.mod(V.indices, k)
     uniq, counts = np.unique(res, axis=0, return_counts=True)
     best = int(np.argmax(counts))  # uniq rows are lex-sorted: first argmax wins
@@ -243,11 +247,11 @@ def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
     n = u.size
     delta = scale.delta
     h = math.sqrt(n) * delta / 2  # cell circumradius
-    reach = math.sqrt(R * R + 1.0) + 2 * h
-    k = int(math.ceil(reach / delta))
-    axis = np.arange(-k, k + 1, dtype=np.int64)
-    _require(float(axis.size) ** n <= _MAX_RASTER,
-             f"slab raster would need {axis.size}**{n} cells; reduce R or the scale depth")
+    reach = math.sqrt(R * R + 1.0) + 2 * h  # inf once R * R overflows
+    side = 2 * math.ceil(reach / delta) + 1 if reach < math.inf else math.inf
+    _require(side ** n <= _MAX_RASTER,
+             f"slab raster would need {side}**{n} cells; reduce R or the scale depth")
+    axis = np.arange(-(side // 2), side // 2 + 1, dtype=np.int64)
     idx = _raster([axis] * n)
     centers = (idx + 0.5) * delta
     t = centers @ u

@@ -204,31 +204,24 @@ def uniform_on(S):
 
 def _dyadic_radii(span_cells: int):
     """Cell radii 1, 2, 4, ... up to the first covering the span."""
-    radii = [1]
-    while radii[-1] < span_cells:
-        radii.append(radii[-1] * 2)
-    return radii
+    return [1 << t for t in range((span_cells - 1).bit_length() + 1)]
 
 
-def _scan_frostman_1d(mu: DyadicMeasure1, kappa: float):
-    w, offset, delta = mu.weights, mu.offset, mu.scale.delta
-    L = w.size
+def _ball_masses_1d(mu: DyadicMeasure1):
+    """k -> mass of the closed ball of k cells about each support cell, from
+    the support alone: `np.cumsum` adds in order and adding 0.0 is exact, so
+    its prefix at a support rank is the whole span's prefix at that cell."""
+    (s,), w = mu._support
     P = np.concatenate(([0.0], np.cumsum(w)))
-    (sup,), _ = mu._support
-    best = (-1.0, 0, 0.0)  # (constant, center_abs, radius)
-    for k in _dyadic_radii(L):
-        inner = P[np.clip(sup + k, 0, L)] - P[np.clip(sup - k + 1, 0, L)]
-        lo_edge = sup - k
-        hi_edge = sup + k
-        edge = np.where((lo_edge >= 0) & (lo_edge < L), w[np.clip(lo_edge, 0, L - 1)], 0.0)
-        edge = edge + np.where((hi_edge >= 0) & (hi_edge < L), w[np.clip(hi_edge, 0, L - 1)], 0.0)
-        mass = inner + 0.5 * edge
-        r = k * delta
-        cand = mass / r ** kappa
-        p = int(np.argmax(cand))
-        if cand[p] > best[0]:
-            best = (float(cand[p]), offset + int(sup[p]), r)
-    return best
+
+    def masses(k):
+        lo = np.searchsorted(s, s - k, "left")  # first support cell from the left edge on
+        hi = np.searchsorted(s, s + k, "right") - 1  # last support cell up to the right edge
+        at_lo, at_hi = s[lo] == s - k, s[hi] == s + k
+        inner = P[hi + 1 - at_hi] - P[lo + at_lo]
+        edge = np.where(at_lo, w[lo], 0.0) + np.where(at_hi, w[hi], 0.0)
+        return inner + 0.5 * edge
+    return masses
 
 
 def _rect_sum(P: np.ndarray, y0, y1, x0, x1):
@@ -244,14 +237,14 @@ def _rect_sum(P: np.ndarray, y0, y1, x0, x1):
     return np.where(valid, out, 0.0)
 
 
-def _scan_frostman_2d(mu: DyadicMeasure2, kappa: float):
-    w, offset, delta = mu.weights, mu.offset, mu.scale.delta
-    H, W = w.shape
-    P = np.zeros((H + 1, W + 1))
+def _ball_masses_2d(mu: DyadicMeasure2):
+    """k -> mass of the sup-norm square of half-side k about each support cell."""
+    w = mu.weights
+    P = np.zeros((w.shape[0] + 1, w.shape[1] + 1))
     np.cumsum(np.cumsum(w, axis=0), axis=1, out=P[1:, 1:])
     (jr, ir), _ = mu._support
-    best = (-1.0, (0, 0), 0.0)
-    for k in _dyadic_radii(max(H, W)):
+
+    def masses(k):
         y0, y1, x0, x1 = jr - k, jr + k, ir - k, ir + k
         full = _rect_sum(P, y0, y1, x0, x1)
         row0 = _rect_sum(P, y0, y0, x0, x1)
@@ -264,13 +257,8 @@ def _scan_frostman_2d(mu: DyadicMeasure2, kappa: float):
         c11 = _rect_sum(P, y1, y1, x1, x1)
         # Cell weight factors: interior 2x2 quarter-cells, boundary rows/
         # columns half, corners quarter (sup-norm ball edge through centers).
-        mass = (4.0 * full - 2.0 * (row0 + row1 + col0 + col1) + c00 + c01 + c10 + c11) / 4.0
-        r = k * delta
-        cand = mass / r ** kappa
-        p = int(np.argmax(cand))
-        if cand[p] > best[0]:
-            best = (float(cand[p]), (offset[0] + int(ir[p]), offset[1] + int(jr[p])), r)
-    return best
+        return (4.0 * full - 2.0 * (row0 + row1 + col0 + col1) + c00 + c01 + c10 + c11) / 4.0
+    return masses
 
 
 def frostman_constant(mu, kappa: float) -> FrostmanReport:
@@ -280,14 +268,24 @@ def frostman_constant(mu, kappa: float) -> FrostmanReport:
     cell centers, dyadic radii delta * 2**t up to the first radius
     covering the support span.  Exact overlap mass; convention
     "measure" (no normalization beyond mu being a probability measure).
+
+    kappa lies in [-32, 32]: every radius scanned lies in [2**-30, 2**26]
+    (n <= 30, spans up to MAX_SPAN), so r**kappa lies in [2**-960, 2**960]
+    and the constant, at most 2**960 for a mass of at most 1, is finite.
     """
-    _require(np.isfinite(kappa), "kappa must be finite")
-    if isinstance(mu, DyadicMeasure1):
-        c, center, r = _scan_frostman_1d(mu, kappa)
-    elif isinstance(mu, DyadicMeasure2):
-        c, center, r = _scan_frostman_2d(mu, kappa)
-    else:
-        raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    _require(abs(kappa) <= 32, "kappa must be finite, in [-32, 32]")
+    _require(isinstance(mu, _CellMeasure), f"unsupported operand type {type(mu).__name__}")
+    masses = (_ball_masses_1d if mu._ndim == 1 else _ball_masses_2d)(mu)
+    best = (-1.0, 0, 0.0)  # (constant, support rank, radius)
+    for k in _dyadic_radii(max(mu.weights.shape)):
+        r = k * mu.scale.delta
+        cand = masses(k) / r ** kappa
+        p = int(np.argmax(cand))
+        if cand[p] > best[0]:
+            best = (float(cand[p]), p, r)
+    c, p, r = best
+    cells, _ = mu._support
+    center = _offset(tuple(o + int(a[p]) for o, a in zip(_origin(mu.offset, mu._ndim), cells)))
     return FrostmanReport(kappa=float(kappa), constant=c, witness_center=center,
                           witness_radius=r, convention="measure")
 
@@ -467,8 +465,11 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
     Above the padded cap (and with no product path), 2D takes the blocked
     direct sum, and 1D with N > DIRECT_ENERGY_CAP the annulus-binned path
     (up to 2**s high).  "direct" and "binned" (1D only) force a path.
+
+    s lies in (0, 32]: at n <= 30, delta**-s <= 2**960, and the energy of a
+    probability measure is at most delta**-s (2**s times that when binned).
     """
-    _require(s > 0, "energy exponent must be positive")
+    _require(0 < s <= 32, "energy exponent must be positive, at most 32")
     _require(method in ("auto", "direct", "binned"), f"unknown method {method!r}")
     if not isinstance(mu, (DyadicMeasure1, DyadicMeasure2)):
         raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
@@ -525,9 +526,10 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     kept); strict=False removes at >= as well.  Returns (kept support,
     removed mass).  The removed mass is checked against the provable
     bound I_s(mu)/(K*L) * sum_j 2**(-j*s/2) (constant 1 in 1D: pairs in
-    a level-j cube sit at distance <= 2**-j, clamp included).
+    a level-j cube sit at distance <= 2**-j, clamp included).  s lies in
+    (0, 32], the domain of riesz_energy.
     """
-    _require(s > 0, "energy exponent must be positive")
+    _require(0 < s <= 32, "energy exponent must be positive, at most 32")
     _require(K >= 1 and L >= 1, "K and L must be at least 1")
     n = mu.scale.n
     (idx,), w = mu._support
@@ -625,12 +627,13 @@ def maximal_interval(mu: DyadicMeasure1, kappa: float) -> MaximalIntervalResult:
     Scans levels j = 0..n (interval lengths 2**-j).  Ties break toward
     larger r, then smaller left endpoint: the scan walks coarse to fine
     and replaces only on strict improvement, taking the first argmax
-    within a level.
+    within a level.  kappa lies in [-32, 32], so at j <= n <= 30 the
+    factor 2**(j*kappa/2) lies in [2**-480, 2**480].
     """
     n = mu.scale.n
     _require(mu.offset >= 0 and mu.offset + mu.weights.size <= (1 << n),
              "measure must be supported in [0, 1)")
-    _require(np.isfinite(kappa), "kappa must be finite")
+    _require(abs(kappa) <= 32, "kappa must be finite, in [-32, 32]")
     best = None
     (idx,), w = mu._support
     for j, uniq, _, masses in _cube_masses(idx + mu.offset, w, n, range(n + 1)):

@@ -123,6 +123,23 @@ def test_measure_and_project_paths(tmp_path):
     assert len(body) == 2 + 16
 
 
+def test_projection_experiment_only_echoes_kappa(tmp_path, capsys):
+    # the experiment computes no energies: any --kappa runs, and only the
+    # report's echo line holds it
+    sq = tmp_path / "sq.gs2"
+    run(["gen", "square", "--n", 4, "--out", sq])
+    capsys.readouterr()
+    seen = []
+    for kappa in ("1", "0", "-3"):
+        out = tmp_path / "pj.csv"
+        assert run(["experiment", "projection", "--set", sq, "--epsilon", "0.1", "--eta", "0.1",
+                    "--angles", 16, "--nu-cells", 8, "--kappa", kappa, "--out", out]) == 0
+        echo, *rows = out.read_text().splitlines()
+        assert f'"kappa": {float(kappa)}' in echo
+        seen.append((capsys.readouterr(), rows))
+    assert seen[0] == seen[1] == seen[2]
+
+
 def test_lattice_paths(tmp_path):
     sq = tmp_path / "sq.gs2"
     run(["gen", "square", "--n", 4, "--out", sq])

@@ -169,6 +169,32 @@ REFUSE = [
     "measure maximal --set sq13.gs2 --kappa 0.5",
     "measure rescale --set sq13.gs2 --kappa 0.5 --out x.dm1",
     "measure prune --set sq13.gs2 --sigma 0.5",
+    # exponents past their domains: kappa in [-32, 32], s in (0, 32], eta in
+    # [0, 32], each refused before r**kappa, 2**(j*kappa/2) or delta**-s
+    # overflows or returns inf
+    "measure maximal --set a.gs1 --kappa 1500",
+    "measure rescale --set a.gs1 --kappa 1500 --out x.dm1",
+    "experiment renorm --set a.gs1 --kappa 1500",
+    "measure frostman --set a.gs1 --kappa -1500",
+    "experiment expander --set a.gs1 --kappa -1500",
+    "measure frostman --set sq.gs2 --kappa 1500",
+    "measure energy --set sq.gs2 --sigma 1500",
+    "measure energy --set a.gs1 --sigma 1500 --method binned",
+    "measure energy --set a.gs1 --sigma 1500",
+    "measure prune --set a.gs1 --sigma 1500",
+    "project sweep --set sq.gs2 --angles 8 --kappa 1500",
+    "experiment projection --set sq.gs2 --epsilon 0.1 --eta 1500",
+    "lattice collision --set a.gs1 --radius 1e308",
+    "lattice collision --set a.gs1 --radius 1e10",
+    # integer flags and seeds past their domains
+    "lattice blichfeldt --set a.gs1 --modulus 4611686018427387904",
+    "lattice blichfeldt --set a.gs1 --modulus 1e308",
+    "verify addcomb --cases 2 --seed -1",
+    "gen frostman --kappa 0.5 --seed -1 --out x.gs1",
+    "verify addcomb --cases 2 --span 100000000000000000000",
+    "verify addcomb --cases 2 --max-cells 100000000000000000000",
+    "gen cantor --levels 1000000000000000000000000000000 --out x.gs1",
+    "gen cantor --levels 1000000000000000000000000000000 --digits 0 --out x.gs1",
 ]
 
 CHILD = textwrap.dedent("""

@@ -85,6 +85,8 @@ CASES = [
     ("experiment nfold", "experiment nfold --set k.gs1 --count 3 --out nf.csv"),
     ("experiment projection", "experiment projection --set sq.gs2 --epsilon 0.1 --eta 0.1 "
                               "--angles 16 --nu-cells 8 --kappa 1 --out pj.csv"),
+    ("experiment projection kappa", "experiment projection --set sq.gs2 --epsilon 0.1 "
+                                    "--eta 0.1 --kappa 1"),
     ("experiment projection no eta", "experiment projection --set sq.gs2 --epsilon 0.1"),
     ("experiment projection 1d", "experiment projection --set k.gs1 --epsilon 0.1 --eta 0.1"),
     ("report", "report v.csv --out rep.csv"),
@@ -172,6 +174,7 @@ GOLDEN = {
     'experiment renorm no kappa': 'fc9f91c11cf72441',
     'experiment nfold': 'faea419fefdb84b2',
     'experiment projection': '49ea6dfdb70b050f',
+    'experiment projection kappa': '13b4b93bea8a2ddd',
     'experiment projection no eta': 'b12e0cb8c749144b',
     'experiment projection 1d': '89748d1492686f84',
     'report': 'f6ff169e403402da',

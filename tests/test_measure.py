@@ -16,6 +16,7 @@ from deltagrid import (MAX_INDEX, DyadicMeasure1, DyadicMeasure2, GridSet1, Grid
                        make_interval, maximal_interval, prune_heavy_cubes,
                        pushforward_affine, rescale_to_unit, riesz_energy,
                        uniform_on)
+from _oracles import _scan_frostman_1d, _scan_frostman_2d
 
 
 def _unif(n, idx):
@@ -118,6 +119,68 @@ def test_frostman_matches_bruteforce():
                 best = max(best, mass / r ** kappa)
             r *= 2
         assert rep.constant == pytest.approx(best, rel=1e-9)
+
+
+def _frostman_bits(constant, center, radius):
+    kinds = tuple(type(c) for c in center) if isinstance(center, tuple) else ()
+    return constant.hex(), center, type(center), kinds, radius.hex()
+
+
+def _scan_cases_1d(rng):
+    """Seeded 1D measures: up to 2,000 cells in spans up to 2**20, random or
+    uniform weights, interior -0.0 weights, offsets near 0 and +-2**40."""
+    for case in range(36):
+        span = 1 << 20 if case % 3 == 0 else int(rng.integers(1, 5001))
+        cells = min(span, int(rng.integers(1, 1999)))
+        idx = np.unique(np.concatenate(([0, span - 1], rng.choice(span, cells, replace=False))))
+        w = np.zeros(span)
+        w[idx] = 1.0 if case % 2 else rng.random(idx.size) + 2.0 ** -20
+        w /= w.sum()
+        zeros = np.flatnonzero(w == 0)
+        w[zeros[: zeros.size // 3]] = -0.0
+        offset = int(rng.integers(-50, 50)) + (0, 1 << 40, -(1 << 40))[case // 3 % 3] - span // 2
+        yield DyadicMeasure1(Scale(int(rng.integers(0, 31))), offset, w)
+
+
+def _scan_cases_2d(rng):
+    """Seeded 2D boxes up to 39 x 39, random or uniform weights."""
+    for case in range(24):
+        shape = tuple(int(v) for v in rng.integers(1, 40, size=2))
+        w = _random_measure2(rng, shape, (0, 0)).weights
+        if case % 2:
+            w = (w > 0) / np.count_nonzero(w)
+        offset = tuple(int(v) + (1 << 40) * (case % 3 - 1) for v in rng.integers(-50, 50, size=2))
+        yield DyadicMeasure2(Scale(int(rng.integers(0, 31))), offset, w)
+
+
+def test_frostman_scan_matches_the_two_dimension_scans():
+    # One radius loop for both dimensions, 1D masses from the support: the
+    # constant, the witness center (with its type) and the radius are those
+    # of the two scans it replaced, bit for bit.
+    rng = np.random.default_rng(24)
+    for scan, cases in ((_scan_frostman_1d, _scan_cases_1d(rng)),
+                        (_scan_frostman_2d, _scan_cases_2d(rng))):
+        for mu in cases:
+            for kappa in (-0.5, 0.3, 0.5, 1.0, 1.7):
+                rep = frostman_constant(mu, kappa)
+                assert (_frostman_bits(rep.constant, rep.witness_center, rep.witness_radius)
+                        == _frostman_bits(*scan(mu, kappa))), (mu, kappa)
+
+
+def test_frostman_1d_reads_the_support_not_the_span():
+    # 2,073 cells in a 960,711-cell span: a prefix sum over the span alone
+    # would trace 7.7 MB
+    rng = np.random.default_rng(5)
+    idx = np.concatenate(([0], rng.choice(960_709, 2071, replace=False) + 1, [960_710]))
+    mu = uniform_on(GridSet1.from_indices(Scale(20), np.sort(idx)))
+    assert mu.weights.size == 960_711 and mu._support[1].size == 2073
+    tracemalloc.start()
+    try:
+        frostman_constant(mu, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_energy_point_mass():
