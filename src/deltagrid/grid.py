@@ -9,9 +9,11 @@ never double.
 
 A set's `count`, cells (`indices`) and maximal `runs` are `_view`s of its
 array: built on first use, frozen and kept, unless a constructor that
-holds one hands it over (`_seed`).  A 2D set's row runs are scanned off
-its box once, a block of rows at a time (`_box_runs`), and its cells are
-expanded from its runs.
+holds one hands it over (`_seed`).  A 2D set is held by its box shape and
+either its box or its maximal row runs, and the other is a view too: a set
+read from runs paints its box (`bits`) only when asked, and a set built
+from a box scans its row runs off it once, a block of rows at a time
+(`_box_runs`).  Its cells are expanded from its runs.
 
 Covering numbers are occupied-cell counts.  The cell count agrees with
 the least number of delta-balls needed to cover the set up to a factor
@@ -156,16 +158,34 @@ def _overlap_box(origin_a: tuple, shape_a: tuple, origin_b: tuple, shape_b: tupl
 def _check_cells(origin: tuple, arr: np.ndarray, name: str) -> None:
     """Constructor checks shared by sets and measures: at most MAX_SPAN
     cells, a nonzero entry on every border of a nonempty array (both ends
-    in 1D, the first and last row and column in 2D), and every cell index
-    inside (-MAX_INDEX, MAX_INDEX) on each axis.  Any sum of two such
-    indices, and of one with a cell span, fits int64."""
+    in 1D, the first and last row and column in 2D), and `_require_indices`."""
     _require_span(arr.size)
     if arr.size:
         ends = ((arr[0], arr[-1]) if arr.ndim == 1 else
                 (arr[0].any(), arr[-1].any(), arr[:, 0].any(), arr[:, -1].any()))
         _require(all(ends), f"{name} must be trimmed (a nonzero entry on every border)")
-    _require(all(-MAX_INDEX < o and o + m <= MAX_INDEX for o, m in zip(origin, arr.shape)),
+    _require_indices(origin, arr.shape)
+
+
+def _require_indices(origin: tuple, shape: tuple) -> None:
+    """Every cell index of the box of `shape` cells at `origin` inside
+    (-MAX_INDEX, MAX_INDEX) on each axis.  Any sum of two such indices, and
+    of one with a cell span, fits int64."""
+    _require(all(-MAX_INDEX < o and o + m <= MAX_INDEX for o, m in zip(origin, shape)),
              "cell indices out of guarded range")
+
+
+def _check_set(offset, bits, nd: int) -> tuple:
+    """The _origin of a set's box `bits` placed at `offset`, once the box
+    passes the constructor checks: an nD boolean array, empty only at the
+    zero offset, and `_check_cells`."""
+    _require(isinstance(bits, np.ndarray) and bits.dtype == np.bool_ and bits.ndim == nd,
+             f"bits must be a {nd}D boolean array")
+    origin = _origin(offset, nd)
+    _require(bits.size or (origin == (0,) * nd and bits.shape == (0,) * nd),
+             "empty set uses offset 0 (1D) or (0, 0) (2D) and no cells")
+    _check_cells(origin, bits, "bits")
+    return origin
 
 
 def _runs(bits: np.ndarray) -> np.ndarray:
@@ -192,7 +212,7 @@ def _digest(*objs) -> str:
             h.update(np.packbits(obj.bits).tobytes())
         elif isinstance(obj, GridSet2):
             h.update(b"G2")
-            h.update(str((obj.scale.n, obj.offset, obj.bits.shape)).encode())
+            h.update(str((obj.scale.n, obj.offset, obj.shape)).encode())
             h.update(np.packbits(obj.bits.ravel()).tobytes())
         elif isinstance(getattr(obj, "weights", None), np.ndarray):  # a measure
             h.update(b"DM")
@@ -209,12 +229,16 @@ def _digest(*objs) -> str:
 
 def _view(build):
     """A property computed by `build` on first use and kept by `_seed` under
-    "_" + build's name, unless a constructor has handed it over there."""
+    "_" + build's name, unless a constructor has handed it over there.  Its
+    getter called as `fget(obj, False)` returns the view only if it is kept,
+    else None, and builds nothing."""
     key = "_" + build.__name__
 
     @functools.wraps(build)
-    def view(self):
+    def view(self, make: bool = True):
         if key not in self.__dict__:
+            if not make:
+                return None
             _seed(self, **{build.__name__: build(self)})
         return self.__dict__[key]
 
@@ -236,23 +260,12 @@ def _seed(obj, **views):
 
 
 class _CellSet:
-    """Validation and set algebra shared by GridSet1 and GridSet2.
+    """Set algebra shared by GridSet1 and GridSet2.
 
-    The set's cells are the set entries of `bits`: the entry at array
-    position p is the cell at _origin(offset) + p, both in array-axis
-    order ((i,) in 1D, (y, x) in 2D).
+    The set's cells are the set entries of `bits`, whose array shape is
+    `shape`: the entry at array position p is the cell at
+    _origin(offset) + p, both in array-axis order ((i,) in 1D, (y, x) in 2D).
     """
-
-    def __post_init__(self):
-        b, nd = self.bits, self._ndim
-        _require(isinstance(b, np.ndarray) and b.dtype == np.bool_ and b.ndim == nd,
-                 f"bits must be a {nd}D boolean array")
-        origin = _origin(self.offset, nd)
-        object.__setattr__(self, "offset", _offset(origin))
-        _require(b.size or (origin == (0,) * nd and b.shape == (0,) * nd),
-                 "empty set uses offset 0 (1D) or (0, 0) (2D) and no cells")
-        _check_cells(origin, b, "bits")
-        b.setflags(write=False)
 
     @classmethod
     def from_bits(cls, scale: Scale, offset, bits):
@@ -279,7 +292,7 @@ class _CellSet:
 
     @property
     def is_empty(self) -> bool:
-        return self.bits.size == 0
+        return self.shape[0] == 0
 
     @property
     def measure(self) -> float:
@@ -292,8 +305,8 @@ class _CellSet:
         _require(self.scale == other.scale, "operands must share one scale")
         if self.is_empty or other.is_empty:
             return None
-        box = _overlap_box(_origin(self.offset, self._ndim), self.bits.shape,
-                           _origin(other.offset, other._ndim), other.bits.shape)
+        box = _overlap_box(_origin(self.offset, self._ndim), self.shape,
+                           _origin(other.offset, other._ndim), other.shape)
         if box is None:
             return None
         frame, here, there = box
@@ -308,10 +321,11 @@ class _CellSet:
         mine, theirs = _origin(self.offset, self._ndim), _origin(other.offset, other._ndim)
         frame = tuple(map(min, mine, theirs))
         shape = tuple(max(p + m, q + n) - f for f, p, q, m, n
-                      in zip(frame, mine, theirs, self.bits.shape, other.bits.shape))
+                      in zip(frame, mine, theirs, self.shape, other.shape))
+        _require_span(math.prod(shape))  # the joint box, before it is made
         bits = np.zeros(shape, dtype=bool)
-        bits[_window(frame, mine, self.bits.shape)] = self.bits
-        bits[_window(frame, theirs, other.bits.shape)] |= other.bits
+        bits[_window(frame, mine, self.shape)] = self.bits
+        bits[_window(frame, theirs, other.shape)] |= other.bits
         return self._at(self.scale, frame, bits)
 
     def intersect(self, other):
@@ -344,7 +358,7 @@ class _CellSet:
         if not isinstance(other, type(self)):
             return NotImplemented
         return (self.scale == other.scale and self.offset == other.offset
-                and np.array_equal(self.bits, other.bits))
+                and self.shape == other.shape and np.array_equal(self.bits, other.bits))
 
 
 @dataclass(frozen=True, eq=False)
@@ -361,6 +375,14 @@ class GridSet1(_CellSet):
     offset: int
     bits: np.ndarray
     _ndim = 1
+
+    def __post_init__(self):
+        object.__setattr__(self, "offset", _offset(_check_set(self.offset, self.bits, 1)))
+        self.bits.setflags(write=False)
+
+    @property
+    def shape(self) -> tuple:
+        return self.bits.shape
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet1":
@@ -461,7 +483,7 @@ class GridSet1(_CellSet):
         return f"GridSet1(n={self.scale.n}, count={self.count}, offset={self.offset}, span={self.bits.size})"
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, init=False)
 class GridSet2(_CellSet):
     """Union of half-open delta-squares in the plane.
 
@@ -469,12 +491,29 @@ class GridSet2(_CellSet):
     bits[jr, ir] covers cell (offset[0]+ir, offset[1]+jr): rows run
     along y, columns along x.  Canonical form trims empty border rows
     and columns.
+
+    A set holds its scale, offset and box shape (h, w), and either its box
+    or its maximal row runs: the raw constructor and every constructor
+    that starts from a box hand the box over, `from_runs` the runs.  The
+    other one is a view built on first use, so a set read from a file
+    paints its box only when `bits` is read.
     """
 
     scale: Scale
     offset: tuple
-    bits: np.ndarray
+    shape: tuple
     _ndim = 2
+
+    def __init__(self, scale: Scale, offset, bits: np.ndarray):
+        """The set entries of the box `bits` placed at `offset`.  The raw
+        constructor validates and rejects anything non-canonical."""
+        self._place(scale, _check_set(offset, bits, 2), bits.shape)
+        _seed(self, bits=bits)
+
+    def _place(self, scale: Scale, origin: tuple, shape: tuple) -> None:
+        object.__setattr__(self, "scale", scale)
+        object.__setattr__(self, "offset", _offset(origin))
+        object.__setattr__(self, "shape", tuple(shape))
 
     @classmethod
     def from_indices(cls, scale: Scale, indices) -> "GridSet2":
@@ -511,13 +550,15 @@ class GridSet2(_CellSet):
     def from_runs(cls, scale: Scale, runs: np.ndarray) -> "GridSet2":
         """Union of the row runs (y, x0, x1), the cells (x0..x1, y): an
         (m, 3) int64 array of at least one run, each with x0 <= x1, in any
-        order, overlaps allowed.  The maximal runs seed `runs` and the
-        count, and the cells are painted from them."""
+        order, overlaps allowed.  The set holds its maximal runs, and the
+        count, and is checked from them: its box is the one their ends
+        reach, so it is trimmed.  Nothing is painted."""
         y, x0, x1 = runs.T
         ox, oy = int(x0.min()), int(y.min())
         w = int(x1.max()) - ox + 1
         h = int(y.max()) - oy + 1
         _require_span(w * h)
+        _require_indices((oy, ox), (h, w))
         # positions in the box with one spare column, so no two rows' runs abut
         row = (y - oy) * (w + 1) - ox
         first, last = row + x0, row + x1
@@ -528,10 +569,21 @@ class GridSet2(_CellSet):
         first, last = merged
         yr, xr = np.divmod(first, w + 1)
         lens = last - first + 1
+        E = cls.__new__(cls)
+        E._place(scale, (oy, ox), (h, w))
+        return _seed(E, count=int(lens.sum()),
+                     runs=np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1))
+
+    @_view
+    def bits(self) -> np.ndarray:
+        """The occupancy box, painted from `runs` when none was handed over.
+        Only the pages of occupied rows are touched, a block of at most
+        16 * _SCAN_CELLS cells at a time; a longer run in one slice."""
+        (h, w), (ox, oy) = self.shape, self.offset
+        y, x0, x1 = self.runs.T
+        lens = x1 - x0 + 1
         bits = np.zeros(h * w, dtype=bool)
-        # only the pages of occupied rows are touched, a block of at most
-        # 16 * _SCAN_CELLS cells at a time; a longer run in one slice
-        starts, ends, block, t = yr * w + xr, np.cumsum(lens), 16 * _SCAN_CELLS, 0
+        starts, ends, block, t = (y - oy) * w + (x0 - ox), np.cumsum(lens), 16 * _SCAN_CELLS, 0
         while t < lens.size:
             if lens[t] > block:
                 bits[starts[t]:starts[t] + lens[t]] = True
@@ -540,8 +592,7 @@ class GridSet2(_CellSet):
                 u = int(np.searchsorted(ends, ends[t] - lens[t] + block, side="right"))
                 bits[_run_cells(starts[t:u], lens[t:u])] = True
                 t = u
-        return _seed(cls(scale, (ox, oy), bits.reshape(h, w)), count=int(ends[-1]),
-                     runs=np.stack((yr + oy, xr + ox, xr + ox + lens - 1), axis=1))
+        return bits.reshape(h, w)
 
     @_view
     def indices(self) -> np.ndarray:
@@ -557,13 +608,13 @@ class GridSet2(_CellSet):
     @_view
     def runs(self) -> np.ndarray:
         """(m, 3) array of the maximal row runs (y, x0, x1), absolute and
-        ascending in (y, x0): seeded by `from_runs` or scanned off the
-        occupancy box (`_box_runs`)."""
+        ascending in (y, x0): handed over by `from_runs` or scanned off the
+        box (`_box_runs`)."""
         return np.concatenate((np.empty((0, 3), dtype=np.int64), *_box_runs(self)))
 
     def __repr__(self) -> str:
         return (f"GridSet2(n={self.scale.n}, count={self.count}, offset={self.offset}, "
-                f"shape={self.bits.shape})")
+                f"shape={self.shape})")
 
 
 def _box_runs(E: GridSet2):
@@ -572,7 +623,7 @@ def _box_runs(E: GridSet2):
     at most _SCAN_CELLS box cells (or one row), each row after a spare
     empty column and one empty entry after the last, so runs open and
     close on alternate flips of one flip scan."""
-    (h, w), (ox, oy) = E.bits.shape, E.offset
+    (h, w), (ox, oy) = E.shape, E.offset
     rows = max(1, _SCAN_CELLS // (w + 1))
     buf = np.zeros(rows * (w + 1) + 1, dtype=bool)
     for r0 in range(0, h, rows):
@@ -582,6 +633,20 @@ def _box_runs(E: GridSet2):
         flips = np.flatnonzero(flat[1:] != flat[:-1])  # a run's cells: (opening, closing]
         y, x0 = np.divmod(flips[0::2], w + 1)
         yield np.stack((y + (oy + r0), x0 + ox, flips[1::2] - y * (w + 1) + (ox - 1)), axis=1)
+
+
+def _run_blocks(E: GridSet2):
+    """The maximal row runs of E in (k, 3) blocks, ascending, for a writer
+    that streams them: slices of _SCAN_CELLS // 64 (or one) of its `runs`
+    when it holds them, else as `_box_runs` scans its box, so neither form
+    of the set is converted whole into the other."""
+    runs = type(E).runs.fget(E, False)
+    if runs is None:
+        yield from _box_runs(E)
+        return
+    step = max(1, _SCAN_CELLS // 64)
+    for t in range(0, len(runs), step):
+        yield runs[t:t + step]
 
 
 def _run_cells(first: np.ndarray, lens: np.ndarray) -> np.ndarray:
@@ -712,12 +777,12 @@ def neighborhood(S, r) -> "GridSet1 | GridSet2":
     if S.is_empty or k == 0:
         return S
     # the grown box, checked before any array of its size is made
-    _require(math.prod(m + 2 * k for m in S.bits.shape) <= MAX_SPAN,
+    _require(math.prod(m + 2 * k for m in S.shape) <= MAX_SPAN,
              f"cell span exceeds dense-representation cap {MAX_SPAN}")
     if isinstance(S, GridSet1):
         return GridSet1.from_ranges(S.scale, S.runs[0] - k, S.runs[1] + k)
     if isinstance(S, GridSet2):
-        h, w = S.bits.shape
+        h, w = S.shape
         grown = np.zeros((h + 2 * k, w + 2 * k), dtype=bool)
         grown[k:k + h, k:k + w] = S.bits
         _grow(grown[k:k + h], k)  # only the set's rows meet it along x

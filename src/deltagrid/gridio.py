@@ -23,8 +23,9 @@ checks the grammar on their edges (the separators between numbers, the
 signs, one final '\n') and parses the numbers.  A GS2 body's rows are
 the set's row runs (`GridSet2.from_runs`); no per-cell pairs are built.
 A file this parse does not take goes to a line-by-line text scan that
-names the first faulty line.  A GS2 file is written a block of rows at a
-time, as `grid._box_runs` scans the set's box.
+names the first faulty line.  A GS2 file is written a block of runs at a
+time (`grid._run_blocks`): from the runs a set read from a file holds, or
+as `grid._box_runs` scans the box of a set built from one.
 """
 from __future__ import annotations
 
@@ -38,7 +39,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _box_runs, _require
+from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require, _run_blocks
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
@@ -61,14 +62,14 @@ def _parse_error(path, lineno: int, msg: str) -> PreconditionError:
 
 def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
     """S as a GS1 or GS2 file, its run lines written a block at a time:
-    GS1 from `S.runs` in one block, GS2 as `_box_runs` scans the box."""
+    GS1 from `S.runs` in one block, GS2 as `_run_blocks` gives them."""
     if isinstance(S, GridSet1):
         head = f"GS1 v1\nn={S.scale.n}\noffset={S.offset}\n"
         blocks = ([f"{a}-{b}\n" for a, b in zip(*S.runs.tolist())],)
     elif isinstance(S, GridSet2):
-        head = "GS2 v1\nn={}\noffset={},{}\nrows={}\n".format(S.scale.n, *S.offset, S.bits.shape[0])
+        head = "GS2 v1\nn={}\noffset={},{}\nrows={}\n".format(S.scale.n, *S.offset, S.shape[0])
         blocks = ([f"row={y}:{a}-{b}\n" for y, a, b in block.tolist()]
-                  for block in _box_runs(S))
+                  for block in _run_blocks(S))
     else:
         raise PreconditionError(f"cannot serialize {type(S).__name__}")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:

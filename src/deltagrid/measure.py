@@ -66,7 +66,9 @@ DIRECT_ENERGY_CAP = 4096
 _FFT_CELL_CAP = 1 << 22
 _FFT_CELL_COST = 4
 _ENERGY_CHUNK = 512
-_BLOCK_CELLS = _ENERGY_CHUNK * DIRECT_ENERGY_CAP  # 16 MB per float64 block temporary
+_BLOCK_CELLS = _ENERGY_CHUNK * DIRECT_ENERGY_CAP  # 16 MB per float64 block buffer
+# Cells of the few rows of a direct-energy block laid at a time (512 KiB)
+_ROW_CELLS = 1 << 16
 
 
 def _validate_weights(w: np.ndarray) -> None:
@@ -186,7 +188,8 @@ class MaximalIntervalResult:
 def uniform_on(S):
     """Uniform probability measure on a nonempty cell set.  The set's
     cells, less its offset, are the measure's support, handed over unscanned:
-    expanded from its runs, so the set keeps no `indices` for them."""
+    expanded from its runs, so the set keeps no `indices` for them, and its
+    weights box is filled at those cells, so a 2D set's box is not painted."""
     cls = {GridSet1: DyadicMeasure1, GridSet2: DyadicMeasure2}.get(type(S))
     _require(cls is not None, f"unsupported operand type {type(S).__name__}")
     _require(not S.is_empty, "uniform measure needs a nonempty set")
@@ -194,8 +197,24 @@ def uniform_on(S):
     *oy, ox = _origin(S.offset, S._ndim)
     lens = x1 - x0 + 1
     cells = (*(np.repeat(y - o, lens) for y, o in zip(ys, oy)), _run_cells(x0 - ox, lens))
-    return _seed(cls(S.scale, S.offset, S.bits.astype(np.float64) / S.count),
-                 _support=(cells, np.full(S.count, 1 / S.count)))
+    w, v = np.zeros(S.shape), 1 / S.count
+    w[cells] = v
+    return _seed(cls(S.scale, S.offset, w), _support=(cells, np.full(S.count, v)))
+
+
+# ---------------------------------------------------------------------------
+# Exponent domains, checked before any work
+
+
+def _require_kappa(kappa: float) -> None:
+    """kappa in [-32, 32]: at the scanned radii and levels (2**-30 to
+    2**26) its powers stay finite and nonzero (see frostman_constant)."""
+    _require(abs(kappa) <= 32, "kappa must be finite, in [-32, 32]")
+
+
+def _require_energy_exponent(s: float) -> None:
+    """s in (0, 32]: at n <= 30, delta**-s <= 2**960 (see riesz_energy)."""
+    _require(0 < s <= 32, "energy exponent must be positive, at most 32")
 
 
 # ---------------------------------------------------------------------------
@@ -273,7 +292,7 @@ def frostman_constant(mu, kappa: float) -> FrostmanReport:
     (n <= 30, spans up to MAX_SPAN), so r**kappa lies in [2**-960, 2**960]
     and the constant, at most 2**960 for a mass of at most 1, is finite.
     """
-    _require(abs(kappa) <= 32, "kappa must be finite, in [-32, 32]")
+    _require_kappa(kappa)
     _require(isinstance(mu, _CellMeasure), f"unsupported operand type {type(mu).__name__}")
     masses = (_ball_masses_1d if mu._ndim == 1 else _ball_masses_2d)(mu)
     best = (-1.0, 0, 0.0)  # (constant, support rank, radius)
@@ -296,9 +315,11 @@ def nonconcentration_constant(S, kappa: float) -> FrostmanReport:
     Scanned over closed balls centered at occupied cell centers and
     dyadic radii from delta up to the first radius >= diameter.  Mass is
     exact Lebesgue overlap, normalized by the total measure of S
-    (convention "set").
+    (convention "set").  kappa lies in [-32, 32], checked before the
+    measure is built.
     """
     _require(not S.is_empty, "non-concentration scan needs a nonempty set")
+    _require_kappa(kappa)
     return replace(frostman_constant(uniform_on(S), kappa), convention="set")
 
 
@@ -314,16 +335,38 @@ def _block_rows(width: int) -> int:
 
 def _energy_direct(cells: tuple, w: np.ndarray, delta: float, s: float) -> float:
     """Direct pair sum over the cells `cells` (a measure's support view:
-    one position array per array axis) with weights `w`, in blocks of rows."""
-    centers = [(c.astype(np.float64) + 0.5) * delta for c in cells[::-1]]  # x first in 2D
-    distance = np.abs if len(centers) == 1 else np.hypot
+    one position array per array axis) with weights `w`, in blocks of rows.
+
+    Each block's terms (w_i * w_j) * max(d, delta)**-s fill one block
+    buffer in place, _ROW_CELLS cells of rows at a time, with the weight
+    products (and the y differences in 2D) in one scratch array of that
+    size; the block is then summed whole, as one part.  So no temporary
+    is as large as a block, and every term and sum has the bits of the
+    pair arrays built whole: products commute, and the sum sees the same
+    block in the same layout.
+    """
+    x, *y = [(c.astype(np.float64) + 0.5) * delta for c in cells[::-1]]  # x first in 2D
+    n = w.size
+    step = _block_rows(n)
+    few = max(1, min(step, _ROW_CELLS // n))
+    block, scratch = np.empty((min(step, n), n)), np.empty((few, n))
     parts = []
-    step = _block_rows(w.size)
-    for lo in range(0, w.size, step):
-        hi = min(lo + step, w.size)
-        d = distance(*(c[lo:hi, None] - c[None, :] for c in centers))
-        np.maximum(d, delta, out=d)
-        parts.append(np.sum((w[lo:hi, None] * w[None, :]) * d ** -s))
+    for lo in range(0, n, step):
+        hi = min(lo + step, n)
+        for a in range(lo, hi, few):
+            b = min(a + few, hi)
+            d, t = block[a - lo:b - lo], scratch[:b - a]
+            np.subtract(x[a:b, None], x, out=d)
+            if y:
+                np.subtract(y[0][a:b, None], y[0], out=t)
+                np.hypot(d, t, out=d)
+            else:
+                np.abs(d, out=d)
+            np.maximum(d, delta, out=d)
+            d **= -s
+            np.multiply(w[a:b, None], w, out=t)
+            d *= t
+        parts.append(np.sum(block[:hi - lo]))
     return float(np.sum(parts))
 
 
@@ -469,7 +512,7 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
     s lies in (0, 32]: at n <= 30, delta**-s <= 2**960, and the energy of a
     probability measure is at most delta**-s (2**s times that when binned).
     """
-    _require(0 < s <= 32, "energy exponent must be positive, at most 32")
+    _require_energy_exponent(s)
     _require(method in ("auto", "direct", "binned"), f"unknown method {method!r}")
     if not isinstance(mu, (DyadicMeasure1, DyadicMeasure2)):
         raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
@@ -499,10 +542,17 @@ def energy_bound_constant(t: float, kappa: float) -> float:
     constant with riesz_energy(uniform_on(A), t) <= c(t, kappa) * C for
     every set whose uniform measure is (kappa, C)-non-concentrated.
 
-    The geometric series is summed in closed form; it requires t < kappa.
+    The geometric series is summed in closed form.  kappa lies in
+    [-32, 32], and t below it by enough that 2**(t - kappa) rounds below 1
+    (about 2**-54 or more), so the denominator is at least 2**-53 and the
+    constant at most 2**86.
     """
+    _require_kappa(kappa)
     _require(t < kappa, f"energy exponent t={t} must be below kappa={kappa}")
-    return 2.0 * 2.0 ** kappa / (1.0 - 2.0 ** (t - kappa))
+    gap = 1.0 - 2.0 ** (t - kappa)
+    _require(gap > 0, f"energy exponent t={t} is too close to kappa={kappa}: "
+                      "2**(t - kappa) rounds to 1")
+    return 2.0 * 2.0 ** kappa / gap
 
 
 # ---------------------------------------------------------------------------
@@ -529,7 +579,7 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     a level-j cube sit at distance <= 2**-j, clamp included).  s lies in
     (0, 32], the domain of riesz_energy.
     """
-    _require(0 < s <= 32, "energy exponent must be positive, at most 32")
+    _require_energy_exponent(s)
     _require(K >= 1 and L >= 1, "K and L must be at least 1")
     n = mu.scale.n
     (idx,), w = mu._support
@@ -563,7 +613,7 @@ def condition(mu, S):
     _require(mu.scale == S.scale, "operands must share one scale")
     w = np.zeros_like(mu.weights)
     box = None if S.is_empty else _overlap_box(_origin(mu.offset, w.ndim), w.shape,
-                                               _origin(S.offset, w.ndim), S.bits.shape)
+                                               _origin(S.offset, w.ndim), S.shape)
     if box is not None:
         _, here, there = box
         w[here] = mu.weights[here] * S.bits[there]
@@ -633,7 +683,7 @@ def maximal_interval(mu: DyadicMeasure1, kappa: float) -> MaximalIntervalResult:
     n = mu.scale.n
     _require(mu.offset >= 0 and mu.offset + mu.weights.size <= (1 << n),
              "measure must be supported in [0, 1)")
-    _require(abs(kappa) <= 32, "kappa must be finite, in [-32, 32]")
+    _require_kappa(kappa)
     best = None
     (idx,), w = mu._support
     for j, uniq, _, masses in _cube_masses(idx + mu.offset, w, n, range(n + 1)):

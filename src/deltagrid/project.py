@@ -35,7 +35,8 @@ import numpy as np
 
 from .errors import InternalCheckError
 from .grid import GridSet1, GridSet2, Scale, _digest, _require
-from .measure import DyadicMeasure1, DyadicMeasure2, riesz_energy, uniform_on
+from .measure import (DyadicMeasure1, DyadicMeasure2, _require_energy_exponent, riesz_energy,
+                      uniform_on)
 
 MAX_ANGLES = 1 << 20  # angles per grid, sample or angle measure; see _require_angles
 
@@ -276,7 +277,7 @@ def project_set(E: GridSet2, d) -> GridSet1:
     x[m:] = runs[:, last] - ox
     y[:m] = runs[:, 0] - oy
     y[m:] = y[:m]
-    K, v, err, exact = _project_local(x, y, E.offset, sum(E.bits.shape), d)
+    K, v, err, exact = _project_local(x, y, E.offset, sum(E.shape), d)
     lo, hi = v[:m], v[m:]
     lo += min(0.0, c)
     hi += max(0.0, c)
@@ -314,7 +315,7 @@ def _fibers(E: GridSet2, d, fraction: float):
     _require(not E.is_empty, "projection needs a nonempty set")
     i, j = E.indices.T
     x, y = (i - E.offset[0]) + 0.5, (j - E.offset[1]) + 0.5  # local cell centers
-    _, keys = _center_keys(x, y, E.offset, sum(E.bits.shape), _as_direction(d))
+    _, keys = _center_keys(x, y, E.offset, sum(E.shape), _as_direction(d))
     keys -= keys.min()
     counts = np.bincount(keys)
     cum = np.cumsum(np.sort(counts)[::-1])
@@ -372,9 +373,12 @@ def kaufman_average(mu: DyadicMeasure2, nu: AngleMeasure, kappa: float) -> float
 def sweep(E: GridSet2, thetas, fraction: float, kappa: float | None = None,
           threads: int = 1) -> SweepReport:
     """Per-angle projection and adversarial counts; when kappa is given, the
-    kappa-energies of the projections of uniform_on(E) too.  Parallel over
-    angles, merged in angle order."""
+    kappa-energies of the projections of uniform_on(E) too, kappa in the
+    domain of riesz_energy, checked before any angle.  Parallel over angles,
+    merged in angle order."""
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
+    if kappa is not None:
+        _require_energy_exponent(kappa)
     thetas = [float(t) for t in thetas]
     mu = None if kappa is None else uniform_on(E)
 

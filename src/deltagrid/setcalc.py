@@ -332,7 +332,7 @@ def graph_sum(G: GridSet2, x, semantics: SumSemantics = SumSemantics.COVER) -> G
     """
     fx = as_fraction(x)
     _require(not G.is_empty, "graph sum of an empty graph")
-    (ox, oy), (h, w) = G.offset, G.bits.shape
+    (ox, oy), (h, w) = G.offset, G.shape
     imax = max(abs(ox), abs(ox + w - 1))
     jmax = max(abs(oy), abs(oy + h - 1))
     ii, jj = G.indices.T

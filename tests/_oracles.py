@@ -8,12 +8,15 @@ Python merge of sorted interval lists, for `lattice._exact_projection_measure`.
 `_scan_frostman_1d` and `_scan_frostman_2d` are the two radius loops that
 `measure.frostman_constant` replaced, the 1D one over a prefix sum of the
 whole span: each returns (constant, witness center, radius).
+`_energy_direct` is the direct energy sum that builds each block's pair
+arrays whole, which `measure._energy_direct` replaced with one block buffer.
 """
 from fractions import Fraction
 
 import numpy as np
 
 from deltagrid import DyadicMeasure1, DyadicMeasure2, GridSet1, SumSemantics
+from deltagrid.measure import _block_rows
 
 
 def naive_sumset(A, B, semantics=SumSemantics.INDEX):
@@ -122,3 +125,18 @@ def _scan_frostman_2d(mu: DyadicMeasure2, kappa: float):
         if cand[p] > best[0]:
             best = (float(cand[p]), (offset[0] + int(ir[p]), offset[1] + int(jr[p])), r)
     return best
+
+
+def _energy_direct(cells: tuple, w: np.ndarray, delta: float, s: float) -> float:
+    """Direct pair sum over the cells `cells` (a measure's support view:
+    one position array per array axis) with weights `w`, in blocks of rows."""
+    centers = [(c.astype(np.float64) + 0.5) * delta for c in cells[::-1]]  # x first in 2D
+    distance = np.abs if len(centers) == 1 else np.hypot
+    parts = []
+    step = _block_rows(w.size)
+    for lo in range(0, w.size, step):
+        hi = min(lo + step, w.size)
+        d = distance(*(c[lo:hi, None] - c[None, :] for c in centers))
+        np.maximum(d, delta, out=d)
+        parts.append(np.sum((w[lo:hi, None] * w[None, :]) * d ** -s))
+    return float(np.sum(parts))

@@ -183,6 +183,9 @@ REFUSE = [
     "measure energy --set a.gs1 --sigma 1500",
     "measure prune --set a.gs1 --sigma 1500",
     "project sweep --set sq.gs2 --angles 8 --kappa 1500",
+    # on the MAX_SPAN square, before its uniform measure (512 MiB of weights)
+    "project sweep --set sq13.gs2 --angles 3 --kappa 1500",
+    "measure frostman --set sq13.gs2 --kappa 1500",
     "experiment projection --set sq.gs2 --epsilon 0.1 --eta 1500",
     "lattice collision --set a.gs1 --radius 1e308",
     "lattice collision --set a.gs1 --radius 1e10",

@@ -343,6 +343,16 @@ def test_set_algebra_roundtrip():
     assert A.translate(7).indices.tolist() == [10, 11, 16]
 
 
+def test_union_refuses_a_joint_box_past_the_cap():
+    # two cells 2**61 apart: the joint box is refused before it is made
+    far = 1 << 61
+    for A, B in ((GridSet1.from_indices(Scale(5), [0]), GridSet1.from_indices(Scale(5), [far])),
+                 (GridSet2.from_indices(Scale(5), [(0, 0)]),
+                  GridSet2.from_indices(Scale(5), [(far, far)]))):
+        with pytest.raises(PreconditionError, match="dense-representation cap"):
+            A.union(B)
+
+
 def _cells(X) -> set:
     return set(X.indices.tolist()) if isinstance(X, GridSet1) else set(map(tuple, X.indices.tolist()))
 

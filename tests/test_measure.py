@@ -16,7 +16,7 @@ from deltagrid import (MAX_INDEX, DyadicMeasure1, DyadicMeasure2, GridSet1, Grid
                        make_interval, maximal_interval, prune_heavy_cubes,
                        pushforward_affine, rescale_to_unit, riesz_energy,
                        uniform_on)
-from _oracles import _scan_frostman_1d, _scan_frostman_2d
+from _oracles import _energy_direct, _scan_frostman_1d, _scan_frostman_2d
 
 
 def _unif(n, idx):
@@ -462,12 +462,84 @@ def test_energy_direct_blocks_bounded_in_cells(monkeypatch):
         assert peak0 > 700_000 and peak1 < 16 * 8 * 1000
 
 
+def _direct_energy_cases(rng):
+    """(cells, w, delta, s) of 1D and 2D supports of N cells, as a
+    measure's `_support` gives them: N at and around the 512-row block
+    (1, 511, 512, 513, 1,025) and 40 small random N, weights down to
+    1e-300 or uniform, s from 0.05 to 32 and delta from 2**-1 to 2**-30."""
+    sizes = [1, 511, 512, 513, 1025] + [int(n) for n in rng.integers(2, 300, size=20)]
+    for case, n in enumerate(sizes):
+        for nd in (1, 2):
+            if nd == 1:
+                span = n + int(rng.integers(0, 4 * n + 1))
+                cells = (np.sort(rng.choice(span, n, replace=False)),)
+            else:
+                width = int(rng.integers(1, 2 * math.isqrt(n) + 2))
+                height = -(-n // width) + int(rng.integers(0, 4))
+                cells = np.divmod(np.sort(rng.choice(height * width, n, replace=False)), width)
+            w = np.full(n, 1 / n) if case % 3 == 0 else 10.0 ** rng.uniform(-300, 0, size=n)
+            for s, k in ((0.05, 1), (1.0, 30), (32.0, int(rng.integers(1, 31))),
+                         (float(rng.uniform(0.05, 32)), int(rng.integers(1, 31)))):
+                yield cells, w, 2.0 ** -k, s
+
+
+def test_direct_energy_matches_the_pair_array_sum():
+    # One block buffer filled a few rows at a time: every term and every
+    # sum is the one the whole pair arrays gave, bit for bit
+    rng = np.random.default_rng(25)
+    for cells, w, delta, s in _direct_energy_cases(rng):
+        got = measure._energy_direct(cells, w, delta, s)
+        assert got.hex() == _energy_direct(cells, w, delta, s).hex(), (len(cells), w.size, delta, s)
+
+
+def test_direct_energy_fills_one_block_buffer():
+    # 2,073 cells in a 960,711-cell span: one 512-row block of float64 terms
+    # is 8.5 MB; pair arrays built whole traced 24.3 MiB
+    rng = np.random.default_rng(5)
+    idx = np.concatenate(([0], rng.choice(960_709, 2071, replace=False) + 1, [960_710]))
+    mu = uniform_on(GridSet1.from_indices(Scale(20), np.sort(idx)))
+    tracemalloc.start()
+    try:
+        value = measure._energy_direct(*mu._support, mu.scale.delta, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert value == riesz_energy(mu, 0.5)
+    assert peak < 12 << 20
+
+
 def test_energy_bound_constant():
     # closed form of the geometric series 2 * 2^k * sum 2^(j(t-k))
     assert energy_bound_constant(0.4, 0.5) == pytest.approx(
         2 * 2 ** 0.5 / (1 - 2 ** -0.1))
     with pytest.raises(PreconditionError):
         energy_bound_constant(0.5, 0.5)
+
+
+def test_energy_bound_constant_domain():
+    # kappa in [-32, 32], and t below it by enough that 2**(t - kappa)
+    # rounds below 1: a refusal, never OverflowError or ZeroDivisionError
+    for t, kappa in ((0.5, 2000), (0.5, 32.5), (-40.0, -32.5), (0.0, math.nan),
+                     (math.nan, 0.5), (0.49999999999999994, 0.5), (1e-17, 2e-17)):
+        with pytest.raises(PreconditionError):
+            energy_bound_constant(t, kappa)
+    for kappa in (-32.0, 0.5, 32.0):
+        for t in (kappa - 2.0 ** -40, kappa - 1, -math.inf):
+            c = energy_bound_constant(t, kappa)
+            assert c == 2.0 * 2.0 ** kappa / (1.0 - 2.0 ** (t - kappa))
+            assert 2.0 ** (kappa + 1) <= c <= 2.0 ** 86
+
+
+def test_exponents_are_refused_before_any_work(monkeypatch):
+    # the set scan checks kappa before it builds the uniform measure
+    def built(*args, **kwargs):
+        raise AssertionError("work done before the exponent was checked")
+
+    monkeypatch.setattr(measure, "uniform_on", built)
+    S = GridSet2.from_indices(Scale(4), [(0, 0), (3, 2)])
+    for kappa in (1500, -1500, math.nan):
+        with pytest.raises(PreconditionError, match="kappa must be finite"):
+            measure.nonconcentration_constant(S, kappa)
 
 
 def test_energy_bound_on_generators():

@@ -19,6 +19,12 @@ def test_runs_properties_in_each_set_class():
         assert isinstance(prop, property) and callable(prop.fget)
 
 
+def test_bits_property_in_the_2d_set_class():
+    # a 2D set read from runs paints its box on first use of this property
+    prop = grid.GridSet2.__dict__["bits"]
+    assert isinstance(prop, property) and callable(prop.fget)
+
+
 def test_thread_pools_rebound_by_module():
     for mod in (project, expand):
         assert mod.__dict__["ThreadPoolExecutor"] is ThreadPoolExecutor

@@ -1,5 +1,5 @@
-"""Derived views: a set's `count`, `indices` and `runs` and a measure's
-`_support` are `grid._view` properties.  Each equals a fresh computation
+"""Derived views: a set's `count`, `indices` and `runs`, a 2D set's `bits`,
+and a measure's `_support` are `grid._view` properties.  Each equals a fresh computation
 from the object's array, is read-only, and is the same object on every
 access, whether it was built on first use or handed over by the
 constructor (`grid._seed`).  The cache protocol itself lives in those two
@@ -78,10 +78,10 @@ def _sets(rng):
     wide = GridSet1.from_indices(s, [0, 3000, 40000])  # a sum past _INT_SUM_BITS
     return [
         ("from_bits 1D", GridSet1.from_bits(s, -41, bits1), set()),
-        ("from_bits 2D", GridSet2.from_bits(s, (5, -9), bits2), set()),
+        ("from_bits 2D", GridSet2.from_bits(s, (5, -9), bits2), {"bits"}),
         ("from_indices 1D", GridSet1.from_indices(s, rng.permutation(A.indices)), set()),
-        ("from_indices ascending", GridSet2.from_indices(s, pairs), {"indices", "count"}),
-        ("from_indices unsorted", GridSet2.from_indices(s, rng.permutation(pairs)), set()),
+        ("from_indices ascending", GridSet2.from_indices(s, pairs), {"bits", "indices", "count"}),
+        ("from_indices unsorted", GridSet2.from_indices(s, rng.permutation(pairs)), {"bits"}),
         ("from_ranges monotone", GridSet1.from_ranges(s, starts, starts + 4), {"runs"}),
         ("from_ranges unsorted", GridSet1.from_ranges(s, unsorted, unsorted + 4), set()),
         ("from_runs", GridSet2.from_runs(s, rows), {"runs", "count"}),
@@ -91,7 +91,7 @@ def _sets(rng):
         ("sumset cover", sumset(A, dilate(A, 3), SumSemantics.COVER), {"count"}),
         ("sumset wide", sumset(wide, wide, SumSemantics.COVER), {"count"}),
         ("cartesian_product", cartesian_product(A, GridSet1.from_bits(s, 2, bits1[:9])),
-         {"count"}),
+         {"bits", "count"}),
     ]
 
 
@@ -117,7 +117,7 @@ def test_views_match_fresh_scans(tmp_path):
 
 def test_empty_sets_have_empty_views():
     for X in (GridSet1.empty(Scale(3)), GridSet2.empty(Scale(3))):
-        _check(X, set())
+        _check(X, set() if X._ndim == 1 else {"bits"})
         assert X.runs.shape == ((2, 0) if X._ndim == 1 else (0, 3))
 
 
