@@ -24,7 +24,13 @@ positive measure and a center pair within tolerance 2*delta*|v|_1
 exists.  Not finding one is an internal error.
 
 Boxes, discs and slabs are rasters of a product of ascending axes, so
-their rows are canonical (unique, lex-sorted) as built.
+their rows are canonical (unique, lex-sorted) as built.  A disc or a slab
+keeps a small part of its bounding cube, so that cube is built and
+filtered a block of first-axis values at a time (`_filtered_raster`), and
+only the kept rows outlive a block.  A cloud built from arbitrary rows and
+the residue histogram of the translate search find their distinct rows
+with one kernel, `_sorted_rows`: a lexsort (a plain sort for one column)
+and a first-occurrence mask.
 """
 
 from __future__ import annotations
@@ -36,19 +42,47 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _digest, _merged, _require,
-                   as_fraction)
+from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _digest, _int64_indices, _merged,
+                   _require, _require_indices, as_fraction)
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
 _MAX_RUN_PAIRS = 4_000_000
 _MAX_TRANSLATES = 100_000
+# Cells of one block of a filtered raster (`_filtered_raster`).
+_RASTER_BLOCK = 1 << 14
 
 
 def _raster(axes) -> np.ndarray:
     """Rows of the product of ascending int64 axes, in lexicographic order."""
     grids = np.meshgrid(*axes, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _filtered_raster(axes, keep) -> np.ndarray:
+    """Rows of the product of ascending int64 axes for which the mask
+    keep(rows) holds, in lexicographic order.  The product is built a block
+    of first-axis values at a time: _RASTER_BLOCK cells, or one value where
+    the other axes alone hold more."""
+    step = max(1, _RASTER_BLOCK // math.prod(a.size for a in axes[1:]))
+    kept = []
+    for lo in range(0, axes[0].size, step):
+        rows = _raster([axes[0][lo:lo + step], *axes[1:]])
+        kept.append(rows[keep(rows)])
+    return np.concatenate(kept)
+
+
+def _sorted_rows(rows: np.ndarray):
+    """The (m, dim) int64 rows in lexicographic order, and the mask of the
+    first occurrence of each distinct row in that order.  rows must be an
+    array the caller no longer needs: one column is sorted in place."""
+    if rows.shape[1] == 1:
+        rows.sort(axis=0)
+    else:
+        rows = rows[np.lexsort(rows.T[::-1])]
+    first = np.ones(rows.shape[0], dtype=bool)
+    np.any(rows[1:] != rows[:-1], axis=1, out=first[1:])
+    return rows, first
 
 
 def _on_lattice(rows: np.ndarray, r: np.ndarray, k: int) -> np.ndarray:
@@ -73,11 +107,17 @@ class CellCloud:
 
     @classmethod
     def from_indices(cls, scale: Scale, rows) -> "CellCloud":
-        arr = np.asarray(rows, dtype=np.int64)
+        """Cells from integer index rows in any order, duplicates allowed,
+        each index inside (-MAX_INDEX, MAX_INDEX)."""
+        arr = _int64_indices(rows)
         if arr.ndim == 1:
             arr = arr[:, None]
         _require(arr.ndim == 2, "indices must be an (m, dim) array")
-        return cls(scale, np.unique(arr, axis=0))
+        _require(1 <= arr.shape[1] <= 3, "dimension must be 1, 2, or 3")
+        _require(arr.size == 0 or (-MAX_INDEX < int(arr.min()) and int(arr.max()) < MAX_INDEX),
+                 "cell indices out of guarded range")
+        arr, first = _sorted_rows(arr)
+        return cls(scale, arr if first.all() else arr[first])
 
     @classmethod
     def from_gridset(cls, S) -> "CellCloud":
@@ -108,16 +148,27 @@ class CellCloud:
     def disc(cls, scale: Scale, radius: float, center=(0.0, 0.0)) -> "CellCloud":
         """2D cells intersecting the closed disc (conservative raster)."""
         _require(radius > 0, "radius must be positive")
+        _require(math.isfinite(radius), "radius must be finite")
         delta = scale.delta
         cx, cy = float(center[0]), float(center[1])
-        k = int(math.ceil((radius + delta) / delta)) + 1
+        _require(abs(cx) < MAX_INDEX * delta and abs(cy) < MAX_INDEX * delta,
+                 "disc center out of guarded range")
+        reach = (radius + delta) / delta  # inf once it overflows
+        k = int(math.ceil(reach)) + 1 if reach < math.inf else math.inf
+        side = 2 * k + 1
+        _require(side * side <= _MAX_RASTER,
+                 f"disc raster would need {side}**2 cells; reduce the radius or the scale depth")
         i0, j0 = int(math.floor(cx / delta)), int(math.floor(cy / delta))
-        rows = _raster((np.arange(i0 - k, i0 + k + 1, dtype=np.int64),
-                        np.arange(j0 - k, j0 + k + 1, dtype=np.int64)))
-        # nearest point of the closed cell to the disc center
-        dx = np.maximum(np.abs(cx - (rows[:, 0] + 0.5) * delta) - 0.5 * delta, 0.0)
-        dy = np.maximum(np.abs(cy - (rows[:, 1] + 0.5) * delta) - 0.5 * delta, 0.0)
-        return cls(scale, rows[dx * dx + dy * dy <= radius * radius])
+        _require_indices((i0 - k, j0 - k), (side, side))
+
+        def keep(rows):
+            # nearest point of the closed cell to the disc center
+            dx = np.maximum(np.abs(cx - (rows[:, 0] + 0.5) * delta) - 0.5 * delta, 0.0)
+            dy = np.maximum(np.abs(cy - (rows[:, 1] + 0.5) * delta) - 0.5 * delta, 0.0)
+            return dx * dx + dy * dy <= radius * radius
+
+        return cls(scale, _filtered_raster((np.arange(i0 - k, i0 + k + 1, dtype=np.int64),
+                                            np.arange(j0 - k, j0 + k + 1, dtype=np.int64)), keep))
 
     @property
     def dim(self) -> int:
@@ -175,6 +226,17 @@ def _cloud(V) -> CellCloud:
     return V if isinstance(V, CellCloud) else CellCloud.from_gridset(V)
 
 
+def _cells(x, n: int, what: str) -> int:
+    """x in cells of delta=2**-n: a multiple of delta of at most MAX_INDEX
+    cells either way, so that cell rows inside (-MAX_INDEX, MAX_INDEX) less
+    it, or modulo it, are int64 work."""
+    fx = as_fraction(x)
+    kx = fx * (1 << n)
+    _require(kx.denominator == 1, f"{what} {fx} is not a multiple of delta=2**-{n}")
+    _require(abs(kx) <= MAX_INDEX, f"{what} exceeds 2**62 cells of delta=2**-{n}")
+    return int(kx)
+
+
 def blichfeldt_translate(V, s) -> LatticeSearchResult:
     """Shift of s*Z^n holding at least |V|/s^n lattice points inside V.
 
@@ -184,22 +246,20 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     are int64 work.
     """
     V = _cloud(V)
-    fs = as_fraction(s)
-    _require(fs > 0, "lattice spacing must be positive")
-    kf = fs * (1 << V.scale.n)
-    _require(kf.denominator == 1, f"spacing {fs} is not a multiple of delta=2**-{V.scale.n}")
-    k = int(kf)
-    _require(k <= MAX_INDEX, f"spacing exceeds 2**62 cells of delta=2**-{V.scale.n}")
-    res = np.mod(V.indices, k)
-    uniq, counts = np.unique(res, axis=0, return_counts=True)
-    best = int(np.argmax(counts))  # uniq rows are lex-sorted: first argmax wins
+    _require(as_fraction(s) > 0, "lattice spacing must be positive")
+    k = _cells(s, V.scale.n, "spacing")
+    res, first = _sorted_rows(np.mod(V.indices, k))
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=res.shape[0])
+    best = int(np.argmax(counts))  # residues are lex-sorted: first argmax wins
     count = int(counts[best])
     bound = V.count / float(k) ** V.dim
     if count < math.ceil(bound - 1e-9):
         raise InternalCheckError(
             f"translate search found max count {count} below averaging bound "
-            f"{bound} (|V|={V.count} cells, k={k}, dim={V.dim}) (inputs {_digest(V, fs)}); bug")
-    shift = tuple(Fraction(int(r), 1 << V.scale.n) for r in uniq[best])
+            f"{bound} (|V|={V.count} cells, k={k}, dim={V.dim}) "
+            f"(inputs {_digest(V, Fraction(k, 1 << V.scale.n))}); bug")
+    shift = tuple(Fraction(int(r), 1 << V.scale.n) for r in res[starts[best]])
     return LatticeSearchResult(translation=shift, count=count, bound=bound,
                                examined_shifts=k ** V.dim)
 
@@ -207,10 +267,11 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
 def count_lattice_points(V, s, translation) -> int:
     """Direct recount of (translation + s*Z^n) inside V, for cross-checks."""
     V = _cloud(V)
-    k = int(as_fraction(s) * (1 << V.scale.n))
-    r = np.array([int(as_fraction(t) * (1 << V.scale.n)) for t in translation], dtype=np.int64)
-    _require(r.size == V.dim, "translation dimension mismatch")
-    return int(np.count_nonzero(_on_lattice(V.indices, r, k)))
+    _require(as_fraction(s) > 0, "lattice spacing must be positive")
+    k = _cells(s, V.scale.n, "spacing")
+    _require(len(translation) == V.dim, "translation dimension mismatch")
+    shift = [_cells(t, V.scale.n, "translation") for t in translation]
+    return int(np.count_nonzero(_on_lattice(V.indices, np.array(shift, dtype=np.int64), k)))
 
 
 # ---------------------------------------------------------------------------
@@ -251,14 +312,17 @@ def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
     side = 2 * math.ceil(reach / delta) + 1 if reach < math.inf else math.inf
     _require(side ** n <= _MAX_RASTER,
              f"slab raster would need {side}**{n} cells; reduce R or the scale depth")
+
+    def keep(idx):
+        centers = (idx + 0.5) * delta
+        t = centers @ u
+        radial2 = np.sum(centers * centers, axis=1) - t * t
+        return (np.abs(t) <= 1.0 + h) & (radial2 <= (R + h) ** 2)
+
     axis = np.arange(-(side // 2), side // 2 + 1, dtype=np.int64)
-    idx = _raster([axis] * n)
-    centers = (idx + 0.5) * delta
-    t = centers @ u
-    radial2 = np.sum(centers * centers, axis=1) - t * t
-    keep = (np.abs(t) <= 1.0 + h) & (radial2 <= (R + h) ** 2)
-    _require(bool(keep.any()), "slab raster came out empty; bug in extents")
-    return CellCloud(scale, idx[keep])
+    rows = _filtered_raster([axis] * n, keep)
+    _require(rows.shape[0] > 0, "slab raster came out empty; bug in extents")
+    return CellCloud(scale, rows)
 
 
 def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:

@@ -10,12 +10,19 @@ Python merge of sorted interval lists, for `lattice._exact_projection_measure`.
 whole span: each returns (constant, witness center, radius).
 `_energy_direct` is the direct energy sum that builds each block's pair
 arrays whole, which `measure._energy_direct` replaced with one block buffer.
+`whole_cube_slab` and `whole_square_disc` build the whole bounding raster of
+a slab or a disc and filter it at once, for `lattice._filtered_raster`;
+`unique_rows` and `residue_histogram` are the `np.unique(axis=0)` passes
+that `lattice._sorted_rows` replaced.
 """
+import math
 from fractions import Fraction
 
 import numpy as np
 
 from deltagrid import DyadicMeasure1, DyadicMeasure2, GridSet1, SumSemantics
+from deltagrid.grid import _require
+from deltagrid.lattice import _MAX_RASTER, _raster
 from deltagrid.measure import _block_rows
 
 
@@ -140,3 +147,47 @@ def _energy_direct(cells: tuple, w: np.ndarray, delta: float, s: float) -> float
         np.maximum(d, delta, out=d)
         parts.append(np.sum((w[lo:hi, None] * w[None, :]) * d ** -s))
     return float(np.sum(parts))
+
+
+def whole_cube_slab(scale, u: np.ndarray, R: float) -> np.ndarray:
+    """Rows of the cells meeting the slab {|<p,u>| <= 1, |p - <p,u>u| <= R},
+    filtered from the whole cube around it at once."""
+    n = u.size
+    delta = scale.delta
+    h = math.sqrt(n) * delta / 2
+    reach = math.sqrt(R * R + 1.0) + 2 * h
+    side = 2 * math.ceil(reach / delta) + 1 if reach < math.inf else math.inf
+    _require(side ** n <= _MAX_RASTER, "slab raster too large")
+    axis = np.arange(-(side // 2), side // 2 + 1, dtype=np.int64)
+    idx = _raster([axis] * n)
+    centers = (idx + 0.5) * delta
+    t = centers @ u
+    radial2 = np.sum(centers * centers, axis=1) - t * t
+    return idx[(np.abs(t) <= 1.0 + h) & (radial2 <= (R + h) ** 2)]
+
+
+def whole_square_disc(scale, radius: float, center=(0.0, 0.0)) -> np.ndarray:
+    """Rows of the cells meeting the closed disc, filtered from the whole
+    square around it at once."""
+    delta = scale.delta
+    cx, cy = float(center[0]), float(center[1])
+    k = int(math.ceil((radius + delta) / delta)) + 1
+    i0, j0 = int(math.floor(cx / delta)), int(math.floor(cy / delta))
+    rows = _raster((np.arange(i0 - k, i0 + k + 1, dtype=np.int64),
+                    np.arange(j0 - k, j0 + k + 1, dtype=np.int64)))
+    dx = np.maximum(np.abs(cx - (rows[:, 0] + 0.5) * delta) - 0.5 * delta, 0.0)
+    dy = np.maximum(np.abs(cy - (rows[:, 1] + 0.5) * delta) - 0.5 * delta, 0.0)
+    return rows[dx * dx + dy * dy <= radius * radius]
+
+
+def unique_rows(rows) -> np.ndarray:
+    """Distinct rows of an (m, dim) int64 array, lex-sorted, by np.unique."""
+    return np.unique(np.asarray(rows, dtype=np.int64), axis=0)
+
+
+def residue_histogram(rows: np.ndarray, k: int):
+    """(residue row, count) of the most common row of rows mod k, the
+    lexicographically smallest among ties, by np.unique's counts."""
+    uniq, counts = np.unique(np.mod(rows, k), axis=0, return_counts=True)
+    best = int(np.argmax(counts))
+    return tuple(int(r) for r in uniq[best]), int(counts[best])

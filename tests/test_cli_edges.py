@@ -128,6 +128,10 @@ SUCCEED = [
     # a square of MAX_SPAN cells, read back by painting its runs a block at a time
     "gen square --n 13 --out sq13.gs2",
     "project shadow --set sq13.gs2 --theta 0.3 --out y.gs1",
+    # 2**22 distinct residues of 2**23 cells, found by one integer sort (a
+    # sort of the rows as a void dtype took about 28 s)
+    "gen interval --n 23 --a 0 --b 1 --out i23.gs1",
+    "lattice blichfeldt --set i23.gs1 --modulus 1/2",
 ]
 
 # Flag values outside a command's domain, each refused before any work

@@ -1,7 +1,10 @@
 """Lattice tests: translate search against the averaging bound with an
 independent recount, the slab-collision witness invariants, canonical
-rasters, and the integer projection measure against a Fraction oracle."""
+rasters, blocked rasters and the sorted-rows kernel against their
+whole-array oracles, and the integer projection measure against a
+Fraction oracle."""
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -12,9 +15,11 @@ from deltagrid import (CellCloud, GridSet1, PreconditionError, Scale,
                        make_interval, slab_collision)
 from deltagrid import lattice
 from deltagrid.grid import _digest
+from deltagrid.grid import MAX_INDEX
 from deltagrid.lattice import _exact_projection_measure, _raster_slab
 
-from _oracles import merged_projection_measure
+from _oracles import (merged_projection_measure, residue_histogram, unique_rows,
+                      whole_cube_slab, whole_square_disc)
 
 
 def test_unit_square():
@@ -224,3 +229,138 @@ def test_rasters_are_canonical():
               _raster_slab(Scale(2), np.array([2.0, 1.0, 2.0]) / 3.0, 3.0)]
     for V in clouds:
         assert V == CellCloud.from_indices(V.scale, V.indices)
+
+
+SPACINGS = (1, 2, 3, 7, 32, 1 << 40)
+
+
+def _same_translates(V, rows):
+    """blichfeldt_translate on V against the np.unique residue histogram of
+    rows, at every spacing of SPACINGS cells."""
+    for k in SPACINGS:
+        res = blichfeldt_translate(V, Fraction(k, 1 << V.scale.n))
+        shift, count = residue_histogram(rows, k)
+        assert res.translation == tuple(Fraction(r, 1 << V.scale.n) for r in shift), k
+        assert res.count == count, k
+        assert res.examined_shifts == k ** V.dim
+
+
+def test_slab_raster_matches_the_whole_cube():
+    # directions on the 1/64 grid of the benchmark's collision inputs, and
+    # the benchmark's seed-0 input first
+    rng = np.random.default_rng(43)
+    cases = [(2, 4, 16.0, (0.796875, 0.65625))]
+    cases += [(n, depth, R, tuple(0.5 + int(t) / 64 for t in rng.integers(0, 33, size=n)))
+              for n in (2, 3) for depth in range(6) for R in (0.25, 1.0, 3.0, 16.0)]
+    checked = refused = 0
+    for n, depth, R, v in cases:
+        u = np.array(v) / float(np.linalg.norm(v))
+        try:
+            want = whole_cube_slab(Scale(depth), u, R)
+        except PreconditionError:
+            with pytest.raises(PreconditionError, match="slab raster would need"):
+                _raster_slab(Scale(depth), u, R)
+            refused += 1
+            continue
+        V = _raster_slab(Scale(depth), u, R)
+        assert np.array_equal(V.indices, want), (n, depth, R, v)
+        if want.shape[0] <= 40_000:  # np.unique's histogram is the slow side
+            _same_translates(V, want)
+            checked += 1
+    assert checked >= 35 and refused >= 4
+
+
+def test_disc_raster_matches_the_whole_square():
+    rng = np.random.default_rng(47)
+    for case in range(60):
+        depth = case % 8
+        radius = float(rng.choice([2.0 ** -depth / 3, 0.5, float(rng.uniform(0.01, 3.0))]))
+        center = tuple(float(c) for c in rng.uniform(-4.0, 4.0, size=2))
+        if case % 5 == 0:
+            center = (0.0, 0.0)
+        want = whole_square_disc(Scale(depth), radius, center)
+        V = CellCloud.disc(Scale(depth), radius, center)
+        assert np.array_equal(V.indices, want), (depth, radius, center)
+        if case % 4 == 0:
+            _same_translates(V, want)
+
+
+def test_cloud_rows_match_np_unique():
+    rng = np.random.default_rng(53)
+    for case in range(90):
+        dim = 1 + case % 3
+        m = int(rng.integers(1, 300))
+        hi = int(rng.choice([2, 5, 1 << 20, MAX_INDEX - 1]))
+        rows = rng.integers(-hi, hi, size=(m, dim), endpoint=True)
+        if case % 2:  # duplicates
+            rows = np.concatenate([rows, rows[rng.integers(0, m, size=m)]])
+        rng.shuffle(rows)
+        want = unique_rows(rows)
+        V = CellCloud.from_indices(Scale(3), rows)
+        assert np.array_equal(V.indices, want), case
+        _same_translates(V, want)
+
+
+def test_translate_ties_break_to_the_smallest_shift():
+    # at 2**40 cells the four residues tie at one each; negative rows
+    # wrap to the top of [0, 2**40), so (0, 7) is the smallest
+    rows = [(3, -1), (-5, 2), (0, 7), (3, -1), (-5, 2), (9, 9)]
+    V = CellCloud.from_indices(Scale(0), rows)
+    _same_translates(V, unique_rows(rows))
+    res = blichfeldt_translate(V, 1 << 40)
+    assert (res.translation, res.count) == ((0, 7), 1)
+
+
+def test_cloud_refuses_indices_out_of_range():
+    ok = CellCloud.from_indices(Scale(0), [[MAX_INDEX - 1], [-MAX_INDEX + 1]])
+    assert ok.indices.tolist() == [[-MAX_INDEX + 1], [MAX_INDEX - 1]]
+    for rows in ([[2 ** 63]], [[2 ** 64, 0]], [[-2 ** 63]], [[0, MAX_INDEX]],
+                 [[-MAX_INDEX, 0]], np.array([[2 ** 63 + 5]], dtype=np.uint64)):
+        with pytest.raises(PreconditionError, match="cell indices out of guarded range"):
+            CellCloud.from_indices(Scale(0), rows)
+    with pytest.raises(PreconditionError, match="dimension must be 1, 2, or 3"):
+        CellCloud.from_indices(Scale(0), np.zeros((2, 4), dtype=np.int64))
+    assert count_lattice_points(ok, 1, (-MAX_INDEX,)) == 2
+    # a recount refuses what the search refuses, where it once truncated
+    # the spacing or the shift to whole cells, or took residues mod 0
+    for s, shift, match in ((1, (MAX_INDEX + 1,), "translation exceeds 2\\*\\*62 cells"),
+                            (1, (0.5,), "translation 1/2 is not a multiple"),
+                            (0.5, (0,), "spacing 1/2 is not a multiple"),
+                            (0, (0,), "lattice spacing must be positive"),
+                            (MAX_INDEX + 1, (0,), "spacing exceeds 2\\*\\*62 cells")):
+        with pytest.raises(PreconditionError, match=match):
+            count_lattice_points(ok, s, shift)
+
+
+def test_disc_refusals_come_before_the_raster(monkeypatch):
+    def no_raster(*args):
+        raise AssertionError("disc raster built before its checks")
+
+    monkeypatch.setattr(lattice, "_filtered_raster", no_raster)
+    for radius in (math.inf, math.nan, 0.0, -1.0, 1e308):
+        with pytest.raises(PreconditionError, match="radius|disc raster"):
+            CellCloud.disc(Scale(30), radius)
+    # (2k+1)**2 = 4,194,324,000,025 cells, over _MAX_RASTER
+    with pytest.raises(PreconditionError, match=r"disc raster would need 2048005\*\*2 cells"):
+        CellCloud.disc(Scale(10), 1000.0)
+    for center in ((math.inf, 0.0), (0.0, math.nan), (2.0 ** 53, 0.0)):
+        with pytest.raises(PreconditionError, match="disc center out of guarded range"):
+            CellCloud.disc(Scale(10), 1.0, center)
+    # the center cell, the last float below 2**62, is in range, but the
+    # 1,205 cells of the raster around it are not
+    with pytest.raises(PreconditionError, match="cell indices out of guarded range"):
+        CellCloud.disc(Scale(0), 600.0, (float(MAX_INDEX - 512), 0.0))
+
+
+def test_slab_raster_is_built_a_block_at_a_time():
+    # the benchmark's collision input: a 517**2-cell cube keeps 17,158 cells;
+    # filtering the whole cube at once traces 16.3 MiB
+    v = np.array([0.796875, 0.65625])
+    tracemalloc.start()
+    try:
+        V = _raster_slab(Scale(4), v / float(np.linalg.norm(v)), 16.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert V.count == 17158
+    assert peak <= 2 << 20, peak
