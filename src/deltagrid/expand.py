@@ -254,8 +254,6 @@ def exhaust_decompose(E: GridSet2, finder, threshold: float,
         pieces.append(F)
         angle_sets.append(np.atleast_1d(np.asarray(thetas, dtype=np.float64)))
         residual = residual.difference(F)
-        if residual.is_empty:
-            break
 
     def bug(what: str) -> InternalCheckError:
         # the finder is code, not data, so the digest names the data it was given

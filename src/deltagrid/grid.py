@@ -62,9 +62,7 @@ def as_fraction(x) -> Fraction:
         return x
     if isinstance(x, (int, np.integer)):
         return Fraction(int(x))
-    if isinstance(x, str):
-        return Fraction(x)
-    if isinstance(x, float):
+    if isinstance(x, (str, float)):
         return Fraction(x)
     raise PreconditionError(f"cannot interpret {x!r} as an exact rational")
 
@@ -746,8 +744,7 @@ def gen_random_frostman(scale: Scale, kappa: float, seed: int) -> GridSet1:
     for _attempt in range(10_000):
         cur = np.zeros(1, dtype=np.int64)
         for _depth in range(scale.n):
-            children = np.concatenate((2 * cur, 2 * cur + 1))
-            children.sort()
+            children = (2 * cur[:, None] + np.arange(2)).ravel()  # ascending
             keep = rng.random(children.size) < p
             cur = children[keep]
             if cur.size == 0:
@@ -777,8 +774,7 @@ def neighborhood(S, r) -> "GridSet1 | GridSet2":
     if S.is_empty or k == 0:
         return S
     # the grown box, checked before any array of its size is made
-    _require(math.prod(m + 2 * k for m in S.shape) <= MAX_SPAN,
-             f"cell span exceeds dense-representation cap {MAX_SPAN}")
+    _require_span(math.prod(m + 2 * k for m in S.shape))
     if isinstance(S, GridSet1):
         return GridSet1.from_ranges(S.scale, S.runs[0] - k, S.runs[1] + k)
     if isinstance(S, GridSet2):

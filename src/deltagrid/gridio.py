@@ -293,9 +293,7 @@ def read_measure(path) -> DyadicMeasure1:
 
 def _format_value(v) -> str:
     """Deterministic cell formatting: shortest round-trip for floats."""
-    if isinstance(v, bool):
-        return str(int(v))
-    if isinstance(v, (int, np.integer)):
+    if isinstance(v, (int, np.integer)):  # bools too
         return str(int(v))
     if isinstance(v, (float, np.floating)):
         return repr(float(v))

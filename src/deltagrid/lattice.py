@@ -27,10 +27,11 @@ Boxes, discs and slabs are rasters of a product of ascending axes, so
 their rows are canonical (unique, lex-sorted) as built.  A disc or a slab
 keeps a small part of its bounding cube, so that cube is built and
 filtered a block of first-axis values at a time (`_filtered_raster`), and
-only the kept rows outlive a block.  A cloud built from arbitrary rows and
-the residue histogram of the translate search find their distinct rows
-with one kernel, `_sorted_rows`: a lexsort (a plain sort for one column)
-and a first-occurrence mask.
+only the kept rows outlive a block.  The translate search reads the rows
+of a cloud or a grid set in place (`_lattice`).  A cloud built from
+arbitrary rows and the search's residue histogram find their distinct
+rows with one kernel, `_sorted_rows`: a lexsort (a plain sort for one
+column) and a first-occurrence mask.
 """
 
 from __future__ import annotations
@@ -41,7 +42,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError
 from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _digest, _int64_indices, _merged,
                    _require, _require_indices, as_fraction)
 
@@ -118,12 +119,6 @@ class CellCloud:
                  "cell indices out of guarded range")
         arr, first = _sorted_rows(arr)
         return cls(scale, arr if first.all() else arr[first])
-
-    @classmethod
-    def from_gridset(cls, S) -> "CellCloud":
-        if isinstance(S, (GridSet1, GridSet2)):
-            return cls.from_indices(S.scale, S.indices)
-        raise PreconditionError(f"unsupported operand type {type(S).__name__}")
 
     @classmethod
     def box(cls, scale: Scale, lows, highs) -> "CellCloud":
@@ -222,10 +217,6 @@ class CollisionWitness:
     projection_gap: float
 
 
-def _cloud(V) -> CellCloud:
-    return V if isinstance(V, CellCloud) else CellCloud.from_gridset(V)
-
-
 def _cells(x, n: int, what: str) -> int:
     """x in cells of delta=2**-n: a multiple of delta of at most MAX_INDEX
     cells either way, so that cell rows inside (-MAX_INDEX, MAX_INDEX) less
@@ -237,6 +228,17 @@ def _cells(x, n: int, what: str) -> int:
     return int(kx)
 
 
+def _lattice(V, s):
+    """(rows, k): the cells of a cell cloud or grid set as (m, dim) int64
+    rows, read in place and in its own order, and the lattice spacing s
+    in cells."""
+    _require(isinstance(V, (CellCloud, GridSet1, GridSet2)),
+             f"unsupported operand type {type(V).__name__}")
+    _require(V.count > 0, "cell cloud must be nonempty")
+    _require(as_fraction(s) > 0, "lattice spacing must be positive")
+    return V.indices.reshape(V.count, -1), _cells(s, V.scale.n, "spacing")
+
+
 def blichfeldt_translate(V, s) -> LatticeSearchResult:
     """Shift of s*Z^n holding at least |V|/s^n lattice points inside V.
 
@@ -245,33 +247,30 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     a positive multiple of delta of at most MAX_INDEX cells, so residues
     are int64 work.
     """
-    V = _cloud(V)
-    _require(as_fraction(s) > 0, "lattice spacing must be positive")
-    k = _cells(s, V.scale.n, "spacing")
-    res, first = _sorted_rows(np.mod(V.indices, k))
+    rows, k = _lattice(V, s)
+    dim = rows.shape[1]
+    res, first = _sorted_rows(np.mod(rows, k))
     starts = np.flatnonzero(first)
     counts = np.diff(starts, append=res.shape[0])
     best = int(np.argmax(counts))  # residues are lex-sorted: first argmax wins
     count = int(counts[best])
-    bound = V.count / float(k) ** V.dim
+    bound = V.count / float(k) ** dim
     if count < math.ceil(bound - 1e-9):
         raise InternalCheckError(
             f"translate search found max count {count} below averaging bound "
-            f"{bound} (|V|={V.count} cells, k={k}, dim={V.dim}) "
+            f"{bound} (|V|={V.count} cells, k={k}, dim={dim}) "
             f"(inputs {_digest(V, Fraction(k, 1 << V.scale.n))}); bug")
     shift = tuple(Fraction(int(r), 1 << V.scale.n) for r in res[starts[best]])
     return LatticeSearchResult(translation=shift, count=count, bound=bound,
-                               examined_shifts=k ** V.dim)
+                               examined_shifts=k ** dim)
 
 
 def count_lattice_points(V, s, translation) -> int:
     """Direct recount of (translation + s*Z^n) inside V, for cross-checks."""
-    V = _cloud(V)
-    _require(as_fraction(s) > 0, "lattice spacing must be positive")
-    k = _cells(s, V.scale.n, "spacing")
-    _require(len(translation) == V.dim, "translation dimension mismatch")
+    rows, k = _lattice(V, s)
+    _require(len(translation) == rows.shape[1], "translation dimension mismatch")
     shift = [_cells(t, V.scale.n, "translation") for t in translation]
-    return int(np.count_nonzero(_on_lattice(V.indices, np.array(shift, dtype=np.int64), k)))
+    return int(np.count_nonzero(_on_lattice(rows, np.array(shift, dtype=np.int64), k)))
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +315,7 @@ def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
     def keep(idx):
         centers = (idx + 0.5) * delta
         t = centers @ u
-        radial2 = np.sum(centers * centers, axis=1) - t * t
+        radial2 = sum(centers[:, a] * centers[:, a] for a in range(n)) - t * t
         return (np.abs(t) <= 1.0 + h) & (radial2 <= (R + h) ** 2)
 
     axis = np.arange(-(side // 2), side // 2 + 1, dtype=np.int64)

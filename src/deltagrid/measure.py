@@ -56,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
+from .errors import InternalCheckError
 from .grid import (GridSet1, GridSet2, MAX_INDEX, Scale, as_fraction,
                    _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
                    _require_span, _run_cells, _seed, _view)
@@ -514,8 +514,8 @@ def riesz_energy(mu, s: float, method: str = "auto") -> float:
     """
     _require_energy_exponent(s)
     _require(method in ("auto", "direct", "binned"), f"unknown method {method!r}")
-    if not isinstance(mu, (DyadicMeasure1, DyadicMeasure2)):
-        raise PreconditionError(f"unsupported operand type {type(mu).__name__}")
+    _require(isinstance(mu, (DyadicMeasure1, DyadicMeasure2)),
+             f"unsupported operand type {type(mu).__name__}")
     w, delta = mu.weights, mu.scale.delta
     _require(w.ndim == 1 or method != "binned", "binned path is 1D only; 2D energies are exact")
     if method == "auto":

@@ -309,17 +309,19 @@ def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
 
 
 def _fibers(E: GridSet2, d, fraction: float):
-    """(keys, counts, take): fiber keys from 0 in indices order, cells per
-    key over the key span, and how many heaviest fibers hold the fraction."""
+    """(keys, counts, take, base): fiber keys from 0 in indices order (so
+    project_measure's for uniform_on(E), in its order), cells per key over
+    the key span, how many heaviest fibers hold the fraction, key 0's cell."""
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     _require(not E.is_empty, "projection needs a nonempty set")
     i, j = E.indices.T
     x, y = (i - E.offset[0]) + 0.5, (j - E.offset[1]) + 0.5  # local cell centers
-    _, keys = _center_keys(x, y, E.offset, sum(E.shape), _as_direction(d))
-    keys -= keys.min()
+    K, keys = _center_keys(x, y, E.offset, sum(E.shape), _as_direction(d))
+    lo = int(keys.min())
+    keys -= lo
     counts = np.bincount(keys)
     cum = np.cumsum(np.sort(counts)[::-1])
-    return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1
+    return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1, K + lo
 
 
 def adversarial_count(E: GridSet2, d, fraction: float) -> int:
@@ -338,7 +340,7 @@ def adversarial_projection(E: GridSet2, d, fraction: float):
     Ties between equal-count fibers break toward the smaller projected
     index, so the witness is deterministic.
     """
-    keys, counts, take = _fibers(E, d, fraction)
+    keys, counts, take, _ = _fibers(E, d, fraction)
     chosen = np.zeros(counts.size, dtype=bool)
     chosen[np.argsort(-counts, kind="stable")[:take]] = True
     return take, GridSet2.from_indices(E.scale, E.indices[chosen[keys]])
@@ -373,19 +375,21 @@ def kaufman_average(mu: DyadicMeasure2, nu: AngleMeasure, kappa: float) -> float
 def sweep(E: GridSet2, thetas, fraction: float, kappa: float | None = None,
           threads: int = 1) -> SweepReport:
     """Per-angle projection and adversarial counts; when kappa is given, the
-    kappa-energies of the projections of uniform_on(E) too, kappa in the
-    domain of riesz_energy, checked before any angle.  Parallel over angles,
-    merged in angle order."""
+    kappa-energies of the projections of uniform_on(E) too, binned from the
+    adversary's fiber keys, kappa in the domain of riesz_energy, checked
+    before any angle.  Parallel over angles, merged in angle order."""
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     if kappa is not None:
         _require_energy_exponent(kappa)
+        _require(not E.is_empty, "uniform measure needs a nonempty set")
     thetas = [float(t) for t in thetas]
-    mu = None if kappa is None else uniform_on(E)
+    mass = None if kappa is None else np.full(E.count, 1 / E.count)  # uniform_on(E)'s
 
     def one(t: float) -> ProjectionRecord:
         pc = project_set(E, t).count
-        ac = adversarial_count(E, t, fraction)
-        en = None if mu is None else riesz_energy(project_measure(mu, t), kappa)
+        keys, _, ac, base = _fibers(E, t, fraction)
+        en = None if mass is None else riesz_energy(
+            DyadicMeasure1(E.scale, base, np.bincount(keys, weights=mass)), kappa)
         return ProjectionRecord(theta=t, projection_count=pc,
                                 adversarial_count=ac, energy=en)
 

@@ -113,10 +113,11 @@ def test_neighborhood():
     d = Scale(4).delta
     assert neighborhood(single, 2 * d).indices.tolist() == [-2, -1, 0, 1, 2]
     assert neighborhood(S, d).indices.tolist() == [-1, 0, 1, 4, 5, 6]
-    # output spans of at least MAX_SPAN cells are refused before any work
+    # output spans of more than MAX_SPAN cells are refused before any work,
+    # with the message every span cap gives
     for E in (S, cartesian_product(S, S)):
         for k in (1 << 25, 1 << 70):
-            with pytest.raises(PreconditionError):
+            with pytest.raises(PreconditionError, match=r"^cell span \d+ exceeds dense-"):
                 neighborhood(E, k * d)
 
 

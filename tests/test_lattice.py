@@ -10,7 +10,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from deltagrid import (CellCloud, GridSet1, PreconditionError, Scale,
+from deltagrid import (CellCloud, GridSet1, GridSet2, PreconditionError, Scale,
                        blichfeldt_translate, count_lattice_points,
                        make_interval, slab_collision)
 from deltagrid import lattice
@@ -46,7 +46,8 @@ def test_disc():
 
 
 def test_one_dimensional():
-    V = CellCloud.from_gridset(GridSet1.from_indices(Scale(3), [0, 1, 4, 5, 6]))
+    S = GridSet1.from_indices(Scale(3), [0, 1, 4, 5, 6])
+    V = CellCloud.from_indices(S.scale, S.indices)
     res = blichfeldt_translate(V, Scale(3).delta * 2)
     assert res.count >= math.ceil(res.bound - 1e-9)
     assert count_lattice_points(V, Scale(3).delta * 2, res.translation) == res.count
@@ -242,7 +243,7 @@ def _same_translates(V, rows):
         shift, count = residue_histogram(rows, k)
         assert res.translation == tuple(Fraction(r, 1 << V.scale.n) for r in shift), k
         assert res.count == count, k
-        assert res.examined_shifts == k ** V.dim
+        assert res.examined_shifts == k ** rows.shape[1]
 
 
 def test_slab_raster_matches_the_whole_cube():
@@ -309,6 +310,49 @@ def test_translate_ties_break_to_the_smallest_shift():
     _same_translates(V, unique_rows(rows))
     res = blichfeldt_translate(V, 1 << 40)
     assert (res.translation, res.count) == ((0, 7), 1)
+
+
+def test_translate_search_reads_grid_sets_in_place():
+    """A grid set's cells are read where they are, in its own order (a
+    GridSet2 lists them by row): the search and the recount give what they
+    give on the cloud of those cells, and the search what the np.unique
+    histogram gives, at every spacing of SPACINGS cells."""
+    rng = np.random.default_rng(27)
+    for case in range(40):
+        n = int(rng.integers(0, 31))
+        far = int(rng.choice([0, 1 << 40, (1 << 61) - 64]))
+        offset = int(rng.integers(-far - 64, far + 1))
+        if case % 2:
+            S = GridSet1.from_indices(Scale(n), offset + rng.choice(64, size=24))
+            rows = S.indices[:, None]
+        else:
+            h, w = (int(x) for x in rng.integers(1, 9, size=2))
+            S = GridSet2.from_bits(Scale(n), (offset, -offset), rng.random((h, w)) < 0.4)
+            if S.is_empty:
+                continue
+            if case % 4:
+                S = GridSet2.from_runs(Scale(n), S.runs)
+            rows = S.indices
+        V = CellCloud.from_indices(S.scale, S.indices)
+        _same_translates(S, unique_rows(rows))
+        for k in SPACINGS:
+            s = Fraction(k, 1 << n)
+            res = blichfeldt_translate(S, s)
+            assert res == blichfeldt_translate(V, s), (case, k)
+            shifts = [res.translation, tuple(Fraction(int(t), 1 << n) for t in rows[0] - 1)]
+            for shift in shifts:
+                assert count_lattice_points(S, s, shift) == count_lattice_points(V, s, shift)
+            assert count_lattice_points(S, s, res.translation) == res.count
+
+
+def test_translate_search_refuses_empty_sets_and_non_sets():
+    for search in (lambda V: blichfeldt_translate(V, 1),
+                   lambda V: count_lattice_points(V, 1, (0,))):
+        for E in (GridSet1.empty(Scale(3)), GridSet2.empty(Scale(3))):
+            with pytest.raises(PreconditionError, match="^cell cloud must be nonempty$"):
+                search(E)
+        with pytest.raises(PreconditionError, match="^unsupported operand type list$"):
+            search([[0, 1]])
 
 
 def test_cloud_refuses_indices_out_of_range():

@@ -267,6 +267,53 @@ def test_sweep_thread_determinism():
         [r.adversarial_count for r in b.records]
 
 
+def _energy_cases(rng):
+    """(E, kappa) over box-held and run-held sets, single rows and single
+    columns, n from 0 to 30 and offsets up to +-2**61."""
+    for case in range(150):
+        n = int(rng.integers(0, 31))
+        far = int(rng.choice([0, 1 << 30, (1 << 61) - 64]))
+        ox, oy = (int(v) for v in rng.integers(-far - 64, far + 1, size=2))
+        h, w = (int(v) for v in rng.integers(1, 13, size=2))
+        if case % 5 == 1:
+            h = 1
+        elif case % 5 == 2:
+            w = 1
+        bits = rng.random((h, w)) < float(rng.uniform(0.2, 1.0))
+        bits[rng.integers(0, h), rng.integers(0, w)] = True
+        E = GridSet2.from_bits(Scale(n), (ox, oy), bits)
+        if case % 2:
+            E = GridSet2.from_runs(Scale(n), E.runs)
+        yield E, float(rng.choice([0.05, 0.5, 1.0, 2.5, 31.5]))
+
+
+def test_sweep_energies_are_those_of_the_projected_uniform_measure(monkeypatch):
+    """sweep bins each angle's measure from the adversary's fiber keys: it
+    is project_measure(uniform_on(E), theta), offset and weight bits, and
+    its kappa-energy has the same bits, at one thread and at two, the axis
+    angles included."""
+    from deltagrid import project
+
+    rng = np.random.default_rng(27)
+    energy, binned = project.riesz_energy, []
+    monkeypatch.setattr(project, "riesz_energy",
+                        lambda mu, s: binned.append(mu) or energy(mu, s))
+    thetas = [0.0, math.pi / 2, math.pi / 4, 3 * math.pi / 4, 1e-9,
+              *(float(t) for t in rng.uniform(0, math.pi, size=4))]
+    for E, kappa in _energy_cases(rng):
+        mu = uniform_on(E)
+        want = [project_measure(mu, t) for t in thetas]
+        binned.clear()
+        rep = sweep(E, thetas, float(rng.uniform(0.01, 1.0)), kappa)
+        for r, m, got in zip(rep.records, want, binned, strict=True):
+            assert got == m and got.weights.tobytes() == m.weights.tobytes()
+            assert r.energy.hex() == energy(m, kappa).hex(), (E, kappa, r.theta)
+        two = sweep(E, thetas, 0.5, kappa, threads=2)
+        assert [r.energy.hex() for r in two.records] == [r.energy.hex() for r in rep.records]
+    with pytest.raises(PreconditionError, match="^uniform measure needs a nonempty set$"):
+        sweep(GridSet2.empty(Scale(3)), thetas, 0.5, 1.0)
+
+
 def test_angle_measure_quantiles():
     nu = AngleMeasure.uniform(Scale(4))
     q = nu.quantile_angles(8)

@@ -75,6 +75,21 @@ def test_reading_a_square_traces_less_than_its_box(tmp_path):
     assert F.count == 131_044 and peak < math.prod(F.shape)
 
 
+def test_kappa_sweep_of_a_read_square_fills_no_weights_box(tmp_path):
+    # uniform_on(F) would fill a float64 box of 4096**2 cells (128 MiB) and
+    # trace 146 MiB; the energies are binned from the adversary's keys
+    write_gridset(_square(), tmp_path / "a.gs2")
+    F = read_gridset(tmp_path / "a.gs2")
+    tracemalloc.start()
+    try:
+        rep = sweep(F, _angle_grid(3), 0.66, kappa=0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(r.energy > 0 for r in rep.records)
+    assert peak < 16 << 20, peak
+
+
 def test_writing_a_run_held_square_streams(tmp_path):
     # the lines of a set read from runs are written a block of runs at a time
     write_gridset(_square(), tmp_path / "a.gs2")
