@@ -11,8 +11,8 @@ from .errors import InternalCheckError, PreconditionError
 from .grid import (MAX_DEPTH, MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale,
                    as_fraction, cartesian_product, covering_number, gen_cantor,
                    gen_random_frostman, make_interval, neighborhood)
-from .setcalc import (SumSemantics, diffset, dilate, graph_sum, nfold_product,
-                      nfold_sum, reflect, sumset)
+from .setcalc import (SumSemantics, diffset, diffset_count, dilate, graph_sum,
+                      nfold_product, nfold_sum, reflect, sumset, sumset_count)
 from .measure import (DyadicMeasure1, DyadicMeasure2, FrostmanReport,
                       MaximalIntervalResult, condition, energy_bound_constant,
                       frostman_constant, maximal_interval, nonconcentration_constant,
@@ -49,7 +49,7 @@ __all__ = [
     "as_fraction", "blichfeldt_translate", "bsg_extract", "cartesian_product",
     "check_cor_simple", "check_graph_projection", "check_plunnecke",
     "check_ruzsa_triangle", "check_sum_to_difference", "condition",
-    "count_lattice_points", "covering_number", "diffset", "dilate",
+    "count_lattice_points", "covering_number", "diffset", "diffset_count", "dilate",
     "energy_bound_constant", "exhaust_decompose", "find_expander",
     "frostman_constant", "gen_cantor", "gen_random_frostman", "graph_sum",
     "kaufman_average", "make_interval", "marstrand_average", "maximal_interval",
@@ -57,6 +57,6 @@ __all__ = [
     "nonconcentration_constant", "project_measure", "project_set",
     "projection_theorem_experiment", "prune_heavy_cubes", "pushforward_affine",
     "read_gridset", "read_measure", "reflect", "renormalized_find_expander",
-    "rescale_to_unit", "riesz_energy", "slab_collision", "sumset", "sweep",
+    "rescale_to_unit", "riesz_energy", "slab_collision", "sumset", "sumset_count", "sweep",
     "uniform_on", "write_csv", "write_gridset", "write_measure",
 ]

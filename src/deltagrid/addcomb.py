@@ -2,7 +2,10 @@
 Balog-Szemeredi-Gowers extraction.
 
 Each check states its inequality once, as integer sides (lhs, num,
-den) of lhs <= num / den in a given sum semantics.  In INDEX semantics
+den) of lhs <= num / den in a given sum semantics.  Every |A + B| and
+|A - B| on a side is a count read from the sum kernel (`sumset_count`,
+`diffset_count`), so no sum set is built for it; only the partial sums
+of the Plunnecke fold, which are operands, are sets.  In INDEX semantics
 (exact integer index sumsets) the classical inequalities are theorems
 with absolute constant 1, so every check asserts lhs * den <= num in
 Python ints, the one exact comparison, and a violation raises
@@ -29,8 +32,9 @@ from functools import reduce
 import numpy as np
 
 from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, cartesian_product, _digest, _require
-from .setcalc import SumSemantics, _require_linear_range, diffset, graph_sum, sumset
+from .grid import GridSet1, GridSet2, _digest, _require, _require_span
+from .setcalc import (SumSemantics, _require_linear_range, diffset_count, graph_sum, sumset,
+                      sumset_count)
 
 log = logging.getLogger(__name__)
 
@@ -94,8 +98,8 @@ def check_ruzsa_triangle(X: GridSet1, Y: GridSet1, Z: GridSet1) -> InequalityRec
     for S in (X, Y, Z):
         _require(not S.is_empty, "sets must be nonempty")
     return _checked("ruzsa_triangle", lambda sem: (
-        diffset(X, Z, sem).count * Y.count,
-        diffset(X, Y, sem).count * diffset(Y, Z, sem).count, 1), X, Y, Z)
+        diffset_count(X, Z, sem) * Y.count,
+        diffset_count(X, Y, sem) * diffset_count(Y, Z, sem), 1), X, Y, Z)
 
 
 def check_plunnecke(X: GridSet1, Ys) -> InequalityRecord:
@@ -106,9 +110,15 @@ def check_plunnecke(X: GridSet1, Ys) -> InequalityRecord:
     _require(not X.is_empty, "sets must be nonempty")
     for Y in Ys:
         _require(not Y.is_empty, "sets must be nonempty")
+    *heads, last = Ys
+
+    def total(sem):  # |Y1 + ... + Yk|: the partial sums are operands, the last is counted
+        if not heads:
+            return last.count
+        return sumset_count(reduce(lambda S, Y: sumset(S, Y, sem), heads), last, sem)
     return _checked("plunnecke", lambda sem: (
-        reduce(lambda S, Y: sumset(S, Y, sem), Ys).count,
-        math.prod(sumset(X, Y, sem).count for Y in Ys),
+        total(sem),
+        math.prod(sumset_count(X, Y, sem) for Y in Ys),
         X.count ** (len(Ys) - 1)), X, *Ys)
 
 
@@ -118,8 +128,8 @@ def check_cor_simple(X: GridSet1, Y: GridSet1, sign: str = "+") -> InequalityRec
     _require(not X.is_empty and not Y.is_empty, "sets must be nonempty")
 
     def sides(sem):
-        mixed = (sumset if sign == "+" else diffset)(X, Y, sem).count
-        return (max(diffset(X, X, sem).count, sumset(X, X, sem).count) * Y.count,
+        mixed = (sumset_count if sign == "+" else diffset_count)(X, Y, sem)
+        return (max(diffset_count(X, X, sem), sumset_count(X, X, sem)) * Y.count,
                 mixed ** 2, 1)
     return _checked(f"cor_simple[{sign}]", sides, X, Y, sign)
 
@@ -133,12 +143,31 @@ def check_sum_to_difference(X: GridSet1, Y: GridSet1) -> InequalityRecord:
     _require(not X.is_empty and not Y.is_empty, "sets must be nonempty")
 
     def sides(sem):
-        diff, summ = diffset(X, Y, sem).count, sumset(X, Y, sem).count
+        diff, summ = diffset_count(X, Y, sem), sumset_count(X, Y, sem)
         if sem is SumSemantics.INDEX and log.isEnabledFor(logging.INFO):
             log.info("sum_to_difference |Y|^2-variant measurement: lhs=%d rhs=%g ok=%s",
                      diff * Y.count ** 2, summ ** 3, diff * Y.count ** 2 <= summ ** 3)
         return diff * X.count * Y.count, summ ** 3, 1
     return _checked("sum_to_difference", sides, X, Y)
+
+
+def _in_set(A: GridSet1, idx: np.ndarray) -> np.ndarray:
+    """Whether each cell index of idx is a cell of nonempty A, from A's bits."""
+    t = idx - A.offset
+    inside = (t >= 0) & (t < A.bits.size)
+    return inside & A.bits[np.where(inside, t, 0)]
+
+
+def _require_graph_inside(A: GridSet1, B: GridSet1, G: GridSet2) -> None:
+    """G sits inside A x B, tested on G's cells against A's and B's bits.
+    The checks and messages are those of G.subset_of(cartesian_product(A,
+    B)) on nonempty sets, whose box of A.bits.size * B.bits.size cells is
+    refused over MAX_SPAN though it is no longer painted."""
+    _require(A.scale == B.scale, "operands must share one scale")
+    _require_span(A.bits.size * B.bits.size)
+    _require(G.scale == A.scale, "operands must share one scale")
+    i, j = G.indices.T
+    _require(bool(np.all(_in_set(A, i) & _in_set(B, j))), "graph must sit inside A x B")
 
 
 def check_graph_projection(A: GridSet1, B: GridSet1, G: GridSet2,
@@ -151,13 +180,13 @@ def check_graph_projection(A: GridSet1, B: GridSet1, G: GridSet2,
     _require(not A.is_empty and not B.is_empty, "sets must be nonempty")
     _require(not G.is_empty, "graph must be nonempty")
     _require(isinstance(x, (int, np.integer)), "x must be an integer")
-    _require(G.subset_of(cartesian_product(A, B)), "graph must sit inside A x B")
+    _require_graph_inside(A, B, G)
     x = int(x)
     _require_linear_range(((x, max(abs(A.min_index), abs(A.max_index))),), "x*A indices")
     xA = GridSet1.from_indices(A.scale, x * A.indices)
     return _checked("graph_projection", lambda sem: (
-        G.count * sumset(A, xA, sem).count,
-        graph_sum(G, x, sem).count * diffset(A, A, sem).count * diffset(A, B, sem).count,
+        G.count * sumset_count(A, xA, sem),
+        graph_sum(G, x, sem).count * diffset_count(A, A, sem) * diffset_count(A, B, sem),
         1), A, B, G, x)
 
 
@@ -187,7 +216,7 @@ def _bsg_candidate(A: GridSet1, B: GridSet1, adj: np.ndarray,
     Ap = GridSet1.from_indices(A.scale, A.indices[a_rows])
     Bp = GridSet1.from_indices(B.scale, B.indices[b_cols])
     sub_edges = int(adj[np.ix_(a_rows, b_cols)].sum())
-    sums = sumset(Ap, Bp, SumSemantics.INDEX).count
+    sums = sumset_count(Ap, Bp, SumSemantics.INDEX)
     root = math.sqrt(A.count * B.count)
     measured = {
         "A_ratio": A.count / Ap.count,
@@ -213,7 +242,7 @@ def bsg_extract(A: GridSet1, B: GridSet1, G: GridSet2, C_cap: float) -> BsgResul
     """
     _require(not A.is_empty and not B.is_empty, "sets must be nonempty")
     _require(not G.is_empty, "graph must be nonempty")
-    _require(G.subset_of(cartesian_product(A, B)), "graph must sit inside A x B")
+    _require_graph_inside(A, B, G)
     Ai = A.indices
     Bi = B.indices
     adj = np.zeros((A.count, B.count), dtype=bool)

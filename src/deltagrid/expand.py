@@ -25,7 +25,7 @@ from .grid import GridSet1, GridSet2, _digest, _require
 from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
                       maximal_interval, nonconcentration_constant, rescale_to_unit)
 from .project import AngleMeasure, SweepReport, sweep
-from .setcalc import SumSemantics, diffset, dilated_sum_counts, nfold_product, nfold_sum
+from .setcalc import SumSemantics, diffset_count, dilated_sum_counts, nfold_product, nfold_sum
 
 
 @dataclass(frozen=True)
@@ -119,8 +119,7 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
     for N in range(1, N_max + 1):
         X = nfold_product(K, N)
         S = nfold_sum(X, N)
-        D = diffset(S, S, SumSemantics.COVER)
-        m = D.measure
+        m = diffset_count(S, S, SumSemantics.COVER) * S.scale.delta  # the difference's measure
         if has_one and prev is not None and m < prev * (1 - 1e-12):
             raise InternalCheckError(
                 f"expansion curve decreased at N={N} ({prev} -> {m}) despite "

@@ -28,10 +28,11 @@ their rows are canonical (unique, lex-sorted) as built.  A disc or a slab
 keeps a small part of its bounding cube, so that cube is built and
 filtered a block of first-axis values at a time (`_filtered_raster`), and
 only the kept rows outlive a block.  The translate search reads the rows
-of a cloud or a grid set in place (`_lattice`).  A cloud built from
-arbitrary rows and the search's residue histogram find their distinct
-rows with one kernel, `_sorted_rows`: a lexsort (a plain sort for one
-column) and a first-occurrence mask.
+of a cloud or a grid set in place, in its own order; a 1D grid set with no more
+residues than cells counts them from its runs instead (`_modal_residue`).
+A cloud built from arbitrary rows and the search's residue histogram find
+their distinct rows with one kernel, `_sorted_rows`: a lexsort (a plain
+sort for one column) and a first-occurrence mask.
 """
 
 from __future__ import annotations
@@ -228,15 +229,42 @@ def _cells(x, n: int, what: str) -> int:
     return int(kx)
 
 
-def _lattice(V, s):
-    """(rows, k): the cells of a cell cloud or grid set as (m, dim) int64
-    rows, read in place and in its own order, and the lattice spacing s
-    in cells."""
+def _spacing(V, s) -> int:
+    """The lattice spacing s in cells, once V is a nonempty cell cloud or
+    grid set."""
     _require(isinstance(V, (CellCloud, GridSet1, GridSet2)),
              f"unsupported operand type {type(V).__name__}")
     _require(V.count > 0, "cell cloud must be nonempty")
     _require(as_fraction(s) > 0, "lattice spacing must be positive")
-    return V.indices.reshape(V.count, -1), _cells(s, V.scale.n, "spacing")
+    return _cells(s, V.scale.n, "spacing")
+
+
+def _modal_residue(V, k: int):
+    """(residue, count): the most common cell of V mod k, as a tuple of
+    ints, and how many cells fall on it; the lexicographically smallest
+    among ties.
+
+    A GridSet1 with k <= its cell count counts residues from its runs in
+    one difference array of k + 1 entries: a run of m cells adds m // k to
+    every residue and 1 to the m % k residues cyclically from its start
+    mod k.  Other operands sort their rows mod k (`_sorted_rows`)."""
+    if isinstance(V, GridSet1) and k <= V.count:
+        first, last = V.runs
+        lens = last + 1 - first
+        start = first % k
+        end = start + lens % k
+        wrap = end > k  # the partial range runs past k - 1 and on from 0
+        diff = np.bincount(start, minlength=k + 1)
+        diff -= np.bincount(np.concatenate((np.minimum(end, k), end[wrap] - k)), minlength=k + 1)
+        diff[0] += np.count_nonzero(wrap)
+        counts = np.cumsum(diff[:k])
+        best = int(np.argmax(counts))  # the first argmax is the smallest residue
+        return (best,), int(counts[best]) + int((lens // k).sum())
+    res, first = _sorted_rows(np.mod(V.indices.reshape(V.count, -1), k))
+    starts = np.flatnonzero(first)
+    counts = np.diff(starts, append=res.shape[0])
+    best = int(np.argmax(counts))  # residues are lex-sorted: first argmax wins
+    return tuple(int(r) for r in res[starts[best]]), int(counts[best])
 
 
 def blichfeldt_translate(V, s) -> LatticeSearchResult:
@@ -247,27 +275,24 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     a positive multiple of delta of at most MAX_INDEX cells, so residues
     are int64 work.
     """
-    rows, k = _lattice(V, s)
-    dim = rows.shape[1]
-    res, first = _sorted_rows(np.mod(rows, k))
-    starts = np.flatnonzero(first)
-    counts = np.diff(starts, append=res.shape[0])
-    best = int(np.argmax(counts))  # residues are lex-sorted: first argmax wins
-    count = int(counts[best])
+    k = _spacing(V, s)
+    res, count = _modal_residue(V, k)
+    dim = len(res)
     bound = V.count / float(k) ** dim
     if count < math.ceil(bound - 1e-9):
         raise InternalCheckError(
             f"translate search found max count {count} below averaging bound "
             f"{bound} (|V|={V.count} cells, k={k}, dim={dim}) "
             f"(inputs {_digest(V, Fraction(k, 1 << V.scale.n))}); bug")
-    shift = tuple(Fraction(int(r), 1 << V.scale.n) for r in res[starts[best]])
+    shift = tuple(Fraction(r, 1 << V.scale.n) for r in res)
     return LatticeSearchResult(translation=shift, count=count, bound=bound,
                                examined_shifts=k ** dim)
 
 
 def count_lattice_points(V, s, translation) -> int:
     """Direct recount of (translation + s*Z^n) inside V, for cross-checks."""
-    rows, k = _lattice(V, s)
+    k = _spacing(V, s)
+    rows = V.indices.reshape(V.count, -1)  # read in place, in V's own order
     _require(len(translation) == rows.shape[1], "translation dimension mismatch")
     shift = [_cells(t, V.scale.n, "translation") for t in translation]
     return int(np.count_nonzero(_on_lattice(rows, np.array(shift, dtype=np.int64), k)))

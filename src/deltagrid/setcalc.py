@@ -24,11 +24,14 @@ ORed in place into a single preallocated byte buffer at byte start // 8,
 so no run copies the growing result.  The COVER cell is one shifted OR of
 the packed sum, and a sum of trimmed operands is trimmed, so its bits are
 unpacked once, straight into the result, and its popcount is the result's
-count.  The mask and its doubled and shifted segments depend on the mask
-operand alone, so `dilated_sum_counts` keeps them, up to a fixed budget,
-for the expander's dilation sweep, and takes each sum's count as a
-popcount, without building the dilation or the sum.  Difference sets are
-sums with the reflected operand (COVER then moves one cell left).
+count.  A difference is a sum with the reflected operand, whose runs or
+mask are read off the operand's own, so no reflected set is built (COVER
+then moves one cell left).  Callers that only need |A + B| or |A - B|
+read it from `sumset_count` and `diffset_count`: the kernel's popcount,
+with the same checks, and no set.  The mask and its doubled and shifted
+segments depend on the mask operand alone, so `dilated_sum_counts` keeps
+them, up to a fixed budget, for the expander's dilation sweep, and takes
+each sum's count as a popcount, without building the dilation or the sum.
 
 Products, rational dilations and graph sums leave the lattice, so
 covers are computed from interval endpoints in scaled integer units
@@ -98,44 +101,92 @@ def _doubled(mask: int, length: int) -> int:
     return run
 
 
-def _sum_kernel(mask: int, memo: dict, starts, lengths, nbits: int):
+def _sum_kernel(mask: int, memo: dict, starts: np.ndarray, lengths: np.ndarray, nbits: int):
     """(sum, added): the INDEX sum of the mask operand and an operand whose
     runs start at `starts` (relative to its first cell) with `lengths`, as a
     Python int whose bit t is the cell t after the sum of both first cells,
     and the bytes this call added to memo.
 
-    memo holds, per run length, the OR of the mask's shifts and, per
-    (length, start % 8), its bytes; it depends on the mask alone, so sums
-    sharing the mask share it.  Up to _INT_SUM_BITS each run ORs its shifted
-    OR into one int; above, its bytes are ORed in place into one byte buffer
-    at byte start // 8, so no run copies the growing result."""
-    into_int = nbits <= _INT_SUM_BITS
-    acc = 0 if into_int else np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    memo holds, under the run length, the OR of the mask's shifts and, under
+    the negative key ~(length << 3 | start % 8), its bytes; it depends on the
+    mask alone, so sums sharing the mask share it.  Up to _INT_SUM_BITS each
+    run ORs its shifted OR into one int; above, one lookup per run finds its
+    bytes, ORed in place into one byte buffer at byte start // 8, so no run
+    copies the growing result.  Keys and byte offsets are made in numpy."""
     added = 0
-    for start, length in zip(starts, lengths):
-        run = memo.get(length)
-        if run is None:
-            run = memo[length] = _doubled(mask, length)
-            added += run.bit_length() >> 3
-        if into_int:
+    if nbits <= _INT_SUM_BITS:
+        acc = 0
+        for start, length in zip(starts.tolist(), lengths.tolist()):
+            run = memo.get(length)
+            if run is None:
+                run = memo[length] = _doubled(mask, length)
+                added += run.bit_length() >> 3
             acc |= run << start
-            continue
-        key = (length, start & 7)
+        return acc, added
+    acc = np.zeros((nbits + 7) // 8, dtype=np.uint8)
+    for key, b in zip((~(lengths << 3 | starts & 7)).tolist(), (starts >> 3).tolist()):
         seg = memo.get(key)
         if seg is None:
-            shifted = run << (start & 7)
+            length = ~key >> 3
+            run = memo.get(length)
+            if run is None:
+                run = memo[length] = _doubled(mask, length)
+                added += run.bit_length() >> 3
+            shifted = run << (~key & 7)
             seg = memo[key] = np.frombuffer(
                 shifted.to_bytes((shifted.bit_length() + 7) // 8, "little"), dtype=np.uint8)
             added += seg.nbytes
-        b = start >> 3
         window = acc[b:b + seg.size]
         np.bitwise_or(window, seg, out=window)  # `|=` on a slice would also copy it back
-    return (acc if into_int else int.from_bytes(acc, "little")), added
+    return int.from_bytes(acc, "little"), added
 
 
 def _rel_runs(first: np.ndarray, last: np.ndarray):
-    """Run starts relative to the first cell, and run lengths, as lists."""
-    return (first - first[0]).tolist(), (last + 1 - first).tolist()
+    """Run starts relative to the first cell, and run lengths."""
+    return first - first[0], last + 1 - first
+
+
+def _kernel_sum(A: GridSet1, B: GridSet1, semantics: SumSemantics, negated: bool):
+    """(sum, first): A + B, or A - B when `negated`, as a Python int whose
+    bit t is the cell first + t, with the COVER cells; (0, 0) when an
+    operand is empty.  Checks, in order: one scale, `_sum_bits`, and the
+    first cell, which for a COVER difference sits one cell left of
+    A + (-B), since cells i and j give {i - j - 1, i - j}.
+
+    -B is never built: as the runs operand it is B's runs negated and
+    reversed, as the mask operand the mask of B's bits reversed."""
+    _require(A.scale == B.scale, "operands must share one scale")
+    if A.is_empty or B.is_empty:
+        return 0, 0
+    cover = semantics is SumSemantics.COVER
+    lo, hi = (-B.max_index, -B.min_index) if negated else (B.min_index, B.max_index)
+    nbits = _sum_bits(A, lo, hi, semantics)
+    first = A.min_index + lo - (negated and cover)
+    _require(first > -MAX_INDEX, "cell indices out of guarded range")
+    if A.count <= B.count:
+        mask = (int.from_bytes(np.packbits(B.bits[::-1], bitorder="little").tobytes(), "little")
+                if negated else B.to_mask())
+        runs = A.runs
+    else:
+        mask = A.to_mask()
+        s, e = B.runs
+        runs = (-e[::-1], -s[::-1]) if negated else (s, e)
+    acc, _ = _sum_kernel(mask, {}, *_rel_runs(*runs), nbits)
+    if cover:
+        acc |= acc << 1
+    return acc, first
+
+
+def _kernel_set(A: GridSet1, B: GridSet1, semantics: SumSemantics, negated: bool) -> GridSet1:
+    """The set of `_kernel_sum`.  A sum of trimmed operands is trimmed (both
+    end cells are set), so its bits are the int's, unpacked once."""
+    acc, first = _kernel_sum(A, B, semantics, negated)
+    if not acc:
+        return GridSet1.empty(A.scale)
+    size = acc.bit_length()
+    bits = np.unpackbits(np.frombuffer(acc.to_bytes((size + 7) // 8, "little"), dtype=np.uint8),
+                         count=size, bitorder="little").view(bool)
+    return _seed(GridSet1(A.scale, first, bits), count=acc.bit_count())
 
 
 def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
@@ -144,20 +195,28 @@ def sumset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDE
     INDEX: {i + j}.  COVER: exact cell cover of the Minkowski sum of
     the cell unions, i.e. {i + j, i + j + 1}.
     """
-    _require(A.scale == B.scale, "operands must share one scale")
-    if A.is_empty or B.is_empty:
-        return GridSet1.empty(A.scale)
-    nbits = _sum_bits(A, B.min_index, B.max_index, semantics)
-    small, big = (A, B) if A.count <= B.count else (B, A)
-    acc, _ = _sum_kernel(big.to_mask(), {}, *_rel_runs(*small.runs), nbits)
-    if semantics is SumSemantics.COVER:
-        acc |= acc << 1
-    else:
-        nbits -= 1  # no COVER cell
-    # A sum of trimmed operands is trimmed: both end cells are set.
-    bits = np.unpackbits(np.frombuffer(acc.to_bytes((nbits + 7) // 8, "little"), dtype=np.uint8),
-                         count=nbits, bitorder="little").view(bool)
-    return _seed(GridSet1(A.scale, A.offset + B.offset, bits), count=acc.bit_count())
+    return _kernel_set(A, B, semantics, False)
+
+
+def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
+    """A - B under the chosen semantics.
+
+    INDEX: {i - j}.  COVER: the cell [i,i+1) - [j,j+1) spans
+    (i-j-1, i-j+1), i.e. cells {i-j-1, i-j}.
+    """
+    return _kernel_set(A, B, semantics, True)
+
+
+def sumset_count(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> int:
+    """sumset(A, B, semantics).count, with the same checks and errors, as
+    the popcount of the kernel's sum: no set is built."""
+    return _kernel_sum(A, B, semantics, False)[0].bit_count()
+
+
+def diffset_count(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> int:
+    """diffset(A, B, semantics).count, with the same checks and errors, as
+    the popcount of the kernel's sum: neither -B nor a set is built."""
+    return _kernel_sum(A, B, semantics, True)[0].bit_count()
 
 
 def dilated_sum_counts(A: GridSet1, xs) -> list:
@@ -191,17 +250,6 @@ def reflect(A: GridSet1) -> GridSet1:
     if A.is_empty:
         return A
     return GridSet1(A.scale, -(A.offset + A.bits.size - 1), A.bits[::-1].copy())
-
-
-def diffset(A: GridSet1, B: GridSet1, semantics: SumSemantics = SumSemantics.INDEX) -> GridSet1:
-    """A - B under the chosen semantics.
-
-    INDEX: {i - j}.  COVER: the cell [i,i+1) - [j,j+1) spans
-    (i-j-1, i-j+1), i.e. cells {i-j-1, i-j}.
-    """
-    base = sumset(A, reflect(B), semantics)
-    # COVER: A + (-B) covers {i-j, i-j+1}; one cell left is {i-j-1, i-j}
-    return base if semantics is SumSemantics.INDEX else base.translate(-1)
 
 
 def _reach(A: GridSet1) -> int:  # the largest |cell end| of A

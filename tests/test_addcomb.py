@@ -3,7 +3,9 @@ zero-violation suites, the violation path, the constructive dense-pair
 extraction, and the COVER-semantics measurements that go only to the
 INFO log."""
 import logging
+import math
 import re
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -13,7 +15,8 @@ from deltagrid import (BsgExtractionError, GridSet1, GridSet2, InternalCheckErro
                        bsg_extract, cartesian_product, check_cor_simple,
                        check_graph_projection, check_plunnecke,
                        check_ruzsa_triangle, check_sum_to_difference, diffset,
-                       graph_sum, make_interval, sumset)
+                       diffset_count, graph_sum, make_interval, sumset, sumset_count)
+from deltagrid import grid
 from deltagrid.cli import main
 
 import _baselines as B
@@ -157,29 +160,23 @@ def test_graph_projection_refuses_a_wrapping_dilation():
     assert check_graph_projection(A, B, G, 3).lhs == 2 * 4
 
 
-class _Huge:
-    """A stand-in sum result with a huge count; sums with it stay huge."""
-    count = 10 ** 30
-
-
 def _inflate_first(monkeypatch, name):
-    """Make addcomb's first call of `name` (the left side in every check)
-    return a huge set."""
+    """Make addcomb's first call of the count function `name` (the left side
+    in every check) return a huge count."""
     real, calls = getattr(addcomb, name), []
 
     def inflated(*args):
         calls.append(args)
-        huge = len(calls) == 1 or any(isinstance(a, _Huge) for a in args)
-        return _Huge() if huge else real(*args)
+        return 10 ** 30 if len(calls) == 1 else real(*args)
     monkeypatch.setattr(addcomb, name, inflated)
 
 
-_VIOLATIONS = [  # (verify suite, inflated sum, check of three sets and a graph)
-    ("ruzsa", "diffset", lambda X, Y, Z, G: check_ruzsa_triangle(X, Y, Z)),
-    ("plunnecke", "sumset", lambda X, Y, Z, G: check_plunnecke(X, [Y, Z])),
-    ("simple-sum", "diffset", lambda X, Y, Z, G: check_cor_simple(X, Y, "+")),
-    ("sumdiff", "diffset", lambda X, Y, Z, G: check_sum_to_difference(X, Y)),
-    ("graphproj", "sumset", lambda X, Y, Z, G: check_graph_projection(X, Y, G, 2)),
+_VIOLATIONS = [  # (verify suite, inflated count, check of three sets and a graph)
+    ("ruzsa", "diffset_count", lambda X, Y, Z, G: check_ruzsa_triangle(X, Y, Z)),
+    ("plunnecke", "sumset_count", lambda X, Y, Z, G: check_plunnecke(X, [Y, Z])),
+    ("simple-sum", "diffset_count", lambda X, Y, Z, G: check_cor_simple(X, Y, "+")),
+    ("sumdiff", "diffset_count", lambda X, Y, Z, G: check_sum_to_difference(X, Y)),
+    ("graphproj", "sumset_count", lambda X, Y, Z, G: check_graph_projection(X, Y, G, 2)),
 ]
 
 
@@ -334,10 +331,93 @@ def test_no_cover_work_when_info_is_off(monkeypatch, caplog):
         return wrapper
 
     monkeypatch.setattr(addcomb, "sumset", counting(sumset, SumSemantics.INDEX))
-    monkeypatch.setattr(addcomb, "diffset", counting(diffset, SumSemantics.INDEX))
+    monkeypatch.setattr(addcomb, "sumset_count", counting(sumset_count, SumSemantics.INDEX))
+    monkeypatch.setattr(addcomb, "diffset_count", counting(diffset_count, SumSemantics.INDEX))
     monkeypatch.setattr(addcomb, "graph_sum", counting(graph_sum, SumSemantics.COVER))
     caplog.set_level(logging.WARNING, logger="deltagrid.addcomb")
     _run_all_verifiers(*_log_inputs())
     assert calls and all(sem is SumSemantics.INDEX for _, sem in calls)
-    assert {name for name, _ in calls} == {"sumset", "diffset", "graph_sum"}
+    assert {name for name, _ in calls} == {"sumset_count", "diffset_count", "graph_sum"}
     assert not caplog.records
+
+
+def test_checks_build_no_sum_sets(monkeypatch):
+    """Every |X +- Y| a check reads is a count from the sum kernel: on
+    prebuilt inputs the Ruzsa, corollary (both signs) and sum-to-difference
+    checks build no set at all, and the graph checks paint no A x B box."""
+    X, Y, Z, G = _log_inputs()
+    built = []
+    post_init = GridSet1.__post_init__
+
+    def counting(self):
+        built.append(self.offset)
+        post_init(self)
+    monkeypatch.setattr(GridSet1, "__post_init__", counting)
+    check_ruzsa_triangle(X, Y, Z)
+    check_cor_simple(X, Y, "+")
+    check_cor_simple(X, Y, "-")
+    check_sum_to_difference(X, Y)
+    assert built == []
+
+    def refused(*args):
+        raise AssertionError("an A x B box was painted")
+    monkeypatch.setattr(grid, "cartesian_product", refused)
+    monkeypatch.setattr(addcomb, "cartesian_product", refused, raising=False)
+    monkeypatch.setattr(GridSet2, "__init__", refused)
+    assert check_graph_projection(X, Y, G, 2).ok
+    A = _set(8, range(16))
+    full = GridSet2.from_runs(Scale(8), np.array([[b, 0, 15] for b in range(16)]))
+    assert bsg_extract(A, A, full, 8.0).Aprime == A
+
+
+def test_graph_inside_check_matches_the_painted_product():
+    """"G inside A x B", read off G's cells and A's and B's bits, agrees with
+    G.subset_of(cartesian_product(A, B)) on seeded graphs inside, partly
+    outside and wholly outside the box; the refusals keep their messages
+    and order: the operands' scale, the span of the A x B box, G's scale."""
+    rng = np.random.default_rng(281)
+    outcomes = set()
+    for _ in range(300):
+        A, B = _rand_set(rng, 9, 12, 64), _rand_set(rng, 9, 12, 64)
+        pairs = [(int(a), int(b)) for a in A.indices for b in B.indices]
+        pts = [pairs[t] for t in rng.choice(len(pairs), size=int(rng.integers(1, 6)))]
+        pts += [tuple(int(v) for v in rng.integers(-8, 72, size=2))
+                for _ in range(int(rng.integers(0, 2)))]
+        G = GridSet2.from_indices(Scale(9), pts)
+        want = G.subset_of(cartesian_product(A, B))
+        try:
+            addcomb._require_graph_inside(A, B, G)
+            got = True
+        except PreconditionError as e:
+            assert str(e) == "graph must sit inside A x B"
+            got = False
+        assert got == want
+        outcomes.add(got)
+    assert outcomes == {True, False}
+    wide = _set(30, [0, 1 << 13])  # an A x B box of 8193**2 > MAX_SPAN cells
+    with pytest.raises(PreconditionError) as painted:
+        cartesian_product(wide, wide)
+    G = GridSet2.from_indices(Scale(29), [(0, 0)])  # its scale is checked after the span
+    for check in (lambda: check_graph_projection(wide, wide, G, 1),
+                  lambda: bsg_extract(wide, wide, G, 8.0)):
+        with pytest.raises(PreconditionError) as got:
+            check()
+        assert str(got.value) == str(painted.value)
+    A, G = _set(4, [0, 1]), GridSet2.from_indices(Scale(4), [(0, 0)])
+    for args in ((A, _set(5, [0]), G), (A, A, GridSet2.from_indices(Scale(5), [(0, 0)]))):
+        with pytest.raises(PreconditionError, match="^operands must share one scale$"):
+            check_graph_projection(*args, 1)
+
+
+def test_plunnecke_counts_its_last_sum():
+    """The fold's partial sums stay sets and its last sum is counted: the
+    sides equal those of the fold built whole, for 1 to 4 summands."""
+    rng = np.random.default_rng(282)
+    IX = SumSemantics.INDEX
+    for k in (1, 2, 3, 4):
+        for _ in range(10):
+            X = _rand_set(rng, 10, 24, 200)
+            Ys = [_rand_set(rng, 10, 24, 200) for _ in range(k)]
+            rec = check_plunnecke(X, Ys)
+            assert rec.lhs == reduce(lambda S, Y: sumset(S, Y, IX), Ys).count
+            assert rec.rhs == math.prod(sumset(X, Y, IX).count for Y in Ys) / X.count ** (k - 1)

@@ -408,3 +408,40 @@ def test_slab_raster_is_built_a_block_at_a_time():
         tracemalloc.stop()
     assert V.count == 17158
     assert peak <= 2 << 20, peak
+
+
+def test_translate_search_counts_a_line_set_from_its_runs():
+    """A GridSet1 with no more residues than cells counts them from its
+    runs: the modal residue and its count are the np.unique histogram's,
+    the smallest residue among ties.  Seeded sets of single cells and of
+    runs longer and shorter than k, offsets up to +-2**61, k from 1 to past
+    the cell count (where the rows are sorted)."""
+    rng = np.random.default_rng(283)
+    for case in range(400):
+        n = int(rng.integers(0, 31))
+        far = int(rng.choice([0, 1 << 40, (1 << 61) - 4096]))
+        base = int(rng.integers(-far - 64, far + 1))
+        if case % 2:
+            cells = rng.choice(600, size=int(rng.integers(1, 60)))
+        else:
+            starts = np.cumsum(rng.integers(1, 40, size=int(rng.integers(1, 12))))
+            cells = np.concatenate([np.arange(s, s + int(rng.integers(1, 30))) for s in starts])
+        S = GridSet1.from_indices(Scale(n), base + cells)
+        k = int(rng.choice([1, S.count, int(rng.integers(1, S.count + 1)), S.count + 1]))
+        res = blichfeldt_translate(S, Fraction(k, 1 << n))
+        shift = tuple(int(t * (1 << n)) for t in res.translation)
+        assert (shift, res.count) == residue_histogram(S.indices[:, None], k), (case, k)
+
+
+def test_translate_search_of_a_long_interval_sorts_no_cells():
+    # 2**23 cells at k = 2**22: one run, counted into 2**22 + 1 residues;
+    # the sorted rows traced 232 MiB
+    V = make_interval(Scale(23), 0, 1)
+    tracemalloc.start()
+    try:
+        res = blichfeldt_translate(V, Fraction(1, 2))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.translation == (0,) and res.count == 2 and res.examined_shifts == 1 << 22
+    assert peak < 100 << 20, peak

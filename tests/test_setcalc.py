@@ -14,7 +14,7 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, PreconditionErro
                        nfold_sum, reflect, renormalized_find_expander, sumset,
                        uniform_on)
 from deltagrid import expand, setcalc
-from deltagrid.setcalc import dilated_sum_counts
+from deltagrid.setcalc import diffset_count, dilated_sum_counts, sumset_count
 
 from _oracles import naive_diffset, naive_sumset
 
@@ -565,3 +565,75 @@ def test_sum_range_guard_is_exact():
     for sem, want in ((IDX, [-5, 0, 5]), (COV, [-6, -5, -1, 0, 4, 5])):
         assert diffset(A, A, sem).indices.tolist() == want
         assert diffset(A, A, sem) == naive_diffset(A, A, sem)
+
+
+def _outcome(fn):
+    """fn()'s value, or the message of the PreconditionError it raises."""
+    try:
+        return fn()
+    except PreconditionError as e:
+        return f"error: {e}"
+
+
+def _count_operand(rng, M):
+    """A seeded operand for the count tests: empty, one cell, a few cells in
+    a short or a wide span (the wide ones past the int accumulator), or a
+    run set; placed near 0, ending at 0, or near either end of the guarded
+    index range."""
+    kind = int(rng.integers(0, 5))
+    if kind == 0:
+        return GridSet1.empty(Scale(30))
+    span = int(rng.choice([1, 8, 64, 40_000])) if kind < 4 else 120
+    cells = ([0] if kind == 1 else
+             [0, span - 1, *rng.integers(0, span, size=int(rng.integers(0, 14)))] if kind < 4 else
+             [c for r in range(0, span, 10) for c in range(r, r + int(rng.integers(1, 8)))])
+    span = max(cells) + 1
+    base = int(rng.choice([int(rng.integers(-1000, 1000)), 1 - span, M - span - int(rng.integers(0, 4)),
+                           1 - M + int(rng.integers(0, 4))]))
+    return _set(30, np.array(cells) + base)
+
+
+def test_sum_counts_match_sets_and_naive():
+    """sumset_count and diffset_count give the count of the set sumset and
+    diffset build, and of the double-loop oracle, over 3,000 seeded operand
+    pairs in both semantics; where the set path raises a PreconditionError
+    the count raises the same message."""
+    rng = np.random.default_rng(280)
+    M = MAX_INDEX
+    raised = set()
+    for _ in range(3000):
+        A, B = _count_operand(rng, M), _count_operand(rng, M)
+        for sem in (IDX, COV):
+            for build, count, naive in ((sumset, sumset_count, naive_sumset),
+                                        (diffset, diffset_count, naive_diffset)):
+                want = _outcome(lambda: build(A, B, sem).count)
+                assert _outcome(lambda: count(A, B, sem)) == want, (A, B, sem, build)
+                if isinstance(want, str):
+                    raised.add(want)
+                elif A.count * B.count <= 64:
+                    assert naive(A, B, sem).count == want
+    assert raised == {"error: sum indices would leave the guarded integer range",
+                      "error: cell indices out of guarded range"}
+
+
+def test_sum_counts_at_the_range_edges():
+    """A COVER difference reaches one cell further left than A + (-B): it is
+    refused where its first cell A.min - B.max - 1 leaves the range, though
+    the INDEX difference and the sums are allowed there."""
+    M = MAX_INDEX
+    A, B = _set(30, [1 - M, 5 - M]), _set(30, [-2, 0])
+    for sem in (IDX, COV):
+        C = B.translate(2)
+        assert sumset_count(A, C, sem) == sumset(A, C, sem).count == naive_sumset(A, C, sem).count
+    assert diffset_count(A, B, IDX) == diffset(A, B, IDX).count == 4
+    for fn in (diffset, diffset_count):
+        with pytest.raises(PreconditionError, match="^cell indices out of guarded range$"):
+            fn(A, B, COV)
+    # one cell further right, the COVER difference fits
+    A1 = A.translate(1)
+    assert diffset_count(A1, B, COV) == diffset(A1, B, COV).count == naive_diffset(A1, B, COV).count
+    assert diffset(A1, B, COV).min_index == 1 - M
+    for fn in (sumset_count, diffset_count):
+        with pytest.raises(PreconditionError, match="^operands must share one scale$"):
+            fn(_set(3, [0]), _set(4, [0]), IDX)
+        assert fn(GridSet1.empty(Scale(4)), _set(4, [0]), COV) == 0

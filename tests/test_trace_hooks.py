@@ -57,3 +57,18 @@ def test_sweep_counts_are_a_plain_setcalc_function():
     assert inspect.isfunction(fn) and fn.__module__ == setcalc.__name__
     assert not inspect.isgeneratorfunction(fn)
     assert expand.__dict__["dilated_sum_counts"] is fn
+
+
+def test_sum_counts_are_plain_setcalc_functions():
+    """The checks' |A + B| and |A - B| are timed as `setcalc` calls: the
+    count functions are plain functions of `setcalc`, bound by name in
+    `addcomb` (and `diffset_count` in `expand`), where the tracer rebinds
+    them; `addcomb` keeps `sumset` for the Plunnecke fold."""
+    from deltagrid import addcomb, setcalc
+    for name in ("sumset_count", "diffset_count"):
+        fn = setcalc.__dict__[name]
+        assert inspect.isfunction(fn) and fn.__module__ == setcalc.__name__
+        assert not inspect.isgeneratorfunction(fn)
+        assert addcomb.__dict__[name] is fn
+    assert expand.__dict__["diffset_count"] is setcalc.diffset_count
+    assert addcomb.__dict__["sumset"] is setcalc.sumset
