@@ -25,7 +25,8 @@ from .grid import GridSet1, GridSet2, _digest, _require
 from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
                       maximal_interval, nonconcentration_constant, rescale_to_unit)
 from .project import AngleMeasure, SweepReport, sweep
-from .setcalc import SumSemantics, diffset_count, dilated_sum_counts, nfold_product, nfold_sum
+from .setcalc import (SumSemantics, _product_cover_pairs, diffset_count, dilated_sum_counts,
+                      nfold_sum)
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
     first = None
     prev = None
     for N in range(1, N_max + 1):
-        X = nfold_product(K, N)
+        X = K if N == 1 else _product_cover_pairs(X, K)  # nfold_product(K, N): one more fold
         S = nfold_sum(X, N)
         m = diffset_count(S, S, SumSemantics.COVER) * S.scale.delta  # the difference's measure
         if has_one and prev is not None and m < prev * (1 - 1e-12):

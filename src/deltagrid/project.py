@@ -320,7 +320,8 @@ def _fibers(E: GridSet2, d, fraction: float):
     lo = int(keys.min())
     keys -= lo
     counts = np.bincount(keys)
-    cum = np.cumsum(np.sort(counts)[::-1])
+    # empty keys would sort last, and fraction * E.count never exceeds the total
+    cum = np.cumsum(np.sort(counts[counts > 0])[::-1])
     return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1, K + lo
 
 

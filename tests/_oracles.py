@@ -13,7 +13,8 @@ arrays whole, which `measure._energy_direct` replaced with one block buffer.
 `whole_cube_slab` and `whole_square_disc` build the whole bounding raster of
 a slab or a disc and filter it at once, for `lattice._filtered_raster`;
 `unique_rows` and `residue_histogram` are the `np.unique(axis=0)` passes
-that `lattice._sorted_rows` replaced.
+that `lattice._sorted_rows` replaced.  `blocked_bits` is the blocked scatter
+of run cells that painted a run-held 2D set's box before `grid._painted`.
 """
 import math
 from fractions import Fraction
@@ -21,7 +22,7 @@ from fractions import Fraction
 import numpy as np
 
 from deltagrid import DyadicMeasure1, DyadicMeasure2, GridSet1, SumSemantics
-from deltagrid.grid import _require
+from deltagrid.grid import _SCAN_CELLS, _require, _run_cells
 from deltagrid.lattice import _MAX_RASTER, _raster
 from deltagrid.measure import _block_rows
 
@@ -191,3 +192,23 @@ def residue_histogram(rows: np.ndarray, k: int):
     uniq, counts = np.unique(np.mod(rows, k), axis=0, return_counts=True)
     best = int(np.argmax(counts))
     return tuple(int(r) for r in uniq[best]), int(counts[best])
+
+
+def blocked_bits(E) -> np.ndarray:
+    """The box of a 2D set painted from its runs: their int64 cell
+    positions scattered a block of at most 16 * _SCAN_CELLS cells at a
+    time, a longer run in one slice."""
+    (h, w), (ox, oy) = E.shape, E.offset
+    y, x0, x1 = E.runs.T
+    lens = x1 - x0 + 1
+    bits = np.zeros(h * w, dtype=bool)
+    starts, ends, block, t = (y - oy) * w + (x0 - ox), np.cumsum(lens), 16 * _SCAN_CELLS, 0
+    while t < lens.size:
+        if lens[t] > block:
+            bits[starts[t]:starts[t] + lens[t]] = True
+            t += 1
+        else:  # the runs from t whose cells fit in one block
+            u = int(np.searchsorted(ends, ends[t] - lens[t] + block, side="right"))
+            bits[_run_cells(starts[t:u], lens[t:u])] = True
+            t = u
+    return bits.reshape(h, w)

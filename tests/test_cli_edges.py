@@ -36,6 +36,12 @@ FILES = {
     "c20.gs1": "GS1 v1\nn=20\noffset=0\n0-0\n",
     # two cells on either side of 1/2 at n = 30
     "two30.gs1": f"GS1 v1\nn=30\noffset={2**29 - 1}\n{2**29 - 1}-{2**29}\n",
+    # [1, 9/8) u [5/4, 11/8) u [15/8, 2) at n = 24: three runs of 2**21 cells
+    "k24.gs1": "GS1 v1\nn=24\noffset=16777216\n16777216-18874367\n20971520-23068671\n"
+               "31457280-33554431\n",
+    # 40 cells in four runs at the ends of a 2 x 2**25 box
+    "wide.gs2": "GS2 v1\nn=25\noffset=0,0\nrows=2\n" + "".join(
+        f"row={j}:{a}-{a + 9}\n" for j in (0, 1) for a in (0, (1 << 25) - 10)),
 }
 
 CASES = [
@@ -132,6 +138,11 @@ SUCCEED = [
     # sort of the rows as a void dtype took about 28 s)
     "gen interval --n 23 --a 0 --b 1 --out i23.gs1",
     "lattice blichfeldt --set i23.gs1 --modulus 1/2",
+    # nine run pairs over 3 * 2**24 cells: sorted and painted, not counted
+    # in int64 arrays over the span (which ran out of memory)
+    "op product --set k24.gs1 --out x.gs1",
+    # 64 angles of a 40-cell set: only the nonempty fibers are sorted
+    "project sweep --set wide.gs2 --angles 64",
 ]
 
 # Flag values outside a command's domain, each refused before any work
@@ -202,6 +213,8 @@ REFUSE = [
     "verify addcomb --cases 2 --max-cells 100000000000000000000",
     "gen cantor --levels 1000000000000000000000000000000 --out x.gs1",
     "gen cantor --levels 1000000000000000000000000000000 --digits 0 --out x.gs1",
+    # the 2-fold sum of the 2-fold product spans 3 * 2**25 cells, past MAX_SPAN
+    "experiment nfold --set k24.gs1 --count 2",
 ]
 
 CHILD = textwrap.dedent("""

@@ -9,10 +9,11 @@ import pytest
 from fractions import Fraction
 
 from deltagrid import (AngleMeasure, DyadicMeasure1, GridSet1, GridSet2, InternalCheckError,
-                       PreconditionError, Scale, SumSemantics, cartesian_product, dilate,
-                       exhaust_decompose, find_expander, gen_cantor,
+                       PreconditionError, Scale, SumSemantics, cartesian_product,
+                       diffset_count, dilate, exhaust_decompose, find_expander, gen_cantor,
                        gen_random_frostman, make_interval,
-                       nfold_expansion_curve, projection_theorem_experiment,
+                       nfold_expansion_curve, nfold_product, nfold_sum,
+                       projection_theorem_experiment,
                        renormalized_find_expander, sumset, uniform_on)
 from deltagrid import addcomb, expand
 from deltagrid.grid import _digest
@@ -42,6 +43,30 @@ def test_curve_singleton_control():
         assert m <= (4 * N * N + 2) * d
     # frozen deterministic values, delta units
     assert [round(m / d) for _, m in c.records] == [2, 10, 26, 50, 82]
+
+
+def test_curve_folds_each_product_once(monkeypatch):
+    """X_N is the cover of X_{N-1} x K, so N_max = 5 runs 4 product folds
+    (not 10, one product per N from scratch) and keeps the records of
+    measure(S - S) for S = nfold_sum(nfold_product(K, N), N)."""
+    folds = []
+    fold = expand._product_cover_pairs
+    monkeypatch.setattr(expand, "_product_cover_pairs", lambda P, A: folds.append(1) or fold(P, A))
+    rng = np.random.default_rng(33)
+    sets = [gen_cantor(Scale(8), 4, (0, 3), 4), GridSet1.from_indices(Scale(6), [64])]
+    for _ in range(6):
+        n = int(rng.integers(3, 7))
+        sets.append(GridSet1.from_indices(Scale(n), rng.integers(-(2 << n), 2 << n, size=3)))
+    for K in sets:
+        for N_max in (1, 3, 5):
+            folds.clear()
+            c = nfold_expansion_curve(K, N_max)
+            assert len(folds) == N_max - 1
+            want = []
+            for N in range(1, N_max + 1):
+                S = nfold_sum(nfold_product(K, N), N)
+                want.append((N, diffset_count(S, S, SumSemantics.COVER) * S.scale.delta))
+            assert c.records == tuple(want)
 
 
 def test_curve_rejections():

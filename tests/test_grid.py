@@ -17,7 +17,7 @@ from deltagrid import (MAX_INDEX, MAX_SPAN, DyadicMeasure1, DyadicMeasure2, Grid
                        PreconditionError, Scale, as_fraction, cartesian_product, covering_number,
                        gen_cantor, gen_random_frostman, make_interval, neighborhood,
                        nonconcentration_constant)
-from deltagrid.grid import _box, _runs
+from deltagrid.grid import _SORT_SPAN, _box, _runs
 
 
 def test_scale_bounds():
@@ -492,6 +492,40 @@ def test_from_indices_matches_set_oracle():
     assert GridSet2.from_indices(sc, []).is_empty
     assert GridSet2.from_indices(sc, np.zeros((0, 2), dtype=np.int64)).is_empty
     assert GridSet2.from_indices(sc, {(3, 4), (5, 4)}) == _old_from_indices_2d(sc, [(3, 4), (5, 4)])
+
+
+def test_from_ranges_matches_set_union_around_the_sort_bound():
+    """Unsorted ranges over _SORT_SPAN span cells each or fewer are counted
+    in a difference array, and over more are sorted and merged into runs
+    (which the set then holds); monotone ones always merge.  Either way the
+    set is the union of the ranges, with overlaps, abutting and repeated
+    ranges, increasing or decreasing starts, and spans near +-MAX_INDEX."""
+    rng = np.random.default_rng(31)
+    sc = Scale(10)
+    bound = _SORT_SPAN
+    for case in range(300):
+        m = int(rng.integers(4, 60))
+        per = bound + case % 3 - 1  # below, at and above the bound
+        span = per * m
+        base = int(rng.choice([0, rng.integers(-10**6, 10**6), MAX_INDEX - span, 1 - MAX_INDEX]))
+        first = base + rng.integers(0, span, size=m)
+        last = np.minimum(first + rng.integers(0, 2 * per, size=m), base + span - 1)
+        first[0], last[-1] = base, base + span - 1  # the span is exactly per * m cells
+        a, b, c = rng.integers(1, m - 1, size=3)
+        first[a], last[a] = first[b], last[b]  # a repeat
+        if last[c] + 1 < base + span:  # a range abutting another
+            first[c + 1] = last[c] + 1
+            last[c + 1] = max(last[c + 1], first[c + 1])
+        order = rng.permutation(m)
+        if case % 7 == 0:
+            order = np.argsort(-first, kind="stable")  # decreasing starts
+        first, last = first[order], last[order]
+        A = GridSet1.from_ranges(sc, first, last)
+        want = sorted({i for f, l in zip(first.tolist(), last.tolist()) for i in range(f, l + 1)})
+        assert A.indices.tolist() == want
+        steps = np.diff(first)
+        monotone = (steps >= 0).all() or (steps <= 0).all()
+        assert (GridSet1.runs.fget(A, False) is not None) == (monotone or per > bound)
 
 
 @pytest.mark.parametrize("bad", [[(1, 2, 3)], [(1, 2, 3, 4)], [1, 2], [(1, 2), (3,)],

@@ -15,6 +15,8 @@ from deltagrid import (AngleMeasure, Direction, DyadicMeasure2, GridSet2,
                        marstrand_average, cartesian_product, project_measure,
                        project_set, riesz_energy, sweep, uniform_on)
 
+from deltagrid.project import _fibers
+
 import _baselines as B
 
 
@@ -225,6 +227,24 @@ def test_adversarial_count_matches_witness_path():
             count, witness = adversarial_projection(E, theta, lam)
             assert adversarial_count(E, theta, lam) == count
             assert witness.count >= lam * E.count
+
+
+def test_fiber_take_matches_the_full_span_sort():
+    """Sorting only the nonempty fibers takes as many as sorting every key
+    of the span: empty keys sort after every fiber, and the fraction of the
+    cell count never exceeds the total."""
+    rng = np.random.default_rng(29)
+    for case in range(200):
+        box = int(rng.choice([8, 64, 4096, 1 << 20]))
+        pts = rng.integers(0, box, size=(int(rng.integers(1, 60)), 2))
+        pts[:, 1] %= int(rng.choice([1, 2, min(box, (1 << 26) // box)]))  # flat and wide sets too
+        E = GridSet2.from_indices(Scale(20), pts + int(rng.integers(-(1 << 40), 1 << 40)))
+        theta = float(rng.choice([0.0, math.pi / 2, rng.uniform(0, math.pi)]))
+        lam = float(rng.choice([1.0, 1e-9, rng.uniform(0, 1)]))
+        keys, counts, take, _ = _fibers(E, theta, lam)
+        cum = np.cumsum(np.sort(counts)[::-1])
+        assert take == int(np.searchsorted(cum, lam * E.count)) + 1
+        assert take <= np.count_nonzero(counts)
 
 
 def test_shadow_vs_fiber_factor():

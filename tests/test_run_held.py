@@ -2,7 +2,8 @@
 reader) holds its maximal row runs and paints its box only when `bits` is
 read.  The sweep path and the writer never paint it; every other reader of
 `bits` sees the box a set built from that box holds, byte for byte; and
-grid.py paints a box from runs in one place only, the `bits` view."""
+grid.py paints a box from runs in one place only, `_painted`, which the
+1D `_from_runs` and the 2D `bits` view call."""
 import ast
 import math
 import os
@@ -19,6 +20,7 @@ from deltagrid import grid
 from deltagrid.grid import _digest
 from deltagrid.project import _angle_grid
 
+from _oracles import blocked_bits
 from test_imports import SRC
 
 
@@ -245,17 +247,39 @@ def _makes_a_box(fn) -> bool:
     return False
 
 
+def _is_boolean(expr) -> bool:
+    """Whether an expression holds a comparison, a bool constant or a
+    boolean dtype: what makes the array it builds boolean."""
+    return any(isinstance(n, ast.Compare)
+               or isinstance(n, ast.Constant) and isinstance(n.value, bool)
+               for n in ast.walk(expr)) or _makes_a_box(ast.Expression(expr))
+
+
+def _repeats_booleans(fn) -> bool:
+    """Whether a function builds a boolean array with np.repeat."""
+    return any(isinstance(n, ast.Call) and ast.unparse(n.func) == "np.repeat"
+               and n.args and _is_boolean(n.args[0]) for n in ast.walk(fn))
+
+
 def _painters(tree):
-    found = {name for name, fn in _functions(tree) if _paints_from_runs(fn)}
+    found = {name for name, fn in _functions(tree)
+             if _paints_from_runs(fn) or _repeats_booleans(fn)}
     found |= {name for name, fn in _functions(tree)
               if name == "GridSet2.from_runs" and _makes_a_box(fn)}
     return found
 
 
-def test_grid_paints_a_box_from_runs_in_the_bits_view_only():
+def _callers(tree, callee: str):
+    return {name for name, fn in _functions(tree)
+            if any(isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                   and n.func.id == callee for n in ast.walk(fn))}
+
+
+def test_grid_paints_a_box_from_runs_in_one_painter_only():
     with open(os.path.join(SRC, "grid.py"), encoding="utf-8") as fh:
         tree = ast.parse(fh.read())
-    assert _painters(tree) == {"GridSet2.bits"}
+    assert _painters(tree) == {"_painted"}
+    assert _callers(tree, "_painted") == {"GridSet1._from_runs", "GridSet2.bits"}
 
 
 @pytest.mark.parametrize("src, found", [
@@ -265,8 +289,58 @@ def test_grid_paints_a_box_from_runs_in_the_bits_view_only():
      "        b[runs[:, 1]] = True\n", {"GridSet2.from_runs"}),
     ("class GridSet2:\n    def from_runs(cls, runs):\n        E = make(runs)\n"
      "        E.bits\n        return E\n", {"GridSet2.from_runs"}),
+    ("def paint(n, lens):\n    return np.repeat(np.arange(n) % 2 == 1, lens)\n", {"paint"}),
+    ("def paint(lens):\n    return np.repeat(np.array([False, True] * 4), lens)\n", {"paint"}),
+    ("def paint(lens):\n    return np.repeat(np.ones(3, dtype=np.bool_), lens)\n", {"paint"}),
+    ("def indices(y, lens):\n    return np.repeat(y - 1, lens)\n", set()),
     ("def from_indices(idx):\n    b = np.zeros(9, dtype=bool)\n    b[idx] = True\n", set()),
     ("def neighborhood(S):\n    grown = np.zeros(9, dtype=bool)\n    r = S.runs\n", set()),
 ])
 def test_painter_check_flags_each_form(src, found):
     assert _painters(ast.parse(src)) == found
+
+
+def test_caller_check_finds_functions_and_methods():
+    src = ("def _painted(n, s, l):\n    return s\n"
+           "def a(s):\n    return _painted(1, s, s)\n"
+           "class C:\n    def b(self, s):\n        return _painted(2, s, s).reshape(1, 2)\n"
+           "    def c(self):\n        return painted(3)\n")
+    assert _callers(ast.parse(src), "_painted") == {"a", "C.b"}
+
+
+def _run_held_sets(rng):
+    """Run-held 2D sets whose boxes the painter must get right: random runs
+    (overlapping, in any order) in 1 x w, h x 1 and h x w boxes, full rows,
+    runs that abut across rows, offsets up to +-2**61, and two cells at the
+    corners of an 8192 x 8192 box."""
+    s = Scale(20)
+    for _ in range(120):
+        h, w = (1, int(rng.integers(1, 70))) if rng.random() < 0.2 else \
+            (int(rng.integers(1, 70)), 1) if rng.random() < 0.25 else \
+            tuple(int(v) for v in rng.integers(1, 70, size=2))
+        m = int(rng.integers(1, 2 * h + 3))
+        y = rng.integers(0, h, size=m)
+        x0 = rng.integers(0, w, size=m)
+        x1 = np.minimum(x0 + rng.integers(0, w, size=m) * (rng.random(m) < 0.3), w - 1)
+        runs = np.stack((y, x0, x1), axis=1)
+        full = rng.integers(0, h, size=int(rng.integers(0, 3)))  # whole rows
+        runs = np.concatenate((runs, np.stack((full, 0 * full, 0 * full + w - 1), axis=1)))
+        r = int(rng.integers(0, h))  # a run to the row's end, and one from the next row's start
+        runs = np.concatenate((runs, [[r, w // 2, w - 1], [min(r + 1, h - 1), 0, w // 3]]))
+        runs = np.concatenate((runs, [[0, 0, 0], [h - 1, w - 1, w - 1]]))  # the box's corners
+        shift = int(rng.choice([0, rng.integers(-1000, 1000), 1 << 61, -(1 << 61)]))
+        runs[:, 0] += shift
+        runs[:, 1:] -= shift
+        yield GridSet2.from_runs(s, rng.permutation(runs))
+    corner = (1 << 13) - 1
+    yield GridSet2.from_runs(s, np.array([[0, 0, 0], [corner, corner, corner]]))
+
+
+def test_bits_of_run_held_sets_match_the_blocked_painter():
+    rng = np.random.default_rng(30)
+    for E in _run_held_sets(rng):
+        assert grid.GridSet2.bits.fget(E, False) is None  # held by its runs
+        want = blocked_bits(E)
+        got = E.bits
+        assert got.dtype == np.bool_ and got.shape == E.shape
+        assert got.tobytes() == want.tobytes()

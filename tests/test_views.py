@@ -74,6 +74,7 @@ def _sets(rng):
     pairs = E.indices.copy()
     starts = np.sort(rng.integers(-500, 500, size=20))
     unsorted = rng.permutation(starts)
+    dense = rng.integers(-100, 100, size=200)  # about one span cell per range
     rows = np.stack((rng.integers(0, 6, size=15), starts[:15], starts[:15] + 3), axis=1)
     wide = GridSet1.from_indices(s, [0, 3000, 40000])  # a sum past _INT_SUM_BITS
     return [
@@ -83,7 +84,8 @@ def _sets(rng):
         ("from_indices ascending", GridSet2.from_indices(s, pairs), {"bits", "indices", "count"}),
         ("from_indices unsorted", GridSet2.from_indices(s, rng.permutation(pairs)), {"bits"}),
         ("from_ranges monotone", GridSet1.from_ranges(s, starts, starts + 4), {"runs"}),
-        ("from_ranges unsorted", GridSet1.from_ranges(s, unsorted, unsorted + 4), set()),
+        ("from_ranges range-heavy", GridSet1.from_ranges(s, dense, dense + 4), set()),
+        ("from_ranges span-heavy", GridSet1.from_ranges(s, unsorted, unsorted + 4), {"runs"}),
         ("from_runs", GridSet2.from_runs(s, rows), {"runs", "count"}),
         ("dilate", dilate(A, -5), {"runs"}),
         ("dilate 1/4", dilate(A, 0.25), {"runs"}),
