@@ -31,8 +31,8 @@ from functools import reduce
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, _digest, _require, _require_span
+from .errors import PreconditionError
+from .grid import GridSet1, GridSet2, _bug, _digest, _require, _require_span
 from .setcalc import (SumSemantics, _require_linear_range, diffset_count, graph_sum, sumset,
                       sumset_count)
 
@@ -83,9 +83,7 @@ def _checked(name: str, sides, *inputs) -> InequalityRecord:
     lhs, num, den = sides(SumSemantics.INDEX)
     digest = _digest(*inputs)
     if lhs * den > num:
-        raise InternalCheckError(
-            f"{name} violated: {lhs} * {den} > {num} (inputs {digest}); "
-            f"this is a theorem, so a bug")
+        raise _bug(f"{name} violated: {lhs} * {den} > {num}", *inputs)
     if log.isEnabledFor(logging.INFO):
         c_lhs, c_num, c_den = sides(SumSemantics.COVER)
         log.info("%s cover-semantics measurement: lhs=%d rhs=%g ok_at_slack_4=%s",
@@ -266,8 +264,7 @@ def bsg_extract(A: GridSet1, B: GridSet1, G: GridSet2, C_cap: float) -> BsgResul
         raise PreconditionError("graph too sparse: no pivot survives degree pruning")
     k_out, measured, Ap, Bp = best
     if not (Ap.subset_of(A) and Bp.subset_of(B)):
-        raise InternalCheckError(f"extracted sets escaped their parents "
-                                 f"(inputs {_digest(A, B, G, C_cap)}); bug")
+        raise _bug("extracted sets escaped their parents", A, B, G, C_cap)
     result = BsgResult(Aprime=Ap, Bprime=Bp, K_in=K_in, measured=measured,
                        K_out=k_out)
     if k_out > C_cap:

@@ -20,8 +20,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError, PreconditionError
-from .grid import GridSet1, GridSet2, _digest, _require
+from .errors import PreconditionError
+from .grid import GridSet1, GridSet2, _bug, _require
 from .measure import (DyadicMeasure1, FrostmanReport, frostman_constant,
                       maximal_interval, nonconcentration_constant, rescale_to_unit)
 from .project import AngleMeasure, SweepReport, sweep
@@ -102,11 +102,13 @@ class ProjectionExperiment:
 
 
 def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
-    """measure(N-fold-sum(X) - N-fold-sum(X)) for X = N-fold-product(K).
+    """measure(S - S) for S = nfold_sum(X, N) and X = nfold_product(K, N).
 
-    All set arithmetic in COVER semantics.  Monotonicity in N is
-    asserted when the cell of the point 1 is in K (padding with 1s
-    embeds each stage in the next); otherwise it is only recorded.
+    The product X is an exact cover and the difference S - S is counted
+    in COVER semantics, but the N-fold sum S is an INDEX sum of X's cells.
+    Monotonicity in N is asserted when the cell of the point 1 is in K
+    (padding with 1s embeds each stage in the next); otherwise it is only
+    recorded.
     """
     _require(not K.is_empty, "K must be nonempty")
     _require(1 <= N_max <= 5, "N_max must lie in 1..5")
@@ -122,10 +124,8 @@ def nfold_expansion_curve(K: GridSet1, N_max: int) -> ExpansionCurve:
         S = nfold_sum(X, N)
         m = diffset_count(S, S, SumSemantics.COVER) * S.scale.delta  # the difference's measure
         if has_one and prev is not None and m < prev * (1 - 1e-12):
-            raise InternalCheckError(
-                f"expansion curve decreased at N={N} ({prev} -> {m}) despite "
-                f"1 being in K; padding embedding makes this impossible "
-                f"(inputs {_digest(K, N_max)}); bug")
+            raise _bug(f"expansion curve decreased at N={N} ({prev} -> {m}) despite "
+                       f"1 being in K; padding embedding makes this impossible", K, N_max)
         records.append((N, m))
         if first is None and m >= 0.5:
             first = N
@@ -183,10 +183,9 @@ def renormalized_find_expander(A: GridSet1, mu: DyadicMeasure1,
     degenerate = nu.scale.n == 0 or cells.size == 1
     rep = frostman_constant(nu, kappa / 2)
     if not degenerate and rep.constant > 2 + 1e-9:
-        raise InternalCheckError(
-            f"zoomed measure has ball constant {rep.constant} above 2 at "
-            f"exponent {kappa / 2}; maximality of the chosen interval forbids this "
-            f"(inputs {_digest(A, mu, kappa)}); bug")
+        raise _bug(f"zoomed measure has ball constant {rep.constant} above 2 at "
+                   f"exponent {kappa / 2}; maximality of the chosen interval forbids this",
+                   A, mu, kappa)
     nun = nu.scale.n
     ts = [Fraction(2 * int(i) + 1, 2 << nun) for i in cells + nu.offset]
     # both sweeps in one pass, so A's segments serve the zoomed and mapped x
@@ -255,20 +254,18 @@ def exhaust_decompose(E: GridSet2, finder, threshold: float,
         angle_sets.append(np.atleast_1d(np.asarray(thetas, dtype=np.float64)))
         residual = residual.difference(F)
 
-    def bug(what: str) -> InternalCheckError:
-        # the finder is code, not data, so the digest names the data it was given
-        return InternalCheckError(f"{what} (inputs {_digest(E, threshold, min_fraction)}); bug")
-
+    # the finder is code, not data, so the digest names the data it was given
+    inputs = (E, threshold, min_fraction)
     total = sum(p.count for p in pieces) + residual.count
     if total != E.count:
-        raise bug(f"decomposition lost cells: {total} != {E.count}")
+        raise _bug(f"decomposition lost cells: {total} != {E.count}", *inputs)
     union = residual
     for p in pieces:
         if not union.intersect(p).is_empty:
-            raise bug("decomposition pieces overlap")
+            raise _bug("decomposition pieces overlap", *inputs)
         union = union.union(p)
     if union != E:
-        raise bug("decomposition does not reassemble E")
+        raise _bug("decomposition does not reassemble E", *inputs)
     return ExhaustionDecomposition(
         pieces=tuple(pieces), angle_sets=tuple(angle_sets), leftover=residual,
         weights=tuple(p.measure for p in pieces), threshold=threshold)

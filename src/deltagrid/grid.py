@@ -36,7 +36,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .errors import PreconditionError
+from .errors import InternalCheckError, PreconditionError
 
 MAX_DEPTH = 30
 # Dense occupancy arrays: refuse spans that stop being desk-sized.
@@ -234,6 +234,12 @@ def _digest(*objs) -> str:
         else:
             h.update(str(obj).encode())
     return h.hexdigest()[:16]
+
+
+def _bug(what: str, *inputs) -> InternalCheckError:
+    """The error of a failed internal check: what failed, and the digest
+    of the inputs that replay it."""
+    return InternalCheckError(f"{what} (inputs {_digest(*inputs)}); bug")
 
 
 def _view(build):
@@ -635,18 +641,20 @@ def _box_runs(E: GridSet2):
         yield np.stack((y + (oy + r0), x0 + ox, flips[1::2] - y * (w + 1) + (ox - 1)), axis=1)
 
 
+def _blocks(rows: np.ndarray):
+    """Consecutive slices of _SCAN_CELLS // 64 (or one) entries of rows,
+    for a writer that streams them."""
+    step = max(1, _SCAN_CELLS // 64)
+    return (rows[t:t + step] for t in range(0, len(rows), step))
+
+
 def _run_blocks(E: GridSet2):
     """The maximal row runs of E in (k, 3) blocks, ascending, for a writer
-    that streams them: slices of _SCAN_CELLS // 64 (or one) of its `runs`
-    when it holds them, else as `_box_runs` scans its box, so neither form
-    of the set is converted whole into the other."""
+    that streams them: `_blocks` of its `runs` when it holds them, else as
+    `_box_runs` scans its box, so neither form of the set is converted
+    whole into the other."""
     runs = type(E).runs.fget(E, False)
-    if runs is None:
-        yield from _box_runs(E)
-        return
-    step = max(1, _SCAN_CELLS // 64)
-    for t in range(0, len(runs), step):
-        yield runs[t:t + step]
+    return _box_runs(E) if runs is None else _blocks(runs)
 
 
 def _run_cells(first: np.ndarray, lens: np.ndarray) -> np.ndarray:

@@ -23,9 +23,11 @@ checks the grammar on their edges (the separators between numbers, the
 signs, one final '\n') and parses the numbers.  A GS2 body's rows are
 the set's row runs (`GridSet2.from_runs`); no per-cell pairs are built.
 A file this parse does not take goes to a line-by-line text scan that
-names the first faulty line.  A GS2 file is written a block of runs at a
-time (`grid._run_blocks`): from the runs a set read from a file holds, or
-as `grid._box_runs` scans the box of a set built from one.
+names the first faulty line.  Every file is written a block of lines at a
+time, through one loop (`_write_text`): GS1 and DM1 from slices of the
+set's runs or the measure's support (`grid._blocks`), GS2 as
+`grid._run_blocks` gives its runs, from the runs a set read from a file
+holds, or as `grid._box_runs` scans the box of a set built from one.
 """
 from __future__ import annotations
 
@@ -39,7 +41,8 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 from .errors import PreconditionError
-from .grid import MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _require, _run_blocks
+from .grid import (MAX_INDEX, MAX_SPAN, GridSet1, GridSet2, Scale, _blocks, _require,
+                   _run_blocks)
 from .measure import DyadicMeasure1
 
 TOOL_VERSION = "deltagrid 0.1.0"
@@ -60,22 +63,28 @@ def _parse_error(path, lineno: int, msg: str) -> PreconditionError:
     return PreconditionError(f"{path}:{lineno}: {msg}")
 
 
+def _write_text(path, head: str, blocks) -> None:
+    """head, then each block of lines, to the text file path: every file
+    is written a block at a time, so no writer holds all its lines."""
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write(head)
+        for lines in blocks:
+            fh.write("".join(lines))
+
+
 def write_gridset(S: Union[GridSet1, GridSet2], path) -> None:
     """S as a GS1 or GS2 file, its run lines written a block at a time:
-    GS1 from `S.runs` in one block, GS2 as `_run_blocks` gives them."""
+    GS1 from `_blocks` of `S.runs`, GS2 as `_run_blocks` gives them."""
     if isinstance(S, GridSet1):
         head = f"GS1 v1\nn={S.scale.n}\noffset={S.offset}\n"
-        blocks = ([f"{a}-{b}\n" for a, b in zip(*S.runs.tolist())],)
+        blocks = ([f"{a}-{b}\n" for a, b in block.tolist()] for block in _blocks(S.runs.T))
     elif isinstance(S, GridSet2):
         head = "GS2 v1\nn={}\noffset={},{}\nrows={}\n".format(S.scale.n, *S.offset, S.shape[0])
         blocks = ([f"row={y}:{a}-{b}\n" for y, a, b in block.tolist()]
                   for block in _run_blocks(S))
     else:
         raise PreconditionError(f"cannot serialize {type(S).__name__}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(head)
-        for lines in blocks:
-            fh.write("".join(lines))
+    _write_text(path, head, blocks)
 
 
 def _header_int(lines, lineno: int, key: str, path) -> int:
@@ -233,11 +242,9 @@ def read_gridset(path) -> Union[GridSet1, GridSet2]:
 def write_measure(mu: DyadicMeasure1, path) -> None:
     _require(isinstance(mu, DyadicMeasure1), "DM1 stores 1D measures")
     (cells,), w = mu._support
-    lines = ["DM1 v1", f"n={mu.scale.n}", f"offset={mu.offset}"]
-    for t, v in zip(cells, w):
-        lines.append(f"{mu.offset + int(t)} {float(v)!r}")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_text(path, f"DM1 v1\nn={mu.scale.n}\noffset={mu.offset}\n",
+                ([f"{mu.offset + t} {v!r}\n" for t, v in zip(c.tolist(), u.tolist())]
+                 for c, u in zip(_blocks(cells), _blocks(w))))
 
 
 def read_measure(path) -> DyadicMeasure1:

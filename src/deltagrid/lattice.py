@@ -43,9 +43,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError
-from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _digest, _int64_indices, _merged,
-                   _require, _require_indices, as_fraction)
+from .grid import (MAX_INDEX, GridSet1, GridSet2, Scale, _bug, _int64_indices, _merged, _require,
+                   _require_indices, as_fraction)
 
 _MAX_RASTER = 4_000_000
 _MAX_PI_POINTS = 2_000_000
@@ -280,10 +279,9 @@ def blichfeldt_translate(V, s) -> LatticeSearchResult:
     dim = len(res)
     bound = V.count / float(k) ** dim
     if count < math.ceil(bound - 1e-9):
-        raise InternalCheckError(
-            f"translate search found max count {count} below averaging bound "
-            f"{bound} (|V|={V.count} cells, k={k}, dim={dim}) "
-            f"(inputs {_digest(V, Fraction(k, 1 << V.scale.n))}); bug")
+        raise _bug(f"translate search found max count {count} below averaging bound "
+                   f"{bound} (|V|={V.count} cells, k={k}, dim={dim})",
+                   V, Fraction(k, 1 << V.scale.n))
     shift = tuple(Fraction(r, 1 << V.scale.n) for r in res)
     return LatticeSearchResult(translation=shift, count=count, bound=bound,
                                examined_shifts=k ** dim)
@@ -345,7 +343,8 @@ def _raster_slab(scale: Scale, u: np.ndarray, R: float) -> CellCloud:
 
     axis = np.arange(-(side // 2), side // 2 + 1, dtype=np.int64)
     rows = _filtered_raster([axis] * n, keep)
-    _require(rows.shape[0] > 0, "slab raster came out empty; bug in extents")
+    if not rows.shape[0]:
+        raise _bug("slab raster came out empty", scale.n, tuple(u.tolist()), R)
     return CellCloud(scale, rows)
 
 
@@ -367,8 +366,7 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     _require(float(A.count) ** n <= _MAX_PI_POINTS,
              f"product set has {A.count}**{n} points; too many for the pair scan")
 
-    def bug(what: str) -> InternalCheckError:
-        return InternalCheckError(f"{what} (inputs {_digest(A, tuple(v.tolist()), n, R)}); bug")
+    inputs = (A, tuple(v.tolist()), n, R)
 
     scale = A.scale
     delta = scale.delta
@@ -403,7 +401,8 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
     rows = V.indices
     taus = (rows[_on_lattice(rows, r, kmod)] - r) // kmod  # lex-sorted since rows are
     if taus.shape[0] < M:
-        raise bug(f"translate count {taus.shape[0]} fell below required {M} (bound {bound})")
+        raise _bug(f"translate count {taus.shape[0]} fell below required {M} (bound {bound})",
+                   *inputs)
     taus = taus[:M]
     base = (r + taus * kmod) * delta  # lattice points, exact binary64
 
@@ -430,18 +429,18 @@ def slab_collision(A: GridSet1, v, n: int, R: float) -> CollisionWitness:
             z = base[j] + centers[b_flat]
             gap = abs(float(x @ v) - float(z @ v))
             if gap > tol * (1 + 1e-9):
-                raise bug(f"witness gap {gap} exceeds tolerance {tol}")
+                raise _bug(f"witness gap {gap} exceeds tolerance {tol}", *inputs)
             nz = np.flatnonzero(ell != 0)
             if nz.size == 0:
-                raise bug("collision with zero lattice vector")
+                raise _bug("collision with zero lattice vector", *inputs)
             elim = int(nz[-1])
             if abs(float(z[elim] - x[elim])) < diam - 2 * delta:
-                raise bug(f"eliminated coordinate moved only {abs(float(z[elim] - x[elim]))}, "
-                          f"below diam - 2*delta = {diam - 2 * delta}")
+                raise _bug(f"eliminated coordinate moved only {abs(float(z[elim] - x[elim]))}, "
+                           f"below diam - 2*delta = {diam - 2 * delta}", *inputs)
             return CollisionWitness(
                 pair_indices=(i, j), ell=tuple(int(e) for e in ell),
                 x=tuple(float(t) for t in x), y=tuple(float(t) for t in y),
                 z=tuple(float(t) for t in z), eliminated=elim,
                 tolerance=tol, projection_gap=gap)
-    raise bug(f"no collision among {M} translates despite projection measure {lam}; "
-              f"theory guarantees one")
+    raise _bug(f"no collision among {M} translates despite projection measure {lam}; "
+               f"theory guarantees one", *inputs)

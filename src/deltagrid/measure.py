@@ -56,9 +56,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import InternalCheckError
 from .grid import (GridSet1, GridSet2, MAX_INDEX, Scale, as_fraction,
-                   _check_cells, _crop, _digest, _offset, _origin, _overlap_box, _require,
+                   _bug, _check_cells, _crop, _offset, _origin, _overlap_box, _require,
                    _require_span, _run_cells, _seed, _view)
 
 MASS_RTOL = 2.0 ** -40
@@ -562,10 +561,15 @@ def energy_bound_constant(t: float, kappa: float) -> float:
 def _cube_masses(idx: np.ndarray, w: np.ndarray, n: int, levels):
     """For each level j in `levels`: j, the level-j dyadic cubes meeting the
     cells idx (ascending), each cell's position among them, and their masses
-    under the weights w."""
+    under the weights w.  The cubes' keys idx >> (n - j) ascend too, so a
+    cell opens a new cube where its key differs from the one before."""
+    new = np.ones(idx.size, dtype=bool)
     for j in levels:
-        uniq, inv = np.unique(idx >> (n - j), return_inverse=True)
-        yield j, uniq, inv, np.bincount(inv, weights=w)
+        keys = idx >> (n - j)
+        np.not_equal(keys[1:], keys[:-1], out=new[1:])
+        inv = np.cumsum(new)
+        inv -= 1
+        yield j, keys[new], inv, np.bincount(inv, weights=w)
 
 
 def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
@@ -595,9 +599,8 @@ def prune_heavy_cubes(mu: DyadicMeasure1, s: float, K: float, L: float,
     geom = sum(2.0 ** (-j * s / 2.0) for j in range(n)) if n else 0.0
     bound = energy / (K * L) * geom
     if n and removed_mass > bound * (1 + 1e-9) + 1e-12:
-        raise InternalCheckError(
-            f"pruned mass {removed_mass} exceeds energy bound {bound} (c=1) "
-            f"(inputs {_digest(mu, s, K, L, strict)}); bug")
+        raise _bug(f"pruned mass {removed_mass} exceeds energy bound {bound} (c=1)",
+                   mu, s, K, L, strict)
     return kept, removed_mass
 
 

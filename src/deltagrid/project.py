@@ -33,8 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import InternalCheckError
-from .grid import GridSet1, GridSet2, Scale, _digest, _require
+from .grid import GridSet1, GridSet2, Scale, _bug, _require
 from .measure import (DyadicMeasure1, DyadicMeasure2, _require_energy_exponent, riesz_energy,
                       uniform_on)
 
@@ -167,10 +166,9 @@ class SweepReport:
     def __post_init__(self):
         for r in self.records:
             if r.adversarial_count > r.projection_count:
-                raise InternalCheckError(
-                    f"adversarial count {r.adversarial_count} exceeds projection "
-                    f"count {r.projection_count} at theta={r.theta} "
-                    f"(inputs {_digest(self.fraction, *self.records)}); bug")
+                raise _bug(f"adversarial count {r.adversarial_count} exceeds projection "
+                           f"count {r.projection_count} at theta={r.theta}",
+                           self.fraction, *self.records)
 
     @classmethod
     def build(cls, fraction: float, records) -> "SweepReport":
@@ -228,9 +226,13 @@ def _project_local(x, y, offset, extent: int, d: Direction):
     return K, v, (extent + 4) * 2.0 ** -50, exact
 
 
-def _center_keys(x, y, offset, extent: int, d: Direction):
-    """(K, keys): K + keys[t] is the exact floor of pi_theta of point t."""
-    K, v, err, exact = _project_local(x, y, offset, extent, d)
+def _fiber_keys(x, y, offset, shape, d):
+    """(base, keys) of the cells offset + (x, y), x, y >= 0 integer
+    coordinates in a box of the given shape: base + keys[t] is the exact
+    floor of pi_theta of cell t's center, the cell's fiber, and the least
+    key is 0."""
+    x, y = x + 0.5, y + 0.5
+    K, v, err, exact = _project_local(x, y, offset, sum(shape), _as_direction(d))
     keys = np.floor(v)
     v -= keys
     v -= 0.5
@@ -238,7 +240,9 @@ def _center_keys(x, y, offset, extent: int, d: Direction):
     keys = keys.astype(np.int64)
     if near.any():
         keys[near] = exact(x[near], y[near])
-    return K, keys
+    lo = int(keys.min())
+    keys -= lo
+    return K + lo, keys
 
 
 def project_set(E: GridSet2, d) -> GridSet1:
@@ -301,11 +305,9 @@ def project_set(E: GridSet2, d) -> GridSet1:
 def project_measure(mu: DyadicMeasure2, d) -> DyadicMeasure1:
     """Pushforward under pi_theta, each square's mass to its center's cell."""
     (jr, ir), weights = mu._support
-    K, keys = _center_keys(ir + 0.5, jr + 0.5, mu.offset, sum(mu.weights.shape),
-                           _as_direction(d))
-    lo = int(keys.min())
-    # fresh and trimmed: keys lo and max carry the mass of positive cells
-    return DyadicMeasure1(mu.scale, K + lo, np.bincount(keys - lo, weights=weights))
+    base, keys = _fiber_keys(ir, jr, mu.offset, mu.weights.shape, d)
+    # fresh and trimmed: keys 0 and max carry the mass of positive cells
+    return DyadicMeasure1(mu.scale, base, np.bincount(keys, weights=weights))
 
 
 def _fibers(E: GridSet2, d, fraction: float):
@@ -315,14 +317,11 @@ def _fibers(E: GridSet2, d, fraction: float):
     _require(0 < fraction <= 1, f"fraction must lie in (0, 1], got {fraction}")
     _require(not E.is_empty, "projection needs a nonempty set")
     i, j = E.indices.T
-    x, y = (i - E.offset[0]) + 0.5, (j - E.offset[1]) + 0.5  # local cell centers
-    K, keys = _center_keys(x, y, E.offset, sum(E.shape), _as_direction(d))
-    lo = int(keys.min())
-    keys -= lo
+    base, keys = _fiber_keys(i - E.offset[0], j - E.offset[1], E.offset, E.shape, d)
     counts = np.bincount(keys)
     # empty keys would sort last, and fraction * E.count never exceeds the total
     cum = np.cumsum(np.sort(counts[counts > 0])[::-1])
-    return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1, K + lo
+    return keys, counts, int(np.searchsorted(cum, fraction * E.count)) + 1, base
 
 
 def adversarial_count(E: GridSet2, d, fraction: float) -> int:

@@ -15,6 +15,8 @@ a slab or a disc and filter it at once, for `lattice._filtered_raster`;
 `unique_rows` and `residue_histogram` are the `np.unique(axis=0)` passes
 that `lattice._sorted_rows` replaced.  `blocked_bits` is the blocked scatter
 of run cells that painted a run-held 2D set's box before `grid._painted`.
+`unique_cube_masses` is the per-level `np.unique` of `measure._cube_masses`,
+and `write_measure_lines` the DM1 writer that built one list of every line.
 """
 import math
 from fractions import Fraction
@@ -212,3 +214,21 @@ def blocked_bits(E) -> np.ndarray:
             bits[_run_cells(starts[t:u], lens[t:u])] = True
             t = u
     return bits.reshape(h, w)
+
+
+def unique_cube_masses(idx: np.ndarray, w: np.ndarray, n: int, levels):
+    """(j, cubes, each cell's position among them, masses) per level j, by
+    np.unique's sort of the keys idx >> (n - j)."""
+    for j in levels:
+        uniq, inv = np.unique(idx >> (n - j), return_inverse=True)
+        yield j, uniq, inv, np.bincount(inv, weights=w)
+
+
+def write_measure_lines(mu: DyadicMeasure1, path) -> None:
+    """A DM1 file from one list of all its lines, joined once."""
+    (cells,), w = mu._support
+    lines = ["DM1 v1", f"n={mu.scale.n}", f"offset={mu.offset}"]
+    for t, v in zip(cells, w):
+        lines.append(f"{mu.offset + int(t)} {float(v)!r}")
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")

@@ -15,7 +15,7 @@ from deltagrid import (AngleMeasure, DyadicMeasure1, GridSet1, GridSet2, Interna
                        nfold_expansion_curve, nfold_product, nfold_sum,
                        projection_theorem_experiment,
                        renormalized_find_expander, sumset, uniform_on)
-from deltagrid import addcomb, expand
+from deltagrid import expand
 from deltagrid.grid import _digest
 
 
@@ -244,7 +244,7 @@ def test_exhaust_halving():
 
 def test_exhaust_internal_error_names_an_input_digest(monkeypatch):
     """A difference that drops a cell trips the lost-cells check, whose
-    message names the inputs by the digest the addcomb checks use."""
+    message names the inputs by their `grid._digest`."""
     E = cartesian_product(make_interval(Scale(3), 0, 1), make_interval(Scale(3), 0, 1))
     difference = GridSet2.difference
 
@@ -260,7 +260,6 @@ def test_exhaust_internal_error_names_an_input_digest(monkeypatch):
         exhaust_decompose(E, first_row, 0.5)
     digest = re.search(r"\(inputs ([0-9a-f]{16})\); bug$", str(err.value))
     assert digest and digest.group(1) == _digest(E, 0.5, 1 / 64)
-    assert addcomb._digest is expand._digest is _digest
     # a measure is named by all its weights, which its repr abbreviates
     w = np.full(4096, 1 / 4096)
     v = w.copy()

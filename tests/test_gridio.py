@@ -12,6 +12,8 @@ from deltagrid import (DyadicMeasure1, GridSet1, GridSet2, PreconditionError,
                        read_gridset, read_measure, uniform_on, write_csv,
                        write_gridset, write_measure)
 
+from _oracles import write_measure_lines
+
 
 def test_roundtrip_generators(tmp_path):
     cases = [
@@ -613,3 +615,47 @@ def test_box_scans_trace_little_memory(tmp_path):
     assert E.count == 131044 and "_runs" in E.__dict__
     assert written < 1 << 20
     assert scanned < 3 * runs.nbytes
+
+
+def test_dm1_writer_matches_line_list_oracle(tmp_path):
+    """DM1 files are byte for byte the list-building writer's: one cell of
+    weight 1, and seeded measures with gaps, sizes around the write block,
+    weights from 5e-324 up, and offsets up to +-2**61."""
+    rng = np.random.default_rng(91)
+    mus = [DyadicMeasure1(Scale(0), 0, np.ones(1))]
+    tiny = [5e-324, 1e-320, 2.2250738585072014e-308, 1e-300, 1e-17]
+    for size in (1, 2, 1023, 1024, 1025, 5000):
+        for density in (0.1, 0.9, 1.0):
+            w = rng.random(size) * 10.0 ** rng.uniform(-300, 0, size)
+            w *= rng.random(size) < density
+            w[[0, -1]] = rng.random(2) + 0.5
+            at = rng.integers(0, size, size=min(size, 8))
+            w[at] = rng.choice(tiny, size=at.size)
+            w /= w.sum()
+            mus.append(DyadicMeasure1(Scale(30), int(rng.integers(-2**61, 2**61)), w))
+    assert any(np.any(mu.weights == 5e-324) for mu in mus)
+    for mu in mus:
+        write_measure(mu, tmp_path / "new")
+        write_measure_lines(mu, tmp_path / "old")
+        assert (tmp_path / "new").read_bytes() == (tmp_path / "old").read_bytes()
+
+
+def test_gs1_and_dm1_writes_trace_little_memory(tmp_path):
+    """A GS1 file of 2**16 runs and a DM1 file of 2**18 cells are written a
+    block of lines at a time: neither writer holds a list of every line."""
+    import tracemalloc
+
+    bits = np.zeros((1 << 18) - 3, dtype=bool)
+    bits[::4] = True
+    S = GridSet1.from_bits(Scale(20), 0, bits)
+    mu = uniform_on(make_interval(Scale(18), 0, 1))
+    assert S.runs.shape == (2, 1 << 16) and mu._support[1].size == 1 << 18
+    for obj, write, name in ((S, write_gridset, "s.gs1"), (mu, write_measure, "m.dm1")):
+        tracemalloc.start()
+        try:
+            write(obj, tmp_path / name)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20, name
+    assert read_gridset(tmp_path / "s.gs1") == S and read_measure(tmp_path / "m.dm1") == mu

@@ -16,7 +16,7 @@ from deltagrid import (MAX_INDEX, DyadicMeasure1, DyadicMeasure2, GridSet1, Grid
                        make_interval, maximal_interval, prune_heavy_cubes,
                        pushforward_affine, rescale_to_unit, riesz_energy,
                        uniform_on)
-from _oracles import _energy_direct, _scan_frostman_1d, _scan_frostman_2d
+from _oracles import _energy_direct, _scan_frostman_1d, _scan_frostman_2d, unique_cube_masses
 
 
 def _unif(n, idx):
@@ -935,3 +935,28 @@ def test_support_view_matches_nonzero_oracle(monkeypatch):
         if mu.weights.ndim == 1:  # absolute cells, as the 1D tools read them
             assert (cells[0] + mu.offset).tolist() == [mu.offset + int(i) for i in want[0]]
     assert repr(mu).startswith(f"DyadicMeasure2(n=30, support={w.size},")
+
+
+def test_cube_masses_match_unique_oracle():
+    """Ascending cells give ascending cube keys, so `_cube_masses` finds each
+    level's cubes from a difference mask: the same cubes, positions and mass
+    bits as np.unique's sort, at every level, for one cell and for sparse
+    and dense supports at negative and positive offsets."""
+    rng = np.random.default_rng(71)
+    cases = [(np.array([5]), np.ones(1), 4), (np.array([-3]), np.ones(1), 0)]
+    for n in (1, 6, 13):
+        for density in (0.01, 0.5, 1.0):
+            idx = np.flatnonzero(rng.random(1 << n) < density)
+            idx = idx if idx.size else np.array([0])
+            w = rng.random(idx.size) * 10.0 ** rng.uniform(-30, 0, idx.size)
+            for offset in (0, int(rng.integers(-(8 << n), 8 << n))):
+                cases.append((idx + offset, w / w.sum(), n))
+    for idx, w, n in cases:
+        got = list(measure._cube_masses(idx, w, n, range(n + 1)))
+        want = list(unique_cube_masses(idx, w, n, range(n + 1)))
+        assert len(got) == len(want) == n + 1
+        for (j, cubes, inv, masses), (wj, wcubes, winv, wmasses) in zip(got, want):
+            assert j == wj
+            assert cubes.dtype == wcubes.dtype and np.array_equal(cubes, wcubes)
+            assert np.array_equal(inv, winv)
+            assert masses.dtype == wmasses.dtype and masses.tobytes() == wmasses.tobytes()

@@ -72,3 +72,17 @@ def test_sum_counts_are_plain_setcalc_functions():
         assert addcomb.__dict__[name] is fn
     assert expand.__dict__["diffset_count"] is setcalc.diffset_count
     assert addcomb.__dict__["sumset"] is setcalc.sumset
+
+
+def test_fibers_are_a_plain_project_function_sweep_calls(monkeypatch):
+    """The adversary's fibers are timed by rebinding `project._fibers`: it
+    stays a plain function of `project`, not a generator, and `sweep`
+    calls it by that name at every angle."""
+    fn = project.__dict__["_fibers"]
+    assert inspect.isfunction(fn) and fn.__module__ == project.__name__
+    assert not inspect.isgeneratorfunction(fn)
+    angles = []
+    monkeypatch.setattr(project, "_fibers", lambda E, d, f: angles.append(d) or fn(E, d, f))
+    E = grid.GridSet2.from_indices(grid.Scale(3), [(0, 0), (1, 2), (5, 5)])
+    project.sweep(E, [0.0, 0.3], 0.5)
+    assert angles == [0.0, 0.3]
